@@ -14,6 +14,7 @@ provide the per-pass canonical bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import IO, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -209,6 +210,14 @@ def workload_section_bytes(profile: WorkloadProfile, pass_name: str) -> bytes:
 def workload_header_bytes(profile: WorkloadProfile) -> bytes:
     """Canonical bytes of all launch headers of a workload profile."""
     return _canonical([kernel_header_dict(k) for k in profile.kernels])
+
+
+def section_digests(profile: WorkloadProfile) -> Dict[str, str]:
+    """sha256 of the launch headers (``"header"``) and of each pass's sections."""
+    out = {"header": hashlib.sha256(workload_header_bytes(profile)).hexdigest()}
+    for name in profile.passes:
+        out[name] = hashlib.sha256(workload_section_bytes(profile, name)).hexdigest()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,30 @@ real data without re-simulating per test.
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from repro.api import CharacterizationConfig, characterize
 from repro.simt import Device, Executor, KernelBuilder
 from repro.trace import KernelTraceCollector
+
+
+#: Frozen per-pass section digests, recorded from the interpreted engine.
+SECTION_DIGESTS_PATH = os.path.join(
+    os.path.dirname(__file__), "fixtures", "section_digests.json"
+)
+DIGEST_REGEN_HINT = (
+    "if the section change is intentional, regenerate the fixture with "
+    "`PYTHONPATH=src python scripts/regen_section_digests.py` and review its diff"
+)
+
+
+def load_section_digests():
+    with open(SECTION_DIGESTS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="session")
