@@ -20,9 +20,8 @@ speedups are compared as a fallback.
 
 The check fails when the fresh ratio falls more than ``--tolerance``
 (default 25%) below the baseline ratio.  The same guard is applied to the
-demand-driven pass speedup (mix+branch vs all passes) and the profiled
-columnar-event speedup (per-event callbacks vs columnar batch buffers on
-the fully-profiled pass basket) when both files record them.
+demand-driven pass speedup (mix+branch vs all passes) when both files
+record it.
 
 The DSE sweep stage (cold vs warm timing-shard cache) is always guarded
 when the fresh file records it: the warm leg must hit 100% of the timing
@@ -335,15 +334,6 @@ def main(argv=None) -> int:
             "demand-driven pass speedup",
             float(fresh_demand),
             float(base_demand),
-            args.tolerance,
-        )
-    fresh_prof = fresh.get("profiled_speedup")
-    base_prof = baseline.get("profiled_speedup")
-    if fresh_prof and base_prof:
-        ok &= check_ratio(
-            "profiled columnar-event speedup",
-            float(fresh_prof["speedup"]),
-            float(base_prof["speedup"]),
             args.tolerance,
         )
     ok &= check_sweep(fresh, baseline, args.tolerance)

@@ -787,13 +787,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         demand = result.demand_speedup
         if demand is not None:
             print(f"demand-driven mix+branch run: {demand:.2f}x faster than all passes")
-    if result.profiled is not None:
-        p = result.profiled
-        print(
-            f"profiled path (pass basket, all blocks, all passes): "
-            f"callback {p.callback_s:.2f}s, columnar {p.columnar_s:.2f}s "
-            f"({p.speedup:.2f}x)"
-        )
     if result.dse_sweep is not None:
         s = result.dse_sweep
         print(

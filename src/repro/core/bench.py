@@ -9,7 +9,7 @@ engine stacks them into wide batched launches instead of interpreting the
 IR block by block.
 
 The interpreted engine is the reference implementation
-(:mod:`repro.simt.reference`); both engines produce bit-identical device
+(:mod:`repro.simt.executor`); both engines produce bit-identical device
 memory and profiles (see ``tests/simt/test_engine_parity.py``), so the
 comparison is purely about wall clock.
 
@@ -115,34 +115,6 @@ class PassSetEntry:
 
 
 @dataclass
-class ProfiledSpeedup:
-    """Compiled-engine timing of the pass basket: callback vs columnar events.
-
-    Both legs profile *every* block under the full pass set; the only
-    difference is the event transport.  ``callback_s`` drives the passes
-    through the per-dynamic-instruction ``on_instr``/``on_mem``/``on_branch``
-    hooks (the reference path); ``columnar_s`` records per-batch numpy event
-    buffers and feeds each pass's vectorized ``consume``.  The two paths
-    produce bit-identical sections (``tests/simt/test_engine_parity.py``),
-    so the ratio is purely the payoff of the columnar pipeline.
-    """
-
-    callback_s: float
-    columnar_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.callback_s / self.columnar_s if self.columnar_s else float("inf")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callback_s": round(self.callback_s, 4),
-            "columnar_s": round(self.columnar_s, 4),
-            "speedup": round(self.speedup, 2),
-        }
-
-
-@dataclass
 class TelemetryOverhead:
     """Compiled-engine timing of the quick basket with telemetry off vs on.
 
@@ -210,7 +182,6 @@ class BenchResult:
     sample_blocks: Optional[int]
     entries: List[BenchEntry] = field(default_factory=list)
     pass_entries: List[PassSetEntry] = field(default_factory=list)
-    profiled: Optional[ProfiledSpeedup] = None
     telemetry: Optional[TelemetryOverhead] = None
     dse_sweep: Optional[SweepStage] = None
     #: Abbrevs the run was restricted to (``--workloads``), or ``None`` for
@@ -262,7 +233,6 @@ class BenchResult:
             "speedup": round(self.speedup, 2),
             "pass_sets": [e.to_dict() for e in self.pass_entries],
             "demand_speedup": round(demand, 2) if demand is not None else None,
-            "profiled_speedup": self.profiled.to_dict() if self.profiled else None,
             "telemetry": self.telemetry.to_dict() if self.telemetry else None,
             "dse_sweep": self.dse_sweep.to_dict() if self.dse_sweep else None,
         }
@@ -273,7 +243,6 @@ def _time_engine(
     engine: str,
     sample_blocks: Optional[int],
     passes: Optional[Tuple[str, ...]] = None,
-    event_mode: str = "columnar",
 ) -> float:
     t0 = time.perf_counter()
     run_workload(
@@ -282,7 +251,6 @@ def _time_engine(
         sample_blocks=sample_blocks,
         engine=engine,
         passes=passes,
-        event_mode=event_mode,
     )
     return time.perf_counter() - t0
 
@@ -299,12 +267,13 @@ def run_bench(
     ``workloads`` restricts the engine-comparison stage to the named
     abbrevs (every basket entry matching any of them runs; unknown names
     raise :class:`ValueError`).  A filtered run times *only* that stage —
-    the pass-set, columnar, DSE-sweep and telemetry stages are skipped —
+    the pass-set, DSE-sweep and telemetry stages are skipped —
     and is marked with ``workload_filter`` in the JSON so the regression
     checker knows aggregate totals are not comparable.
 
-    Each workload is simulated once per engine (the runs take seconds, so
-    single-shot timing is stable to a few percent).  ``verify`` is off:
+    Each workload is simulated once per engine.  Single-shot timings are
+    noisy: repeated runs on a shared 2-vCPU host spread by 3-21%, so
+    compare ratios across runs, not absolute seconds.  ``verify`` is off:
     the numpy reference check costs the same under both engines and would
     only dilute the measured ratio.
 
@@ -312,11 +281,6 @@ def run_bench(
     for each pass set in :func:`pass_sets` — this is what quantifies the
     payoff of demand-driven collection (``--passes``/``--metrics``) and the
     marginal cost of each pass.
-
-    A third stage re-times the pass basket (every block profiled, all
-    passes) under both event transports — per-event callbacks vs columnar
-    batch buffers — producing the ``profiled_speedup`` record that
-    quantifies the columnar pipeline's payoff on the fully-profiled path.
 
     Both timed stages run with telemetry *paused*: the numbers must reflect
     the shipping (telemetry-off) configuration even when the bench
@@ -372,21 +336,6 @@ def run_bench(
                 )
                 if progress:
                     progress(f"passes[{name}]: {total:.2f}s")
-            callback_s = columnar_s = 0.0
-            for abbrev, scale in PASS_BASKET:
-                cls = registry.get(abbrev)
-                callback_s += _time_engine(
-                    cls(**scale), "compiled", None, event_mode="callback"
-                )
-                columnar_s += _time_engine(
-                    cls(**scale), "compiled", None, event_mode="columnar"
-                )
-            result.profiled = ProfiledSpeedup(callback_s, columnar_s)
-            if progress:
-                progress(
-                    f"profiled: callback {callback_s:.2f}s, columnar {columnar_s:.2f}s "
-                    f"({result.profiled.speedup:.2f}x)"
-                )
             result.dse_sweep = _time_dse_sweep(sample_blocks, progress)
     finally:
         if was_enabled:

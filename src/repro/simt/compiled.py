@@ -14,15 +14,12 @@ interpreter in :mod:`repro.simt.executor`:
 * **Block batching** — independent blocks are stacked into a single state
   of ``K * npad`` lanes (per-block ``%ctaid``/``%tid`` vectors, one
   shared-memory row per block), amortising every numpy operation across K
-  blocks.  Under the default *columnar* event mode, profiled blocks batch
-  exactly like silent ones: a batch containing profiled blocks runs the
-  observed program with an :class:`~repro.simt.events.EventRecorder`
-  capturing per-event columnar buffers, delivered to sinks as one
-  ``on_batch`` call.  Under the legacy *callback* event mode profiled
-  blocks run singly and emit per-event sink callbacks.  Both modes produce
-  bit-identical device memory and profiles.  Kernels containing atomics
-  are never batched: atomic lane serialisation is defined in launch order,
-  which stacking would reorder.
+  blocks.  Profiled blocks batch exactly like silent ones: a batch
+  containing profiled blocks runs the observed program with an
+  :class:`~repro.simt.events.EventRecorder` capturing per-event columnar
+  buffers, delivered to sinks as one ``on_batch`` call.  Kernels
+  containing atomics are never batched: atomic lane serialisation is
+  defined in launch order, which stacking would reorder.
 
 * **Batch planning** — lockstep program order lets an earlier block's
   later memory operation land after a later block's earlier one, so
@@ -64,6 +61,7 @@ import numpy as np
 
 from repro.simt import footprint
 from repro.simt.errors import ExecutionError
+from repro.simt.events import EventRecorder
 from repro.simt.ir import (
     Atomic,
     Barrier,
@@ -176,12 +174,16 @@ _LOAD_CATEGORY = {
 
 
 class _RunState:
-    """Mutable lane state for one batch of blocks (or one profiled block)."""
+    """Mutable lane state for one batch of blocks.
+
+    ``recorder`` is the batch's :class:`~repro.simt.events.EventRecorder`
+    when it contains profiled blocks; only the observed program, whose
+    hooks record into it, runs with one installed.
+    """
 
     __slots__ = (
         "device",
         "params",
-        "sinks",
         "strict_barriers",
         "nblk",
         "npad",
@@ -191,57 +193,8 @@ class _RunState:
         "block_mask",
         "lane_block",
         "shared",
-        "note_cache",
         "recorder",
     )
-
-
-# ----------------------------------------------------------------------
-# Observation hooks (only reachable from the observed program).  With a
-# recorder installed (columnar mode) events are captured as batch buffers;
-# otherwise (callback mode, single-block states) they fan out to sinks.
-# ----------------------------------------------------------------------
-
-
-def _note_instr(st: _RunState, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.instr(stmt, category, act)
-        return
-    # Active masks are never mutated in place (every mask update allocates),
-    # so object identity implies value identity: a straight-line run under
-    # one mask reduces it once, not per instruction.  The cache holds a
-    # reference to the mask, so its id cannot be recycled while cached.
-    cache = st.note_cache
-    if cache is not None and cache[0] is act:
-        lanes = cache[1]
-        warp_mask = cache[2]
-    else:
-        warp_mask = act.reshape(-1, WARP_SIZE).any(axis=1)
-        lanes = int(act.sum())
-        st.note_cache = (act, lanes, warp_mask)
-    for sink in st.sinks:
-        sink.on_instr(stmt, category, lanes, warp_mask)
-
-
-def _note_mem(st, stmt, space, kind, esize, addrs, act) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.mem(stmt, space, kind, esize, addrs, act)
-        return
-    for sink in st.sinks:
-        sink.on_mem(stmt, space, kind, esize, addrs, act)
-
-
-def _note_branch(st, stmt, kind, act, taken) -> None:
-    rec = st.recorder
-    if rec is not None:
-        rec.branch(stmt, kind, act, taken)
-        return
-    warp_active = act.reshape(-1, WARP_SIZE).sum(axis=1)
-    warp_taken = taken.reshape(-1, WARP_SIZE).sum(axis=1)
-    for sink in st.sinks:
-        sink.on_branch(stmt, kind, warp_active, warp_taken)
 
 
 # ----------------------------------------------------------------------
@@ -473,10 +426,6 @@ def _contains_return(stmt: Stmt) -> bool:
     return False
 
 
-#: Full hook set (the historical "observed" program).
-ALL_HOOKS = frozenset({"instr", "mem", "branch"})
-
-
 def _compile_instr(ck, stmt: Instr, hooks: frozenset):
     write = _make_write(ck, stmt.dest)
     category = op_category(stmt.op)
@@ -527,7 +476,7 @@ def _compile_instr(ck, stmt: Instr, hooks: frozenset):
 
         def run(st, act):
             write(st, core(st, act), act)
-            _note_instr(st, stmt, category, act)
+            st.recorder.instr(stmt, category, act)
 
     else:
 
@@ -655,20 +604,20 @@ def _wrap_mem_op(core, stmt, category, kind, esize, hooks: frozenset, space=None
 
         def run(st, act):
             addrs = core(st, act)
-            _note_instr(st, stmt, category, act)
-            _note_mem(st, stmt, space, kind, esize, addrs, act)
+            st.recorder.instr(stmt, category, act)
+            st.recorder.mem(stmt, space, kind, esize, addrs, act)
 
     elif ni:
 
         def run(st, act):
             core(st, act)
-            _note_instr(st, stmt, category, act)
+            st.recorder.instr(stmt, category, act)
 
     else:
 
         def run(st, act):
             addrs = core(st, act)
-            _note_mem(st, stmt, space, kind, esize, addrs, act)
+            st.recorder.mem(stmt, space, kind, esize, addrs, act)
 
     return run
 
@@ -686,9 +635,9 @@ def _compile_if(ck, stmt: If, hooks: frozenset):
             c = cond(st)
             taken = act & c
             if ni:
-                _note_instr(st, stmt, OpCategory.BRANCH, act)
+                st.recorder.instr(stmt, OpCategory.BRANCH, act)
             if nb:
-                _note_branch(st, stmt, "if", act, taken)
+                st.recorder.branch(stmt, "if", act, taken)
             if taken.any():
                 then_run(st, taken)
             if else_run is not None:
@@ -733,9 +682,9 @@ def _compile_while(ck, stmt: While, hooks: frozenset):
                 c = cond(st)
                 stay = live & c
                 if ni:
-                    _note_instr(st, stmt, OpCategory.BRANCH, live)
+                    st.recorder.instr(stmt, OpCategory.BRANCH, live)
                 if nb:
-                    _note_branch(st, stmt, "loop", live, stay)
+                    st.recorder.branch(stmt, "loop", live, stay)
                 live = stay
                 if not live.any():
                     return
@@ -800,7 +749,7 @@ def _compile_barrier(ck, stmt: Barrier, hooks: frozenset):
 
         def run(st, act):
             core(st, act)
-            _note_instr(st, stmt, OpCategory.BARRIER, act)
+            st.recorder.instr(stmt, OpCategory.BARRIER, act)
 
         return run
 
@@ -811,7 +760,7 @@ def _compile_return(ck, stmt: Return, hooks: frozenset):
     if "instr" in hooks:
 
         def run(st, act):
-            _note_instr(st, stmt, OpCategory.BRANCH, act)
+            st.recorder.instr(stmt, OpCategory.BRANCH, act)
             st.returned |= act
 
     else:
@@ -948,11 +897,6 @@ class CompiledKernel:
             run = _compile_block(self, self.kernel.body, hooks)
             self._observed[hooks] = run
         return run
-
-    @property
-    def run_observed(self) -> Callable:
-        """The fully-observed runner (every hook compiled in)."""
-        return self.observed_runner(ALL_HOOKS)
 
 
 def _stmt_regs(stmt: Stmt):
@@ -1257,7 +1201,6 @@ def _make_state(
     block: Tuple[int, int],
     linears: Sequence[int],
     params: List,
-    observe: bool,
     templates: Optional[Dict[int, Dict]] = None,
 ) -> _RunState:
     """Build run state for a batch of blocks (``linears`` in ascending order)."""
@@ -1278,14 +1221,12 @@ def _make_state(
     st = _RunState()
     st.device = executor.device
     st.params = params
-    st.sinks = executor.sinks if observe else ()
     st.strict_barriers = executor.strict_barriers
     st.nblk = nblk
     st.npad = npad
     st.nlanes = nlanes
     st.regs = [None] * ck.nslots
     st.returned = np.zeros(nlanes, dtype=bool)
-    st.note_cache = None
     st.recorder = None
     st.block_mask = tmpl["block_mask"]
     st.lane_block = tmpl["lane_block"]
@@ -1312,15 +1253,12 @@ def run_compiled_launch(
     """Drive one launch through the compiled engine.
 
     Blocks accumulate into batches of up to ``batch_limit`` contiguous
-    blocks.  Under columnar event mode (the default when sinks are
-    attached), a batch containing profiled blocks runs the observed program
+    blocks.  A batch containing profiled blocks runs the observed program
     with an :class:`~repro.simt.events.EventRecorder` capturing columnar
     buffers delivered via ``sink.on_batch``; purely silent batches run the
-    silent program.  Under callback event mode, any pending batch is
-    flushed before a profiled block runs singly with per-event callbacks.
-    Both orders execute blocks in ascending contiguous runs, preserving the
-    interpreter's sequential device-memory outcome.  Returns the number of
-    profiled blocks and records ``executor.last_launch_stats``.
+    silent program.  Blocks execute in ascending contiguous runs,
+    preserving the interpreter's sequential device-memory outcome.  Returns
+    the number of profiled blocks and records ``executor.last_launch_stats``.
     """
     ck = compile_kernel(kernel)
     params = [params_by_name[p.name] for p in kernel.params]
@@ -1338,11 +1276,9 @@ def run_compiled_launch(
 
     sinks = executor.sinks
     pf = executor.profile_filter
-    columnar = bool(sinks) and executor.event_mode == "columnar"
-    run_observed = ck.observed_runner(executor.hook_subscriptions()) if sinks else None
+    observed = ck.observed_runner(executor.hook_subscriptions()) if sinks else None
     stats = {
         "engine": "compiled",
-        "event_mode": executor.event_mode,
         "blocks": nblocks,
         "profiled_blocks": 0,
         "batches": 0,
@@ -1357,19 +1293,35 @@ def run_compiled_launch(
         "event_bytes": 0,
     }
     pending: List[int] = []
+    prof_rows: List[int] = []
+    prof_ids: List[int] = []
     templates: Dict[int, Dict] = {}
     # Bound once per launch: None keeps the silent path telemetry-free, the
     # same way observation hooks are compiled out of unprofiled blocks.
     tele = get_telemetry()
     observe_batch = tele.observe if tele.enabled else None
 
-    def run_silent_batch() -> None:
-        st = _make_state(
-            ck, executor, grid, block, pending, params, observe=False, templates=templates
-        )
-        ck.run_silent(st, st.block_mask)
-
-    def account_flush() -> None:
+    def flush() -> None:
+        if not pending:
+            return
+        st = _make_state(ck, executor, grid, block, pending, params, templates=templates)
+        if prof_ids:
+            rec = EventRecorder(prof_ids, prof_rows, len(pending), npad, nwarps, nthreads)
+            st.recorder = rec
+            observed(st, st.block_mask)
+            batch = rec.finish()
+            stats["observed_batches"] += 1
+            stats["profiled_blocks"] += len(prof_ids)
+            counts = stats["event_counts"]
+            for kind, n in batch.event_counts().items():
+                counts[kind] += n
+            stats["event_bytes"] += batch.buffer_bytes()
+            prof_ids.clear()
+            prof_rows.clear()
+            for sink in sinks:
+                sink.on_batch(batch)
+        else:
+            ck.run_silent(st, st.block_mask)
         stats["batches"] += 1
         stats["batched_blocks"] += len(pending)
         if len(pending) > stats["largest_batch"]:
@@ -1378,91 +1330,15 @@ def run_compiled_launch(
             observe_batch("engine.compiled.batch_blocks", len(pending))
         pending.clear()
 
-    if columnar:
-        from repro.simt.events import EventRecorder
-
-        stats["observed_batch_limit"] = limit
-
-        prof_rows: List[int] = []
-        prof_ids: List[int] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            if prof_ids:
-                st = _make_state(
-                    ck,
-                    executor,
-                    grid,
-                    block,
-                    pending,
-                    params,
-                    observe=False,
-                    templates=templates,
-                )
-                rec = EventRecorder(
-                    prof_ids, prof_rows, len(pending), npad, nwarps, nthreads
-                )
-                st.recorder = rec
-                run_observed(st, st.block_mask)
-                batch = rec.finish()
-                stats["observed_batches"] += 1
-                stats["profiled_blocks"] += len(prof_ids)
-                counts = stats["event_counts"]
-                for kind, n in batch.event_counts().items():
-                    counts[kind] += n
-                stats["event_bytes"] += batch.buffer_bytes()
-                prof_ids.clear()
-                prof_rows.clear()
-                for sink in sinks:
-                    sink.on_batch(batch)
-            else:
-                run_silent_batch()
-            account_flush()
-
-        for linear in range(nblocks):
-            if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
-                flush()
-            if pf(linear, nblocks):
-                prof_rows.append(len(pending))
-                prof_ids.append(linear)
-            pending.append(linear)
-            if len(pending) >= limit:
-                flush()
-        flush()
-    else:
-
-        def flush() -> None:
-            if not pending:
-                return
-            run_silent_batch()
-            account_flush()
-
-        for linear in range(nblocks):
-            if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
-                flush()
-            if sinks and pf(linear, nblocks):
-                flush()
-                stats["profiled_blocks"] += 1
-                st = _make_state(
-                    ck,
-                    executor,
-                    grid,
-                    block,
-                    (linear,),
-                    params,
-                    observe=True,
-                    templates=templates,
-                )
-                for sink in sinks:
-                    sink.on_block_begin(linear, nthreads, nwarps)
-                run_observed(st, st.block_mask)
-                for sink in sinks:
-                    sink.on_block_end()
-            else:
-                pending.append(linear)
-                if len(pending) >= limit:
-                    flush()
-        flush()
+    for linear in range(nblocks):
+        if group_of is not None and pending and group_of[linear] != group_of[pending[-1]]:
+            flush()
+        if sinks and pf(linear, nblocks):
+            prof_rows.append(len(pending))
+            prof_ids.append(linear)
+        pending.append(linear)
+        if len(pending) >= limit:
+            flush()
+    flush()
     executor.last_launch_stats = stats
     return stats["profiled_blocks"]

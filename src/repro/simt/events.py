@@ -1,16 +1,13 @@
-"""Columnar event buffers: batched profiled execution for the compiled engine.
+"""Columnar event buffers: the one transport from the engines to sinks.
 
-The scalar observation path invokes ``on_instr``/``on_mem``/``on_branch`` on
-every sink for every dynamic instruction of every profiled block — a Python
-call per event per sink.  This module decouples observation from execution:
-while a *batch* of blocks executes in lockstep, an :class:`EventRecorder`
-captures each emitted event once as a set of per-profiled-block numpy rows,
-and the whole batch is handed to sinks in a single
-:meth:`~repro.simt.sink.TraceSink.on_batch` call.  Analysis passes consume
-the buffers with vectorized reductions over the block-lane axis (see
-``AnalysisPass.consume``); sinks without a vectorized path fall back to a
-scalar replay that reproduces the legacy per-block callback sequence
-bit-for-bit.
+Observation is decoupled from execution: while a *batch* of blocks
+executes, an :class:`EventRecorder` captures each emitted event once as a
+set of per-profiled-block numpy rows, and the whole batch is handed to
+sinks in a single :meth:`~repro.simt.sink.TraceSink.on_batch` call.  The
+compiled engine records one batch per observed lockstep batch; the
+interpreted engine records each profiled block as a batch of one.
+Analysis passes consume the buffers with vectorized reductions over the
+block-lane axis (see ``AnalysisPass.consume``).
 
 Buffer schema
 -------------
@@ -37,9 +34,10 @@ lane.  Restricted to its participating events, a block's row sequence is
 exactly the event sequence the block emits when executed alone: lockstep
 execution visits the union of the batch's control-flow paths, and a block
 absent from a path contributes all-inactive rows there, which are filtered.
-This is the columnar pipeline's parity invariant — consumers that filter
-rows by participation and accumulate in (block-ascending, event-order)
-reproduce the scalar callback path bit-for-bit, floats included.
+This is the pipeline's parity invariant — consumers that filter rows by
+participation and accumulate block-major (block by block, each in event
+order) produce the same bytes whether the blocks arrive in one batch or
+one per batch, floats included.
 
 Batch membership itself is decided upstream by the planner
 (:func:`repro.simt.compiled.plan_batches`): hazard-flagged launches whose
@@ -95,46 +93,18 @@ class EventBatch:
                     total += part.nbytes
         return total
 
-    def replay(self, sink) -> None:
-        """Scalar-replay the batch through a sink's per-event callbacks.
-
-        Reproduces the legacy call sequence exactly: for each profiled block
-        in ascending order, ``on_block_begin``, the block's participating
-        events in emission order (with single-block array shapes), then
-        ``on_block_end``.
-        """
-        nthreads = self.nthreads
-        nwarps = self.nwarps
-        events = self.events
-        for i, linear in enumerate(self.block_ids):
-            sink.on_block_begin(linear, nthreads, nwarps)
-            for ev in events:
-                tag = ev[0]
-                if tag == "instr":
-                    lanes = ev[3][i]
-                    if lanes:
-                        sink.on_instr(ev[1], ev[2], int(lanes), ev[4][i])
-                elif tag == "mem":
-                    row = ev[6][i]
-                    if row.any():
-                        sink.on_mem(ev[1], ev[2], ev[3], ev[4], ev[5][i], row)
-                else:  # branch
-                    wa = ev[3][i]
-                    if wa.any():
-                        sink.on_branch(ev[1], ev[2], wa, ev[4][i])
-            sink.on_block_end()
-
 
 class EventRecorder:
     """Captures one batch's observation events as columnar buffers.
 
-    Installed on the run state (``st.recorder``) by the compiled driver; the
-    ``_note_*`` hooks route events here instead of fanning out to sinks.
-    Active masks are immutable (every mask update allocates), so instruction
-    events store one reference per distinct mask object and the per-block
-    reductions happen once per mask in :meth:`finish`.  Address arrays *are*
-    mutated in place by later statements, so memory events copy their
-    profiled rows eagerly.
+    Installed on the run state (``st.recorder``) by the compiled driver and
+    on each profiled block by the interpreter; both engines' ``_note_*``
+    hooks route events here.  Active masks are never mutated after they
+    are noted (every mask update allocates), so instruction events store
+    one reference per distinct mask object and the per-block reductions
+    happen once per mask in :meth:`finish`.  Address arrays *are* mutated
+    in place by later statements, so memory events copy their profiled
+    rows eagerly.
     """
 
     __slots__ = (
@@ -186,7 +156,7 @@ class EventRecorder:
             .reshape(len(self.block_ids), self.nwarps)
         )
 
-    # -- hooks called by the compiled engine's _note_* functions ---------
+    # -- hooks called by the engines' _note_* functions -----------------
 
     def instr(self, stmt, category, act: np.ndarray) -> None:
         slot = self._mask_ids.get(id(act))

@@ -49,6 +49,7 @@ from repro.simt.compiled import (
     compile_kernel,
     run_compiled_launch,
 )
+from repro.simt.events import EventRecorder
 from repro.simt.memory import _ATOMIC_SCALAR, Device, DeviceBuffer
 from repro.simt.sink import TraceSink
 from repro.simt.types import WARP_SIZE, DType
@@ -97,13 +98,6 @@ def _as_dim(dim: DimLike, what: str) -> Tuple[int, int]:
 #: compiled/batched one; "interpreted" is the reference statement walker).
 ENGINES = ("compiled", "interpreted")
 
-#: How the compiled engine delivers events to sinks.  ``"columnar"``
-#: (default) batches profiled blocks and hands each batch to sinks as one
-#: :class:`~repro.simt.events.EventBatch` via ``on_batch``; ``"callback"``
-#: runs profiled blocks singly and fires the per-event scalar hooks.  The
-#: interpreted engine always uses callbacks.
-EVENT_MODES = ("columnar", "callback")
-
 
 class Executor:
     """Launches kernels on a :class:`~repro.simt.memory.Device`.
@@ -128,12 +122,6 @@ class Executor:
         Override the number of blocks stacked per batch (compiled engine
         only).  ``None`` auto-sizes from the block's lane count; kernels
         containing atomics always run one block at a time.
-    event_mode:
-        ``"columnar"`` (default) lets the compiled engine batch profiled
-        blocks and deliver events as columnar buffers via ``on_batch``;
-        ``"callback"`` forces the legacy per-event scalar hook path.  Both
-        produce bit-identical memory and profiles; the interpreted engine
-        always uses callbacks.
     block_order:
         Optional permutation of linear block indices for the interpreted
         engine: blocks are *visited* in this order while keeping their
@@ -153,15 +141,10 @@ class Executor:
         strict_barriers: bool = True,
         engine: str = "compiled",
         batch_blocks: Optional[int] = None,
-        event_mode: str = "columnar",
         block_order: Optional[Sequence[int]] = None,
     ) -> None:
         if engine not in ENGINES:
             raise LaunchError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if event_mode not in EVENT_MODES:
-            raise LaunchError(
-                f"unknown event_mode {event_mode!r}; expected one of {EVENT_MODES}"
-            )
         if block_order is not None and engine != "interpreted":
             raise LaunchError(
                 "block_order is only supported by the interpreted engine"
@@ -172,7 +155,6 @@ class Executor:
         self.strict_barriers = strict_barriers
         self.engine = engine
         self.batch_blocks = batch_blocks
-        self.event_mode = event_mode
         self.block_order = None if block_order is None else [int(b) for b in block_order]
         #: Populated after every launch: engine, block/batch counters.
         self.last_launch_stats: Dict[str, Union[int, str]] = {}
@@ -180,7 +162,6 @@ class Executor:
         #: the per-workload aggregate surfaced by ``characterize --json``.
         self.launch_stats_totals: Dict[str, Union[int, str, Dict[str, int]]] = {
             "engine": engine,
-            "event_mode": event_mode,
             "launches": 0,
             "blocks": 0,
             "profiled_blocks": 0,
@@ -194,11 +175,11 @@ class Executor:
         }
 
     def hook_subscriptions(self) -> frozenset:
-        """Union of the attached sinks' per-event hook subscriptions.
+        """Union of the attached sinks' event subscriptions.
 
-        Both engines specialize a launch to this set: unsubscribed hooks are
-        never emitted (the compiled engine doesn't even generate them), so a
-        demand-driven sink makes the whole launch cheaper.
+        Both engines specialize a launch to this set: unsubscribed events
+        are never recorded (the compiled engine doesn't even generate their
+        hooks), so a demand-driven sink makes the whole launch cheaper.
         """
         subs: set = set()
         for sink in self.sinks:
@@ -339,7 +320,6 @@ class Executor:
             run.execute()
         self.last_launch_stats = {
             "engine": "interpreted",
-            "event_mode": "callback",
             "blocks": nblocks,
             "profiled_blocks": profiled,
             "batches": 0,
@@ -394,18 +374,27 @@ class _BlockRun:
         self.device = executor.device
         self.kernel = kernel
         self.params = params
-        self.sinks = executor.sinks if observe else []
-        # Per-hook sink lists: unsubscribed event kinds cost one falsy check.
-        self._instr_sinks = self.sinks if "instr" in hooks else []
-        self._mem_sinks = self.sinks if "mem" in hooks else []
-        self._branch_sinks = self.sinks if "branch" in hooks else []
         self.nthreads = block[0] * block[1]
         self.nwarps = -(-self.nthreads // WARP_SIZE)
         self.npad = self.nwarps * WARP_SIZE
+        self._block_idx = ctaid[1] * grid[0] + ctaid[0]
+        # A profiled block records itself as a one-block batch; per-hook
+        # recorder slots make unsubscribed event kinds cost one None check.
+        rec = None
+        if observe:
+            rec = EventRecorder(
+                (self._block_idx,), (0,), 1, self.npad, self.nwarps, self.nthreads
+            )
+        self.recorder = rec
+        self._instr_rec = rec if "instr" in hooks else None
+        self._mem_rec = rec if "mem" in hooks else None
+        self._branch_rec = rec if "branch" in hooks else None
 
         lane = np.arange(self.npad, dtype=np.int64)
         self.block_mask = lane < self.nthreads
         self.returned = np.zeros(self.npad, dtype=bool)
+        #: Bumped whenever lanes retire, so straight-line runs reuse one mask.
+        self._returns = 0
         self.env: Dict[str, np.ndarray] = {
             "%tid.x": lane % block[0],
             "%tid.y": np.minimum(lane // block[0], block[1] - 1),
@@ -421,22 +410,26 @@ class _BlockRun:
         }
         self._shared_decls = sorted(kernel.shared, key=lambda d: d.offset)
         self._shared_offsets = np.array([d.offset for d in self._shared_decls], dtype=np.int64)
-        self._block_idx = ctaid[1] * grid[0] + ctaid[0]
 
     # ------------------------------------------------------------------
 
     def execute(self) -> None:
-        for sink in self.sinks:
-            sink.on_block_begin(self._block_idx, self.nthreads, self.nwarps)
         self._exec_stmts(self.kernel.body, self.block_mask)
-        for sink in self.sinks:
-            sink.on_block_end()
+        if self.recorder is not None:
+            batch = self.recorder.finish()
+            for sink in self.executor.sinks:
+                sink.on_batch(batch)
 
     def _exec_stmts(self, stmts: List[Stmt], mask: np.ndarray) -> None:
+        # The active mask only changes when lanes retire, so a straight-line
+        # run shares one mask object (which the recorder then reduces once).
+        seen = -1
         for stmt in stmts:
-            act = mask & ~self.returned
-            if not act.any():
-                return
+            if seen != self._returns:
+                seen = self._returns
+                act = mask & ~self.returned
+                if not act.any():
+                    return
             if isinstance(stmt, Instr):
                 self._exec_instr(stmt, act)
             elif isinstance(stmt, Load):
@@ -454,6 +447,7 @@ class _BlockRun:
             elif isinstance(stmt, Return):
                 self._note_instr(stmt, OpCategory.BRANCH, act)
                 self.returned |= act
+                self._returns += 1
             else:  # pragma: no cover - exhaustive over Stmt subclasses
                 raise ExecutionError(f"unknown statement {stmt!r}")
 
@@ -587,6 +581,8 @@ class _BlockRun:
         live = act.copy()
         while live.any():
             self._exec_stmts(stmt.cond_body, live)
+            # In-place updates of ``live`` happen only before it is noted;
+            # after the note it is rebound, never mutated.
             live &= ~self.returned
             if not live.any():
                 break
@@ -655,16 +651,13 @@ class _BlockRun:
             arr[elems] = values[lanes[sel]].astype(arr.dtype, copy=False)
 
     # ------------------------------------------------------------------
-    # Event emission
+    # Event emission.  The recorder keeps instruction masks by reference
+    # until the block ends, so a mask must never be mutated once noted.
     # ------------------------------------------------------------------
 
     def _note_instr(self, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:
-        if not self._instr_sinks:
-            return
-        warp_mask = act.reshape(self.nwarps, WARP_SIZE).any(axis=1)
-        lanes = int(act.sum())
-        for sink in self._instr_sinks:
-            sink.on_instr(stmt, category, lanes, warp_mask)
+        if self._instr_rec is not None:
+            self._instr_rec.instr(stmt, category, act)
 
     def _note_mem(
         self,
@@ -675,15 +668,9 @@ class _BlockRun:
         addrs: np.ndarray,
         act: np.ndarray,
     ) -> None:
-        if not self._mem_sinks:
-            return
-        for sink in self._mem_sinks:
-            sink.on_mem(stmt, space, kind, esize, addrs, act)
+        if self._mem_rec is not None:
+            self._mem_rec.mem(stmt, space, kind, esize, addrs, act)
 
     def _note_branch(self, stmt: Stmt, kind: str, act: np.ndarray, taken: np.ndarray) -> None:
-        if not self._branch_sinks:
-            return
-        warp_active = act.reshape(self.nwarps, WARP_SIZE).sum(axis=1)
-        warp_taken = taken.reshape(self.nwarps, WARP_SIZE).sum(axis=1)
-        for sink in self._branch_sinks:
-            sink.on_branch(stmt, kind, warp_active, warp_taken)
+        if self._branch_rec is not None:
+            self._branch_rec.branch(stmt, kind, act, taken)

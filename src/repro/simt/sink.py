@@ -9,12 +9,11 @@ All callbacks default to no-ops so sinks override only what they need.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, FrozenSet, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simt.ir import Kernel, MemSpace, OpCategory, Stmt
+    from repro.simt.events import EventBatch
+    from repro.simt.ir import Kernel
 
 #: Event kinds a sink can subscribe to (lifecycle events always fire).
 EVENT_KINDS: FrozenSet[str] = frozenset({"instr", "mem", "branch"})
@@ -26,32 +25,23 @@ class TraceSink:
     A kernel launch produces this call sequence::
 
         on_kernel_begin
-          (on_block_begin
-             on_instr*            # every dynamic instruction, incl. memory,
-                                  # branches and barriers
-             on_mem*              # per memory instruction, with addresses
-             on_branch*           # per branch, with per-warp lane counts
-           on_block_end)*         # only for *profiled* blocks
+          on_batch*               # one per observed batch of profiled blocks
         on_kernel_end
 
-    ``warp_mask`` in :meth:`on_instr` marks warps with at least one active
-    lane; instruction counts at warp granularity are ``warp_mask.sum()``.
-
-    Under the compiled engine's columnar event mode (the default), profiled
-    blocks execute in lockstep batches and each batch's events arrive as one
-    :meth:`on_batch` call carrying an
-    :class:`~repro.simt.events.EventBatch` instead of per-block callbacks.
-    The default implementation scalar-replays the batch through the per-event
-    hooks above — block by block, in ascending order — so any sink stays
-    correct without changes; vectorized sinks (the pass-based collector)
-    override :meth:`on_batch` to consume the buffers directly.
+    Each :meth:`on_batch` call carries an
+    :class:`~repro.simt.events.EventBatch`: the events of a run of profiled
+    blocks as columnar buffers with a leading block axis (the schema and
+    the participation rule are documented in :mod:`repro.simt.events`).
+    The interpreted engine delivers one single-block batch per profiled
+    block, in visit order; the compiled engine delivers one batch per
+    observed lockstep batch, whose ``block_ids`` ascend.
     """
 
     def subscriptions(self) -> FrozenSet[str]:
-        """Which per-event hooks this sink needs the engines to emit.
+        """Which event kinds this sink needs the engines to record.
 
         The executor unions the subscriptions of all attached sinks and
-        specializes the launch to exactly that set — unsubscribed hooks are
+        specializes the launch to exactly that set — unsubscribed events are
         compiled out / skipped entirely.  The default subscribes to every
         event kind; demand-driven sinks (the pass-based collector) narrow it.
         """
@@ -62,53 +52,8 @@ class TraceSink:
     ) -> None:
         pass
 
-    def on_block_begin(self, block_idx: int, nthreads: int, nwarps: int) -> None:
-        pass
-
-    def on_instr(
-        self,
-        stmt: "Stmt",
-        category: "OpCategory",
-        lanes: int,
-        warp_mask: np.ndarray,
-    ) -> None:
-        pass
-
-    def on_mem(
-        self,
-        stmt: "Stmt",
-        space: "MemSpace",
-        kind: str,
-        elem_size: int,
-        addrs: np.ndarray,
-        act: np.ndarray,
-    ) -> None:
-        """``kind`` is ``"load"``, ``"store"`` or ``"atomic"``.
-
-        ``addrs`` holds per-lane byte addresses (full padded width); only
-        lanes where ``act`` is true participated.
-        """
-
-    def on_branch(
-        self,
-        stmt: "Stmt",
-        kind: str,
-        warp_active: np.ndarray,
-        warp_taken: np.ndarray,
-    ) -> None:
-        """``kind`` is ``"if"`` or ``"loop"``; arrays hold per-warp lane counts."""
-
-    def on_batch(self, batch) -> None:
-        """Consume one columnar :class:`~repro.simt.events.EventBatch`.
-
-        Replaces the ``(on_block_begin … on_block_end)`` sequence for the
-        batch's profiled blocks.  The default replays the batch through the
-        scalar hooks, reproducing the legacy callback sequence exactly.
-        """
-        batch.replay(self)
-
-    def on_block_end(self) -> None:
-        pass
+    def on_batch(self, batch: "EventBatch") -> None:
+        """Consume one batch of profiled blocks' events."""
 
     def on_kernel_end(self, profiled_blocks: int, total_blocks: int) -> None:
         pass

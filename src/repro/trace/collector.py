@@ -6,9 +6,9 @@ characterization logic lives in the registered passes under
 :mod:`repro.trace.passes` — instruction mix, windowed ILP, branch
 divergence, global-memory coalescing, shared-memory bank conflicts, line
 reuse/locality and texture fetch behaviour — each owning one section of the
-profile.  The collector's job is the shared hot-path plumbing: the
-warp-mask popcount memo, the per-space memory dispatch, and the
-activity guard, computed once and handed to every enabled pass.
+profile.  The collector's job is the plumbing around them: it builds each
+launch's header, hands every :class:`~repro.simt.events.EventBatch` to
+each enabled pass's ``consume``, and meters per-pass cost under telemetry.
 
 Everything here is microarchitecture *independent*: transaction segments,
 cache lines and bank counts are fixed properties of the address stream used
@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.simt.ir import Kernel, MemSpace, OpCategory, Stmt
+from repro.simt.ir import Kernel
 from repro.simt.sink import TraceSink
 from repro.telemetry import get_telemetry
 from repro.trace.ilp import IlpTrackerBank
@@ -65,9 +63,9 @@ class KernelTraceCollector(TraceSink):
     """Accumulates one :class:`KernelProfile` per observed kernel launch.
 
     ``passes`` selects which analysis passes run (``None`` = all
-    registered); the engines specialize their emitted hooks to the union of
-    the enabled passes' subscriptions, so a subset collector makes the whole
-    launch cheaper, not just the collection.
+    registered); the engines specialize their recorded events to the union
+    of the enabled passes' subscriptions, so a subset collector makes the
+    whole launch cheaper, not just the collection.
     """
 
     def __init__(
@@ -81,50 +79,18 @@ class KernelTraceCollector(TraceSink):
         self.profiles: List[KernelProfile] = []
         self._p: Optional[KernelProfile] = None
         # Per-pass cost accounting, active only while telemetry is enabled at
-        # construction time: each dispatched hook is wrapped to accumulate
-        # wall time and an event count, flushed to ``pass.<name>.{seconds,
-        # events}`` counters at every kernel end.  With telemetry disabled
-        # the tables hold the bare bound methods — zero added work per event.
+        # construction time: every lifecycle call and ``consume`` is timed
+        # and each batch's event count attributed, flushed to
+        # ``pass.<name>.{seconds,events}`` counters at every kernel end.
         tele = get_telemetry()
         self._tele = tele if tele.enabled else None
         self._pass_seconds: Dict[str, float] = {p.name: 0.0 for p in self._passes}
         self._pass_events: Dict[str, int] = {p.name: 0 for p in self._passes}
-        wrap = self._timed if self._tele is not None else (lambda name, fn: fn)
-        # Hot-path dispatch tables, built once.
-        self._instr_passes = [
-            wrap(p.name, p.on_instr) for p in self._passes if "instr" in p.subscribes
-        ]
-        self._branch_passes = [
-            wrap(p.name, p.on_branch) for p in self._passes if "branch" in p.subscribes
-        ]
-        self._mem_passes: Dict[MemSpace, list] = {}
-        for p in self._passes:
-            if "mem" in p.subscribes:
-                for space in p.mem_spaces:
-                    self._mem_passes.setdefault(space, []).append(wrap(p.name, p.on_mem))
-        # Identity memo for the warp-mask popcount (the compiled engine
-        # passes one mask object for a whole straight-line run).
-        self._wm_obj: Optional[np.ndarray] = None
-        self._wm_nwarps = 0
-
-    def _timed(self, name: str, fn: Callable) -> Callable:
-        """Wrap one pass hook to meter its wall time and event count."""
-        seconds = self._pass_seconds
-        events = self._pass_events
-        perf = time.perf_counter
-
-        def wrapper(*args) -> None:
-            t0 = perf()
-            fn(*args)
-            seconds[name] += perf() - t0
-            events[name] += 1
-
-        return wrapper
 
     def _run_lifecycle(self, hook: str, *args) -> None:
         """Dispatch a lifecycle hook to every pass, timing each when traced.
 
-        Lifecycle hooks are timed as well as event hooks so every enabled
+        Lifecycle hooks are timed as well as ``consume`` so every enabled
         pass accrues nonzero measured seconds even on workloads that never
         feed it an event (e.g. the texture pass on a texture-free kernel).
         """
@@ -159,26 +125,11 @@ class KernelTraceCollector(TraceSink):
             register_pressure=_register_pressure_of(kernel),
             passes=self.pass_names,
         )
-        self._wm_obj = None
         if self._tele is None:
             for p in self._passes:
                 p.begin_kernel(kernel, self._p)
         else:
             self._run_lifecycle("begin_kernel", kernel, self._p)
-
-    def on_block_begin(self, block_idx: int, nthreads: int, nwarps: int) -> None:
-        if self._tele is None:
-            for p in self._passes:
-                p.begin_block(block_idx, nthreads, nwarps)
-        else:
-            self._run_lifecycle("begin_block", block_idx, nthreads, nwarps)
-
-    def on_block_end(self) -> None:
-        if self._tele is None:
-            for p in self._passes:
-                p.end_block()
-        else:
-            self._run_lifecycle("end_block")
 
     def on_kernel_end(self, profiled_blocks: int, total_blocks: int) -> None:
         assert self._p is not None
@@ -201,55 +152,11 @@ class KernelTraceCollector(TraceSink):
             self._pass_seconds[name] = 0.0
             self._pass_events[name] = 0
 
-    # ------------------------------------------------------------------
-    # Event dispatch
-    # ------------------------------------------------------------------
-
-    def on_instr(
-        self, stmt: Stmt, category: OpCategory, lanes: int, warp_mask: np.ndarray
-    ) -> None:
-        if warp_mask is self._wm_obj:
-            nwarps = self._wm_nwarps
-        else:
-            nwarps = int(np.count_nonzero(warp_mask))
-            self._wm_obj = warp_mask
-            self._wm_nwarps = nwarps
-        for fn in self._instr_passes:
-            fn(stmt, category, lanes, nwarps, warp_mask)
-
-    def on_branch(
-        self, stmt: Stmt, kind: str, warp_active: np.ndarray, warp_taken: np.ndarray
-    ) -> None:
-        for fn in self._branch_passes:
-            fn(stmt, kind, warp_active, warp_taken)
-
-    def on_mem(
-        self,
-        stmt: Stmt,
-        space: MemSpace,
-        kind: str,
-        elem_size: int,
-        addrs: np.ndarray,
-        act: np.ndarray,
-    ) -> None:
-        # Constant-space accesses are broadcast through a dedicated cache on
-        # real hardware; only their instruction count (already in the mix)
-        # characterises them — no pass subscribes to them.
-        fns = self._mem_passes.get(space)
-        if fns is None or not act.any():
-            return
-        for fn in fns:
-            fn(stmt, kind, elem_size, addrs, act)
-
     def on_batch(self, batch) -> None:
-        """Columnar path: hand the whole batch to each pass's ``consume``.
+        """Hand the whole batch to each pass's ``consume``.
 
-        Each pass owns the full per-block lifecycle for the batch (its
-        ``consume`` either vectorizes over the block axis or scalar-replays
-        through its own hooks), so the collector does not fan out
-        ``on_block_begin``/``on_block_end`` here.  Per-pass accounting
-        attributes the batch's event count to every pass — the columnar
-        analogue of each subscribed hook firing once per event.
+        Per-pass accounting attributes the batch's event count to every
+        pass.
         """
         if self._tele is None:
             for p in self._passes:

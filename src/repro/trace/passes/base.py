@@ -4,8 +4,7 @@ Each pass is a self-contained module under :mod:`repro.trace.passes` owning
 one section of the :class:`~repro.trace.profile.KernelProfile` (see
 ``PASS_FIELDS`` in the profile module).  A pass declares which executor
 events it *subscribes* to — the collector unions these and the engines
-specialize their emitted hooks to exactly that set, so disabled passes cost
-nothing on the hot path.
+record exactly that set, so disabled passes cost nothing on the hot path.
 
 Registration is by module import: each pass module decorates its class with
 :func:`register_pass`, and the package ``__init__`` imports all built-in
@@ -15,112 +14,60 @@ pass modules.  The canonical order (and hence section order) is
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
-import numpy as np
-
-from repro.simt.ir import Kernel, MemSpace, OpCategory, Stmt
+from repro.simt.ir import Kernel
+from repro.simt.sink import EVENT_KINDS
 from repro.trace.profile import PASS_FIELDS, PASS_NAMES, KernelProfile, canonical_passes
 
-#: Executor event kinds a pass may subscribe to.
-EVENT_KINDS: FrozenSet[str] = frozenset({"instr", "mem", "branch"})
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simt.events import EventBatch
 
 
 class AnalysisPass:
     """One independent characterization pass over the executor event stream.
 
-    Subclasses set the class attributes and override only the hooks for the
-    events they subscribe to.  Lifecycle hooks (``begin_kernel`` …
-    ``end_kernel``) always fire for enabled passes.  Hot-path event hooks
-    receive pre-digested arguments (the collector computes the per-warp
-    activity mask popcount once and shares it across passes).
+    Subclasses set the class attributes and implement :meth:`consume`; the
+    lifecycle hooks ``begin_kernel``/``end_kernel`` bracket every launch.
     """
 
     #: Registry key; must appear in ``profile.PASS_NAMES``.
     name: ClassVar[str]
-    #: Event kinds this pass needs the engines to emit (subset of EVENT_KINDS).
+    #: Event kinds this pass needs the engines to record (subset of EVENT_KINDS).
     subscribes: ClassVar[FrozenSet[str]] = frozenset()
-    #: For ``mem`` subscribers: which address spaces to receive.
-    mem_spaces: ClassVar[FrozenSet[MemSpace]] = frozenset()
     #: Profile fields owned by this pass (mirrors ``profile.PASS_FIELDS``).
     fields: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, config) -> None:
         self.config = config
 
-    # -- lifecycle ------------------------------------------------------
-
     def begin_kernel(self, kernel: Kernel, profile: KernelProfile) -> None:
         """Reset per-launch state; ``profile`` is this launch's profile."""
 
-    def begin_block(self, block_idx: int, nthreads: int, nwarps: int) -> None:
-        pass
+    def consume(self, batch: "EventBatch") -> None:
+        """Fold one batch of profiled blocks' events into the pass state.
 
-    def end_block(self) -> None:
-        pass
+        ``batch`` follows the schema in :mod:`repro.simt.events`: a block
+        takes part in an event only where its row has an active lane, and a
+        memory event's ``space`` must be checked by the pass.  Anything
+        order-sensitive (float sums, sequential trackers) accumulates
+        block-major, so the section bytes do not depend on how the engine
+        grouped blocks into batches.
+        """
+        raise NotImplementedError
 
     def end_kernel(self, profile: KernelProfile) -> None:
         """Fold accumulated state into the owned profile section."""
-
-    # -- event hooks ----------------------------------------------------
-
-    def on_instr(
-        self,
-        stmt: Stmt,
-        category: OpCategory,
-        lanes: int,
-        nwarps: int,
-        warp_mask: np.ndarray,
-    ) -> None:
-        pass
-
-    def on_mem(
-        self, stmt: Stmt, kind: str, elem_size: int, addrs: np.ndarray, act: np.ndarray
-    ) -> None:
-        pass
-
-    def on_branch(
-        self, stmt: Stmt, kind: str, warp_active: np.ndarray, warp_taken: np.ndarray
-    ) -> None:
-        pass
-
-    # -- columnar path --------------------------------------------------
-
-    def consume(self, batch) -> None:
-        """Consume one columnar :class:`~repro.simt.events.EventBatch`.
-
-        The default scalar-replays the batch through this pass's lifecycle
-        and event hooks — per profiled block in ascending order, filtering
-        events by subscription, mem space and participation — reproducing
-        the callback sequence the collector would have dispatched.  Passes
-        override this with vectorized reductions over the block axis; any
-        override must stay bit-identical to this replay.
-        """
-        subs = self.subscribes
-        want_instr = "instr" in subs
-        want_mem = "mem" in subs
-        want_branch = "branch" in subs
-        spaces = self.mem_spaces
-        nthreads = batch.nthreads
-        nwarps = batch.nwarps
-        events = batch.events
-        for i, linear in enumerate(batch.block_ids):
-            self.begin_block(linear, nthreads, nwarps)
-            for ev in events:
-                tag = ev[0]
-                if tag == "instr":
-                    if want_instr and ev[3][i]:
-                        self.on_instr(ev[1], ev[2], int(ev[3][i]), int(ev[5][i]), ev[4][i])
-                elif tag == "mem":
-                    if want_mem and ev[2] in spaces:
-                        row = ev[6][i]
-                        if row.any():
-                            self.on_mem(ev[1], ev[3], ev[4], ev[5][i], row)
-                elif want_branch:
-                    wa = ev[3][i]
-                    if wa.any():
-                        self.on_branch(ev[1], ev[2], wa, ev[4][i])
-            self.end_block()
 
 
 _REGISTRY: Dict[str, Type[AnalysisPass]] = {}
@@ -135,8 +82,6 @@ def register_pass(cls: Type[AnalysisPass]) -> Type[AnalysisPass]:
         raise ValueError(f"pass {name!r} subscribes to unknown events: {cls.subscribes - EVENT_KINDS}")
     if tuple(cls.fields) != PASS_FIELDS[name]:
         raise ValueError(f"pass {name!r} fields {cls.fields!r} != profile.PASS_FIELDS[{name!r}]")
-    if "mem" in cls.subscribes and not cls.mem_spaces:
-        raise ValueError(f"mem-subscribing pass {name!r} declares no mem_spaces")
     _REGISTRY[name] = cls
     return cls
 

@@ -1,9 +1,9 @@
 """Branch-divergence pass.
 
-The statistics are a pure function of the (active, taken) warp vectors,
-which repeat heavily across blocks and loop iterations: the per-event
-contribution is memoized (same floats added in the same order, so the
-accumulated sums are bit-identical to the direct computation).
+The statistics are a pure function of each block's (active, taken) warp
+vectors, which repeat heavily across blocks and loop iterations: the
+per-row contribution is memoized (same floats added in the same order, so
+the accumulated sums are bit-identical to the direct computation).
 """
 
 from __future__ import annotations
@@ -15,6 +15,25 @@ import numpy as np
 from repro.trace.passes.base import AnalysisPass, register_pass
 
 
+def _contribution(row: np.ndarray) -> Tuple[int, int, float, float]:
+    """(warp events, divergent, taken-fraction sum, its square sum) of one
+    block's active counts concatenated with its taken counts."""
+    nw = row.size // 2
+    has = row[:nw] > 0
+    active = row[:nw][has]
+    taken = row[nw:][has]
+    if active.size == 0:
+        return (0, 0, 0.0, 0.0)
+    divergent = (taken > 0) & (taken < active)
+    frac = taken / active
+    return (
+        active.size,
+        int(divergent.sum()),
+        float(frac.sum()),
+        float((frac * frac).sum()),
+    )
+
+
 @register_pass
 class BranchPass(AnalysisPass):
     name = "branch"
@@ -23,93 +42,35 @@ class BranchPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._stats = profile.branch
-        self._cache: Dict[tuple, Tuple[int, int, float, float]] = {}
-
-    def on_branch(self, stmt, kind, warp_active, warp_taken):
-        key = (warp_active.tobytes(), warp_taken.tobytes())
-        c = self._cache.get(key)
-        if c is None:
-            has = warp_active > 0
-            active = warp_active[has]
-            taken = warp_taken[has]
-            n = active.size
-            if n == 0:
-                c = (0, 0, 0.0, 0.0)
-            else:
-                divergent = (taken > 0) & (taken < active)
-                frac = taken / active
-                c = (
-                    n,
-                    int(divergent.sum()),
-                    float(frac.sum()),
-                    float((frac * frac).sum()),
-                )
-            self._cache[key] = c
-        n, div, frac_sum, frac_sqsum = c
-        if n == 0:
-            return
-        b = self._stats
-        b.events += n
-        if kind == "loop":
-            b.loop_events += n
-        else:
-            b.if_events += n
-        b.divergent += div
-        b.taken_frac_sum += frac_sum
-        b.taken_frac_sqsum += frac_sqsum
+        self._cache: Dict[bytes, Tuple[int, int, float, float]] = {}
 
     def consume(self, batch):
-        # Per event, the distinct (active, taken) row pairs are found once
-        # with a row-unique; each contributes through the same cache as the
-        # scalar path (identical byte keys: rows are contiguous int64
-        # slices).  Accumulation replays block-major so the float sums add
-        # in exactly the scalar order.
-        evs = []
+        # A block row's contribution is keyed by its active+taken bytes.
+        # Contributions are looked up event by event and accumulated
+        # block-major, so the float sums add in the same order however the
+        # blocks were batched.
+        cache = self._cache
+        contribs = []
         for ev in batch.events:
             if ev[0] != "branch":
                 continue
-            wa, wt = ev[3], ev[4]
-            nw = wa.shape[1]
-            uniq, inverse = np.unique(
-                np.concatenate((wa, wt), axis=1), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
             cs = []
-            for row in uniq:
-                a = row[:nw]
-                t = row[nw:]
-                key = (a.tobytes(), t.tobytes())
-                c = self._cache.get(key)
+            for row in np.concatenate((ev[3], ev[4]), axis=1):
+                key = row.tobytes()
+                c = cache.get(key)
                 if c is None:
-                    has = a > 0
-                    active = a[has]
-                    taken = t[has]
-                    n = active.size
-                    if n == 0:
-                        c = (0, 0, 0.0, 0.0)
-                    else:
-                        divergent = (taken > 0) & (taken < active)
-                        frac = taken / active
-                        c = (
-                            n,
-                            int(divergent.sum()),
-                            float(frac.sum()),
-                            float((frac * frac).sum()),
-                        )
-                    self._cache[key] = c
+                    c = cache[key] = _contribution(row)
                 cs.append(c)
-            evs.append((ev[2], inverse, cs))
-        if not evs:
-            return
+            contribs.append((ev[2] == "loop", cs))
         b = self._stats
         for i in range(len(batch.block_ids)):
-            for kind, inverse, cs in evs:
-                c = cs[inverse[i]]
+            for is_loop, cs in contribs:
+                c = cs[i]
                 n = c[0]
                 if n == 0:
                     continue
                 b.events += n
-                if kind == "loop":
+                if is_loop:
                     b.loop_events += n
                 else:
                     b.if_events += n

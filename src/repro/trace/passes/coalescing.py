@@ -23,86 +23,18 @@ def _distinct_per_row(values: np.ndarray) -> np.ndarray:
 class CoalescingPass(AnalysisPass):
     name = "coalescing"
     subscribes = frozenset({"mem"})
-    mem_spaces = frozenset({MemSpace.GLOBAL})
     fields = ("gmem",)
 
     def begin_kernel(self, kernel, profile):
         self._g = profile.gmem
-        self._prev_addr: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def begin_block(self, block_idx, nthreads, nwarps):
-        self._prev_addr = {}
-
-    def end_block(self):
-        self._prev_addr = {}
-
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        g = self._g
-        nwarps = act.size // WARP_SIZE
-        A = addrs.reshape(nwarps, WARP_SIZE)
-        M = act.reshape(nwarps, WARP_SIZE)
-        warp_has = M.any(axis=1)
-        if not warp_has.any():
-            return
-        A = A[warp_has]
-        M = M[warp_has]
-        n = A.shape[0]
-        g.accesses += n
-        g.lane_accesses += int(M.sum())
-
-        # Transactions: distinct segments touched per warp, at two
-        # granularities.  Inactive lanes are filled with the warp's first
-        # active address so they never add segments.
-        first = M.argmax(axis=1)
-        fill = A[np.arange(n), first][:, None]
-        addr_f = np.where(M, A, fill)
-        t32 = _distinct_per_row(addr_f >> self.config.seg_small_bits)
-        t128 = _distinct_per_row(addr_f >> self.config.seg_large_bits)
-        g.transactions_32b += int(t32.sum())
-        g.transactions_128b += int(t128.sum())
-        active_cnt = M.sum(axis=1)
-        minimal = -(-(active_cnt * elem_size) // self.config.seg_small)
-        g.coalesced += int((t32 <= minimal).sum())
-
-        # Intra-warp stride classification over adjacent active lane pairs.
-        d = A[:, 1:] - A[:, :-1]
-        valid = M[:, 1:] & M[:, :-1]
-        has_pair = valid.any(axis=1)
-        unit = np.where(has_pair, ((d == elem_size) | ~valid).all(axis=1), False)
-        bcast = np.where(has_pair, ((d == 0) | ~valid).all(axis=1), active_cnt > 0)
-        single = active_cnt == 1
-        g.unit_stride += int((unit & ~single).sum())
-        g.broadcast += int((bcast | single).sum())
-
-        # Per-lane (per-thread) consecutive stride histogram, keyed per
-        # static instruction.
-        state = self._prev_addr.get(stmt.sid)
-        if state is None:
-            prev = np.zeros(addrs.size, dtype=np.int64)
-            seen = np.zeros(addrs.size, dtype=bool)
-            self._prev_addr[stmt.sid] = (prev, seen)
-        else:
-            prev, seen = state
-            both = act & seen
-            if both.any():
-                diffs = np.abs(addrs[both] - prev[both])
-                ls = g.local_strides
-                ls["zero"] += int((diffs == 0).sum())
-                ls["unit"] += int((diffs == elem_size).sum())
-                ls["short"] += int(((diffs > elem_size) & (diffs <= 128)).sum())
-                ls["long"] += int((diffs > 128).sum())
-        # The arrays are pass-owned: mutate in place, no defensive copy.
-        prev[act] = addrs[act]
-        seen |= act
 
     def consume(self, batch):
         # Every counter here is an integer sum over independent warp rows,
         # so stacking all blocks' warps into one matrix per event is exact
         # regardless of traversal order.  Local-stride state lives in
-        # per-batch flat (P * npad) arrays: each block appears once per
-        # batch, which reproduces the scalar per-block reset, and lanes
-        # only update on events they participate in — matching the scalar
-        # participation guard lane-for-lane.
+        # per-batch flat (P * npad) arrays: a block appears in exactly one
+        # batch, so every thread's stride history starts fresh with its
+        # block, and lanes only update on events they take part in.
         g = self._g
         cfg = self.config
         prev_state: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -119,6 +51,9 @@ class CoalescingPass(AnalysisPass):
                 n = A.shape[0]
                 g.accesses += n
                 g.lane_accesses += int(M.sum())
+                # Transactions: distinct segments touched per warp, at two
+                # granularities.  Inactive lanes are filled with the warp's
+                # first active address so they never add segments.
                 first = M.argmax(axis=1)
                 fill = A[np.arange(n), first][:, None]
                 addr_f = np.where(M, A, fill)
@@ -129,6 +64,7 @@ class CoalescingPass(AnalysisPass):
                 active_cnt = M.sum(axis=1)
                 minimal = -(-(active_cnt * elem_size) // cfg.seg_small)
                 g.coalesced += int((t32 <= minimal).sum())
+                # Intra-warp stride classes over adjacent active lane pairs.
                 d = A[:, 1:] - A[:, :-1]
                 valid = M[:, 1:] & M[:, :-1]
                 has_pair = valid.any(axis=1)
@@ -138,6 +74,7 @@ class CoalescingPass(AnalysisPass):
                 g.unit_stride += int((unit & ~single).sum())
                 g.broadcast += int((bcast | single).sum())
 
+            # Per-thread consecutive stride histogram, per static instruction.
             flat_act = act.reshape(-1)
             flat_addr = addrs.reshape(-1)
             state = prev_state.get(ev[1].sid)
@@ -160,4 +97,3 @@ class CoalescingPass(AnalysisPass):
 
     def end_kernel(self, profile):
         self._g = None
-        self._prev_addr = {}

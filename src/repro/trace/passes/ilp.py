@@ -48,48 +48,14 @@ class IlpPass(AnalysisPass):
         # (one kernel at a time, so sids are unambiguous within a launch).
         self._deps: Dict[int, Tuple[Optional[str], List[str]]] = {}
         self._feeds: Dict[int, bool] = {}
-        self._stream: List[int] = []
-        # Keyed by stream tuple (scalar path) or stream bytes (columnar).
-        self._contribs: Dict[object, tuple] = {}
-
-    def begin_block(self, block_idx, nthreads, nwarps):
-        self._stream = []
-
-    def on_instr(self, stmt, category, lanes, nwarps, warp_mask):
-        sid = stmt.sid
-        feeds = self._feeds.get(sid)
-        if feeds is None:
-            deps = _reg_deps(stmt)
-            self._deps[sid] = deps
-            feeds = deps[0] is not None or bool(deps[1])
-            self._feeds[sid] = feeds
-        if feeds:
-            self._stream.append(sid)
-
-    def end_block(self):
-        stream = self._stream
-        if not stream:
-            return
-        key = tuple(stream)
-        contrib = self._contribs.get(key)
-        if contrib is None:
-            bank = IlpTrackerBank(self.config.ilp_windows)
-            deps = self._deps
-            for sid in stream:
-                dest, srcs = deps[sid]
-                bank.note(dest, srcs)
-            bank.flush()
-            contrib = bank.contribution()
-            self._contribs[key] = contrib
-        self._bank.add_contribution(contrib)
-        self._stream = []
+        # Tracker contribution per distinct stream, keyed by its int64 bytes.
+        self._contribs: Dict[bytes, tuple] = {}
 
     def consume(self, batch):
         # One participation matrix over the feeding events gives each
         # block's sid stream in a single fancy-index; streams repeat across
         # blocks, so the per-stream tracker contribution cache (keyed by
-        # the stream's int64 bytes) does the heavy lifting exactly as the
-        # scalar path's tuple-keyed cache does.
+        # the stream's int64 bytes) does the heavy lifting.
         sids: List[int] = []
         lane_cols = []
         feeds_cache = self._feeds

@@ -31,40 +31,15 @@ class MixPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._sid_acc: Dict[int, list] = {}
-        self._warp_counts = None
         self._cv_sum = 0.0
         self._cv_blocks = 0
-
-    def begin_block(self, block_idx, nthreads, nwarps):
-        self._warp_counts = np.zeros(nwarps, dtype=np.int64)
-
-    def on_instr(self, stmt, category, lanes, nwarps, warp_mask):
-        if self._warp_counts is not None:
-            self._warp_counts += warp_mask
-        rec = self._sid_acc.get(stmt.sid)
-        if rec is None:
-            self._sid_acc[stmt.sid] = [lanes, nwarps, category.value]
-        else:
-            rec[0] += lanes
-            rec[1] += nwarps
-
-    def end_block(self):
-        counts = self._warp_counts
-        if counts.size > 1 and counts.sum() > 0:
-            mean = counts.mean()
-            if mean > 0:
-                self._cv_sum += float(counts.std() / mean)
-                self._cv_blocks += 1
-        elif counts.size >= 1:
-            self._cv_blocks += 1
-        self._warp_counts = None
 
     def consume(self, batch):
         # Category counters are per-sid sums (commutative ints), so the
         # whole event column folds at once; the imbalance CV needs the
         # per-block warp-issue counts, accumulated as one (P, nwarps)
-        # matrix (a zero-lane row has an all-false warp mask, so the
-        # unconditional add matches the scalar participation guard).
+        # matrix (a block that does not take part in an event has an
+        # all-false warp-mask row, so the unconditional add is exact).
         P = len(batch.block_ids)
         counts = np.zeros((P, batch.nwarps), dtype=np.int64)
         acc = self._sid_acc
@@ -80,8 +55,8 @@ class MixPass(AnalysisPass):
             else:
                 rec[0] += lanes_sum
                 rec[1] += warps_sum
-        # Per-block CV, replicating the scalar end_block branch structure
-        # exactly (same numpy reductions over the same int64 rows).
+        # Per-block CV, one block at a time so the float sum adds in block
+        # order however the blocks were batched.
         for i in range(P):
             row = counts[i]
             if row.size > 1 and row.sum() > 0:

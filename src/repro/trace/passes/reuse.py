@@ -19,21 +19,14 @@ from repro.trace.reuse import ReuseDistanceTracker
 class ReusePass(AnalysisPass):
     name = "reuse"
     subscribes = frozenset({"mem"})
-    mem_spaces = frozenset({MemSpace.GLOBAL})
     fields = ("locality",)
 
     def begin_kernel(self, kernel, profile):
         self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
 
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        if self._tracker is None:
-            return
-        lines = np.unique(addrs[act] >> self.config.line_bits)
-        self._tracker.access_many(lines)
-
     def consume(self, batch):
         # The reuse-distance stack is inherently sequential, so the block
-        # axis replays block-major (scalar order); the line shift is still
+        # axis is walked block-major; the line shift is still
         # hoisted to one vectorized pass over each event's address matrix.
         if self._tracker is None:
             return

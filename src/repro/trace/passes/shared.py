@@ -1,8 +1,8 @@
 """Shared-memory bank-conflict pass.
 
-Shared addresses are block-relative, so the (mask, active addresses) pair —
-and therefore each event's additive contribution — repeats across profiled
-blocks; contributions are cached keyed by those bytes.
+Shared addresses are block-relative, so each block's (mask, active
+addresses) row — and therefore its additive contribution — repeats across
+profiled blocks; contributions are cached keyed by the row's bytes.
 """
 
 from __future__ import annotations
@@ -19,97 +19,64 @@ from repro.trace.passes.base import AnalysisPass, register_pass
 NUM_BANKS = 32
 
 
+def _contribution(row: np.ndarray) -> Tuple[int, float, int]:
+    """(accessing warps, summed conflict degree, conflicted warps) of one
+    block's address row, inactive lanes pinned to -1."""
+    act = row != -1
+    word = row[act] >> 2
+    bank = word % NUM_BANKS
+    wid = np.flatnonzero(act) // WARP_SIZE
+    # Distinct (warp, bank, word) triples: same-word lanes broadcast for
+    # free; distinct words on the same bank serialise.
+    key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
+    wb = np.unique(key) >> 38  # (warp, bank) pairs
+    pairs, counts = np.unique(wb, return_counts=True)
+    warp_of = pairs >> 6
+    nwarps = row.size // WARP_SIZE
+    degree = np.zeros(nwarps, dtype=np.int64)
+    np.maximum.at(degree, warp_of, counts)
+    present = np.zeros(nwarps, dtype=bool)
+    present[warp_of] = True
+    return (
+        int(present.sum()),
+        float(degree[present].sum()),
+        int((degree[present] > 1).sum()),
+    )
+
+
 @register_pass
 class SharedPass(AnalysisPass):
     name = "shared"
     subscribes = frozenset({"mem"})
-    mem_spaces = frozenset({MemSpace.SHARED})
     fields = ("shmem",)
 
     def begin_kernel(self, kernel, profile):
         self._s = profile.shmem
         self._cache: Dict[bytes, Tuple[int, float, int]] = {}
 
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        s = self._s
-        active = addrs[act]
-        ckey = act.tobytes() + active.tobytes()
-        cached = self._cache.get(ckey)
-        if cached is None:
-            nwarps = act.size // WARP_SIZE
-            word = active >> 2
-            bank = word % NUM_BANKS
-            wid = np.flatnonzero(act) // WARP_SIZE
-            # Distinct (warp, bank, word) triples: same-word lanes broadcast
-            # for free; distinct words on the same bank serialise.
-            key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
-            uniq = np.unique(key)
-            wb = uniq >> 38  # (warp, bank) pairs
-            pairs, counts = np.unique(wb, return_counts=True)
-            warp_of = pairs >> 6
-            degree = np.zeros(nwarps, dtype=np.int64)
-            np.maximum.at(degree, warp_of, counts)
-            present = np.zeros(nwarps, dtype=bool)
-            present[warp_of] = True
-            cached = (
-                int(present.sum()),
-                float(degree[present].sum()),
-                int((degree[present] > 1).sum()),
-            )
-            self._cache[ckey] = cached
-        s.accesses += cached[0]
-        s.conflict_degree_sum += cached[1]
-        s.conflicted += cached[2]
-
     def consume(self, batch):
-        # Shared addresses are block-relative, so blocks of one batch mostly
-        # repeat the same (mask, addresses) rows: one row-unique per event
-        # (inactive lanes pinned to -1, which no validated shared address
-        # can be) finds the distinct contributions, computed through the
-        # same byte-keyed cache as the scalar path.  Accumulation replays
-        # block-major so conflict_degree_sum adds floats in scalar order.
-        evs = []
+        # Inactive lanes are pinned to -1, which no validated shared address
+        # can be, so a block row's bytes key its contribution.  Contributions
+        # are looked up event by event and accumulated block-major, so
+        # conflict_degree_sum adds its floats in the same order however the
+        # blocks were batched.
+        cache = self._cache
+        contribs = []
         for ev in batch.events:
             if ev[0] != "mem" or ev[2] is not MemSpace.SHARED:
                 continue
-            addrs, act = ev[5], ev[6]
-            uniq, inverse = np.unique(
-                np.where(act, addrs, -1), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
             cs = []
-            for row in uniq:
-                act_u = row != -1
-                active = row[act_u]
-                ckey = act_u.tobytes() + active.tobytes()
-                cached = self._cache.get(ckey)
-                if cached is None:
-                    nwarps = act_u.size // WARP_SIZE
-                    word = active >> 2
-                    bank = word % NUM_BANKS
-                    wid = np.flatnonzero(act_u) // WARP_SIZE
-                    key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
-                    wb = np.unique(key) >> 38
-                    pairs, counts = np.unique(wb, return_counts=True)
-                    warp_of = pairs >> 6
-                    degree = np.zeros(nwarps, dtype=np.int64)
-                    np.maximum.at(degree, warp_of, counts)
-                    present = np.zeros(nwarps, dtype=bool)
-                    present[warp_of] = True
-                    cached = (
-                        int(present.sum()),
-                        float(degree[present].sum()),
-                        int((degree[present] > 1).sum()),
-                    )
-                    self._cache[ckey] = cached
-                cs.append(cached)
-            evs.append((inverse, cs))
-        if not evs:
-            return
+            for row in np.where(ev[6], ev[5], -1):
+                key = row.tobytes()
+                c = cache.get(key)
+                if c is None:
+                    c = cache[key] = _contribution(row)
+                cs.append(c)
+            contribs.append(cs)
         s = self._s
         for i in range(len(batch.block_ids)):
-            for inverse, cs in evs:
-                c = cs[inverse[i]]
+            for cs in contribs:
+                c = cs[i]
                 if c[0]:
                     s.accesses += c[0]
                     s.conflict_degree_sum += c[1]

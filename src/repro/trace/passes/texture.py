@@ -19,27 +19,16 @@ from repro.trace.reuse import ReuseDistanceTracker
 class TexturePass(AnalysisPass):
     name = "texture"
     subscribes = frozenset({"mem"})
-    mem_spaces = frozenset({MemSpace.TEXTURE})
     fields = ("texture",)
 
     def begin_kernel(self, kernel, profile):
         self._t = profile.texture
         self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
 
-    def on_mem(self, stmt, kind, elem_size, addrs, act):
-        t = self._t
-        nwarps = act.size // WARP_SIZE
-        warp_has = act.reshape(nwarps, WARP_SIZE).any(axis=1)
-        t.accesses += int(warp_has.sum())
-        t.lane_accesses += int(act.sum())
-        if self._tracker is not None:
-            lines = np.unique(addrs[act] >> self.config.line_bits)
-            self._tracker.access_many(lines)
-
     def consume(self, batch):
         # Access counters are integer sums over warp rows (exact in any
         # order); the fetch stream's reuse tracker is sequential and
-        # replays block-major like the reuse pass.
+        # walks the blocks block-major like the reuse pass.
         t = self._t
         evs = []
         for ev in batch.events:

@@ -26,7 +26,6 @@ def run_workload(
     engine: str = "compiled",
     batch_blocks: Optional[int] = None,
     passes: Optional[Sequence[str]] = None,
-    event_mode: str = "columnar",
 ) -> WorkloadProfile:
     """Execute one workload under trace collection.
 
@@ -35,11 +34,9 @@ def run_workload(
     the simulator and the kernel implementations.  ``engine`` selects the
     execution engine (``"compiled"`` batches unprofiled blocks under
     sampling; ``"interpreted"`` is the reference per-block interpreter) and
-    produces bit-identical device memory and profiles either way, as does
-    ``event_mode`` (``"columnar"`` batches profiled blocks and vectorizes
-    event consumption; ``"callback"`` is the scalar per-event hook path).
+    produces bit-identical device memory and profiles either way.
     ``passes`` selects the analysis passes to collect (``None`` = all);
-    the engines emit only the hooks those passes subscribe to.
+    the engines record only the events those passes subscribe to.
 
     The returned profile carries the executor's aggregate launch counters
     as an ``engine_stats`` attribute (an execution detail, not part of the
@@ -59,7 +56,6 @@ def run_workload(
         profile_filter=pf,
         engine=engine,
         batch_blocks=batch_blocks,
-        event_mode=event_mode,
     )
     ctx = RunContext(device, executor, seed=seed)
     workload.run(ctx)

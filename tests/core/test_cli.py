@@ -158,12 +158,6 @@ def test_bench_quick_writes_schema_json(capsys, tmp_path, monkeypatch):
         assert set(e) == {"name", "passes", "seconds"}
     assert doc["demand_speedup"] is not None
 
-    # Profiled-path stage: per-event callbacks vs columnar batch buffers.
-    assert set(doc["profiled_speedup"]) == {"callback_s", "columnar_s", "speedup"}
-    assert doc["profiled_speedup"]["callback_s"] > 0
-    assert doc["profiled_speedup"]["columnar_s"] > 0
-    assert "profiled path" in out
-
     # DSE sweep stage: cold vs warm timing-shard cache over the quick basket.
     sweep = doc["dse_sweep"]
     assert set(sweep) == {"cold_s", "warm_s", "speedup", "cells", "warm_hits", "hit_rate"}

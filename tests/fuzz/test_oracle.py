@@ -44,7 +44,7 @@ def _barrier_compiler_without_recheck(ck, stmt, observe):
     if observe:
 
         def run(st, act):
-            compiled._note_instr(st, stmt, compiled.OpCategory.BARRIER, act)
+            st.recorder.instr(stmt, compiled.OpCategory.BARRIER, act)
 
         return run
 
