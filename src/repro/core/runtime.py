@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import time
 import traceback as traceback_mod
 from collections import deque
@@ -51,6 +52,9 @@ from typing import (
     Type,
 )
 
+import numpy as np
+
+import repro
 from repro.telemetry import TelemetrySnapshot, get_telemetry
 from repro.trace.passes import pass_source_file, resolve_passes
 from repro.trace.profile import WorkloadProfile, merge_profiles
@@ -329,6 +333,15 @@ class CacheEntry:
     passes: Tuple[str, ...] = ()
 
 
+def numeric_environment() -> bytes:
+    """Interpreter, numpy and byte-order identity that cached floats depend on.
+
+    Hashed into every shard key, so a changed numeric environment misses
+    instead of serving sections computed under another one.
+    """
+    return repr((sys.version_info[:2], np.__version__, sys.byteorder)).encode()
+
+
 class ProfileCache:
     """Per-workload, content-addressed profile shards.
 
@@ -381,10 +394,16 @@ class ProfileCache:
         return sorted(files)
 
     def _shared_digest(self) -> str:
+        """Digest of the shared sources and the numeric environment.
+
+        Paths are hashed relative to the package root, so moving a checkout
+        keeps its shards valid.
+        """
         if self._common_digest is None:
-            h = hashlib.sha256()
+            h = hashlib.sha256(numeric_environment())
+            root = os.path.dirname(os.path.abspath(repro.__file__))
             for path in self._shared_source_files():
-                h.update(path.encode())
+                h.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
                 with open(path, "rb") as f:
                     h.update(f.read())
             self._common_digest = h.hexdigest()

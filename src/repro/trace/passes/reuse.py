@@ -1,18 +1,17 @@
 """Global-memory line-reuse (locality) pass.
 
-Feeds distinct 128B lines per warp access into the reuse-distance stack;
-the section is the power-of-two reuse histogram plus cold-miss/unique-line
-counts in :class:`~repro.trace.profile.LocalityStats`.
+Feeds each block's distinct active 128B lines per global-memory statement
+into the reuse-distance stack, block-major; the section is the power-of-two
+reuse histogram plus cold-miss/unique-line counts in
+:class:`~repro.trace.profile.LocalityStats`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.simt.ir import MemSpace
 from repro.trace.passes.base import AnalysisPass, register_pass
 from repro.trace.profile import LocalityStats
-from repro.trace.reuse import ReuseDistanceTracker
+from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
 
 
 @register_pass
@@ -25,29 +24,23 @@ class ReusePass(AnalysisPass):
         self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
 
     def consume(self, batch):
-        # The reuse-distance stack is inherently sequential, so the block
-        # axis is walked block-major; the line shift is still
-        # hoisted to one vectorized pass over each event's address matrix.
+        # The reuse-distance stack is order-sensitive: the line stream is
+        # block-major, each block's statements in emission order.
         if self._tracker is None:
             return
         evs = [
-            (ev[5] >> self.config.line_bits, ev[6])
+            (ev[5], ev[6])
             for ev in batch.events
             if ev[0] == "mem" and ev[2] is MemSpace.GLOBAL
         ]
-        if not evs:
-            return
-        tracker = self._tracker
-        for i in range(len(batch.block_ids)):
-            for lines, act in evs:
-                row = act[i]
-                if row.any():
-                    tracker.access_many(np.unique(lines[i][row]))
+        self._tracker.extend(
+            block_major_lines(evs, len(batch.block_ids), self.config.line_bits)
+        )
 
     def end_kernel(self, profile):
         if self._tracker is not None:
             profile.locality = LocalityStats(
-                reuse_histogram=self._tracker.histogram.copy(),
+                reuse_histogram=self._tracker.histogram,
                 cold_misses=self._tracker.cold_misses,
                 line_accesses=self._tracker.accesses,
                 unique_lines=self._tracker.unique_lines,

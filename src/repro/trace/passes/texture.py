@@ -7,12 +7,10 @@ not transaction counts (no coalescing rules apply).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
-from repro.trace.reuse import ReuseDistanceTracker
+from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
 
 
 @register_pass
@@ -27,8 +25,8 @@ class TexturePass(AnalysisPass):
 
     def consume(self, batch):
         # Access counters are integer sums over warp rows (exact in any
-        # order); the fetch stream's reuse tracker is sequential and
-        # walks the blocks block-major like the reuse pass.
+        # order); the fetch stream's reuse tracker is order-sensitive and
+        # is fed block-major like the reuse pass.
         t = self._t
         evs = []
         for ev in batch.events:
@@ -38,20 +36,16 @@ class TexturePass(AnalysisPass):
             t.accesses += int(act.reshape(-1, WARP_SIZE).any(axis=1).sum())
             t.lane_accesses += int(act.sum())
             if self._tracker is not None:
-                evs.append((addrs >> self.config.line_bits, act))
-        if not evs:
-            return
-        tracker = self._tracker
-        for i in range(len(batch.block_ids)):
-            for lines, act in evs:
-                row = act[i]
-                if row.any():
-                    tracker.access_many(np.unique(lines[i][row]))
+                evs.append((addrs, act))
+        if evs:
+            self._tracker.extend(
+                block_major_lines(evs, len(batch.block_ids), self.config.line_bits)
+            )
 
     def end_kernel(self, profile):
         if self._tracker is not None:
             t = profile.texture
-            t.reuse_histogram = self._tracker.histogram.copy()
+            t.reuse_histogram = self._tracker.histogram
             t.cold_misses = self._tracker.cold_misses
             t.line_accesses = self._tracker.accesses
             t.unique_lines = self._tracker.unique_lines

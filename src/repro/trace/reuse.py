@@ -1,44 +1,246 @@
-"""LRU stack (reuse) distance computation.
+"""LRU stack (reuse) distance computation, offline and vectorized.
 
-Implements Mattson's stack-distance algorithm in O(log N) per access using a
-Fenwick tree over access timestamps: each cache line's most recent access
-time is marked in the tree, and the reuse distance of a new access to line
-``L`` is the number of *distinct* lines touched since ``L``'s previous
-access, i.e. the count of marked slots after that time.
+The reuse distance of an access to cache line ``L`` is the number of
+*distinct* lines touched since ``L``'s previous access (Mattson's stack
+distance); a line's first access is a cold miss.  Distances are recorded in
+power-of-two histogram buckets, which is all the locality characteristics
+need (they read the CDF at a handful of thresholds).
 
-Distances are recorded in power-of-two histogram buckets, which is all the
-locality characteristics need (they read the CDF at a handful of
-thresholds).
+Algorithm
+---------
 
-The Fenwick walks are inlined into :meth:`ReuseDistanceTracker.access` —
-this is the hottest scalar loop in the collector, and the method-call and
-attribute-lookup overhead of a separate tree class measurably dominated the
-arithmetic.  The number of marked slots always equals the number of tracked
-lines, so the suffix sum needs a single prefix walk, and capacity growth
-rebuilds the tree from the live line set instead of replaying dead slots.
+:meth:`ReuseDistanceTracker.extend` only buffers line streams.  Once enough
+accesses are pending, they are resolved a *piece* at a time, each piece in a
+handful of whole-array numpy passes:
+
+1. The piece is replayed behind the tracker's live lines in LRU order (least
+   recently used first).  That prefix is the exact compressed history: the
+   lines touched after ``L``'s last access are precisely the live lines
+   that follow ``L`` in LRU order, so every distance over the concatenation
+   equals the distance over the full stream.
+2. One stable argsort of the concatenation pairs every reuse at position
+   ``t`` with its previous access ``p``.
+3. The positions strictly between ``p`` and ``t`` are ``t - p - 1``
+   accesses; each one that is re-accessed before ``t`` repeats a line, and
+   those are exactly the reuse pairs nested in ``(p, t)``.  So the distance
+   is ``(t - p - 1)`` minus that nested count.
+4. Taken in ``t`` order, the nested count of a pair is the number of earlier
+   pairs with a larger ``p``.  A wavelet-matrix pass over the ``p`` column
+   computes it for every pair at once, with one cumsum and one stable
+   partition per bit of ``p`` (:func:`_earlier_greater`).
+5. ``np.frexp`` exponents equal ``int.bit_length`` for non-negative
+   integers, so one ``bincount`` of them updates the histogram.
+
+The last occurrence of every line in the concatenation, in position order,
+is the new LRU prefix.  A piece is at least as long as the prefix it is
+replayed behind, so the work per access stays logarithmic.
+
+Legacy growth skew
+------------------
+
+The scalar Fenwick tracker this replaced carried an off-by-one that the
+frozen profile digests still encode, so it is reproduced on purpose in one
+place, :meth:`ReuseDistanceTracker._legacy_fenwick_skew`.  The Fenwick tree
+doubled its capacity at access times ``T = 1024 * 2**k`` and rebuilt itself
+from the lines' last-access times *before* recording the access at ``T``.
+When that access was a reuse with previous time ``P``, ``P`` was still
+recorded as a last-access time, so a phantom mark at ``P`` survived until
+the next growth.  Every reuse at a time in ``(T, 2T]`` whose previous access
+came after ``P`` therefore read one less than its true distance; a true
+distance of 0 read -1 and landed in bucket 1.  Removing the skew changes the
+reuse and texture sections of every kernel whose line stream passes 1024
+accesses, so it goes together with regenerating the frozen digests and
+golden fixtures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 #: Number of power-of-two histogram buckets (covers distances up to 2**63).
 _NUM_BUCKETS = 64
 
+#: Inactive-lane filler for :func:`block_major_lines`; sorts after every line.
+_NO_LINE = np.iinfo(np.int64).max
+
+#: Element bound on the stacked temporaries of :func:`block_major_lines`.
+_STACK_ELEMS = 1 << 16
+
+#: Phantom time meaning "no phantom": no previous access time exceeds it.
+_NO_PHANTOM = np.iinfo(np.int64).max
+
+#: Access time of the legacy Fenwick tree's first capacity growth.
+_FIRST_GROWTH = 1024
+
+
+def block_major_lines(
+    evs: Sequence[Tuple[np.ndarray, np.ndarray]], P: int, line_bits: int
+) -> np.ndarray:
+    """Distinct active lines per (block, event) row, flattened block-major.
+
+    ``evs`` holds ``(addrs, act)`` pairs of ``(P, npad)`` memory-event
+    buffers in emission order.  The result lists, for each block in turn and
+    within it each event in turn, the event's distinct active 128B lines
+    (``addrs >> line_bits``) in ascending order.  Temporaries are bounded by
+    stacking at most about ``_STACK_ELEMS`` lanes at a time: blocks are
+    sliced, and a single block's events are sliced when it alone exceeds the
+    bound.
+    """
+    if not evs:
+        return np.empty(0, dtype=np.int64)
+    npad = evs[0][0].shape[1]
+    per_block = len(evs) * npad
+    parts = []
+    if per_block <= _STACK_ELEMS:
+        step = _STACK_ELEMS // per_block
+        for b in range(0, P, step):
+            parts.append(_distinct_rows(evs, slice(b, b + step), line_bits))
+    else:
+        step = max(_STACK_ELEMS // npad, 1)
+        for b in range(P):
+            for e in range(0, len(evs), step):
+                parts.append(_distinct_rows(evs[e : e + step], slice(b, b + 1), line_bits))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _distinct_rows(evs, rows: slice, line_bits: int) -> np.ndarray:
+    lines = np.stack([addrs[rows] for addrs, _ in evs], axis=1)
+    lines >>= line_bits
+    lines[~np.stack([act[rows] for _, act in evs], axis=1)] = _NO_LINE
+    lines.sort(axis=-1)
+    keep = lines != _NO_LINE
+    keep[..., 1:] &= lines[..., 1:] != lines[..., :-1]
+    return lines[keep]
+
+
+def _earlier_greater(values: np.ndarray) -> np.ndarray:
+    """``out[i]`` = number of ``j < i`` with ``values[j] > values[i]``.
+
+    ``values`` are distinct non-negative integers.  Wavelet-matrix pass:
+    level by level from the top bit, elements are stably partitioned by the
+    bits seen so far, so each group of equal high bits is contiguous and in
+    original order.  An element with a 0 at the current bit is exceeded by
+    exactly the 1s that precede it in its group.  ``start`` tracks each
+    element's group start through the partitions.
+    """
+    k = values.size
+    acc = np.zeros(k, dtype=np.int64)
+    if k < 2:
+        return acc
+    order = np.arange(k)
+    start = np.zeros(k, dtype=np.int64)
+    ones = np.zeros(k + 1, dtype=np.int64)
+    for b in range(int(values.max()).bit_length() - 1, -1, -1):
+        bit = (values >> b) & 1
+        np.cumsum(bit, out=ones[1:])
+        zero = bit == 0
+        before = ones[start]
+        acc += np.where(zero, ones[:-1] - before, 0)
+        if b == 0:
+            break
+        start = np.where(zero, start - before, (k - ones[k]) + before)
+        perm = np.argsort(~zero, kind="stable")
+        values, acc, start, order = values[perm], acc[perm], start[perm], order[perm]
+    out = np.empty(k, dtype=np.int64)
+    out[order] = acc
+    return out
+
 
 class ReuseDistanceTracker:
-    """Streams cache-line accesses and histograms their LRU stack distances."""
+    """Histograms the LRU stack distances of a buffered line stream."""
+
+    #: Minimum number of accesses resolved together.
+    chunk = 1 << 13
 
     def __init__(self) -> None:
-        self._last_time: Dict[int, int] = {}
-        self._time = 0
-        self._cap = 1024
-        self._tree = [0] * (self._cap + 1)
-        self._hist = [0] * _NUM_BUCKETS
-        self.cold_misses = 0
-        self.accesses = 0
+        self._pending: List[np.ndarray] = []
+        self._npending = 0
+        # Live lines, least recently used first.
+        self._live = np.empty(0, dtype=np.int64)
+        self._resolved = 0
+        self._cold = 0
+        self._hist = np.zeros(_NUM_BUCKETS, dtype=np.int64)
+        # Global last-access times of the live lines and the carried phantom:
+        # read only by the legacy skew, and deleted with it.
+        self._live_time = np.empty(0, dtype=np.int64)
+        self._phantom = _NO_PHANTOM
+
+    def extend(self, lines: np.ndarray) -> None:
+        """Append accesses (int64 line ids, in access order).
+
+        The array is buffered by reference until it is resolved, so callers
+        pass a fresh array.
+        """
+        if lines.size:
+            self._pending.append(lines)
+            self._npending += lines.size
+            if self._npending >= max(self.chunk, self._live.size):
+                self._drain(final=False)
+
+    def _drain(self, final: bool) -> None:
+        if not self._npending:
+            return
+        pending = self._pending
+        stream = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        at = 0
+        while at < stream.size:
+            size = max(self.chunk, self._live.size)
+            if not final and stream.size - at < size:
+                break
+            piece = stream[at : at + size]
+            self._resolve(piece)
+            at += piece.size
+        self._pending = [stream[at:]] if at < stream.size else []
+        self._npending = stream.size - at
+
+    def _resolve(self, piece: np.ndarray) -> None:
+        m, n = self._live.size, piece.size
+        base = self._resolved
+        seq = np.concatenate((self._live, piece))
+        times = np.concatenate((self._live_time, np.arange(base, base + n)))
+        order = np.argsort(seq, kind="stable")
+        same = seq[order[1:]] == seq[order[:-1]]
+        prev = np.full(m + n, -1, dtype=np.int64)
+        prev[order[1:][same]] = order[:-1][same]
+        t = np.flatnonzero(prev[m:] >= 0) + m  # reuses, in access order
+        p = prev[t]
+        dist = (t - p - 1) - _earlier_greater(p)
+        dist -= self._legacy_fenwick_skew(times[t], times[p], base + n)
+        self._hist += np.bincount(np.frexp(dist)[1], minlength=_NUM_BUCKETS)
+        self._cold += n - t.size
+        last = np.ones(m + n, dtype=bool)
+        last[p] = False
+        self._live = seq[last]
+        self._live_time = times[last]
+        self._resolved = base + n
+
+    def _legacy_fenwick_skew(self, t: np.ndarray, p: np.ndarray, end: int) -> np.ndarray:
+        """Per-reuse 1 where the legacy Fenwick tree read one less.
+
+        ``t``/``p`` are the global access times of the piece's reuses and of
+        their previous accesses; the piece covers times up to ``end``.  A
+        growth at ``T`` whose access was a reuse left a phantom at its
+        previous time ``P``; reuses at times in ``(T, next growth]`` with
+        ``p > P`` are skewed.  The phantom of the last growth is carried into
+        the next piece.  See the module docstring; delete this together with
+        regenerating the frozen digests.
+        """
+        growths = [-1]
+        phantoms = [self._phantom]
+        g = _FIRST_GROWTH
+        while g < end:
+            if g >= self._resolved:
+                i = np.searchsorted(t, g)
+                growths.append(g)
+                phantoms.append(p[i] if i < t.size and t[i] == g else _NO_PHANTOM)
+            g *= 2
+        self._phantom = phantoms[-1]
+        slot = np.searchsorted(np.asarray(growths), t) - 1
+        return (p > np.asarray(phantoms, dtype=np.int64)[slot]).astype(np.int64)
+
+    # -- results (each resolves the pending stream first) -----------------
 
     @property
     def histogram(self) -> np.ndarray:
@@ -46,67 +248,23 @@ class ReuseDistanceTracker:
 
         Bucket 0 counts distance-0 accesses (immediate re-reference).
         """
-        return np.array(self._hist, dtype=np.int64)
+        self._drain(final=True)
+        return self._hist.copy()
 
-    def access(self, line: int) -> int:
-        """Record an access; returns the reuse distance (-1 if cold)."""
-        self.accesses += 1
-        tree = self._tree
-        cap = self._cap
-        last = self._last_time
-        prev = last.get(line)
-        if prev is None:
-            distance = -1
-            self.cold_misses += 1
-        else:
-            # Marked slots after prev = total marked - prefix(prev + 1);
-            # total marked is exactly the number of tracked lines.
-            i = prev + 1
-            s = 0
-            while i > 0:
-                s += tree[i]
-                i -= i & (-i)
-            distance = len(last) - s
-            self._hist[distance.bit_length()] += 1
-            # Unmark the previous access time (it was marked, delta -1).
-            i = prev + 1
-            while i <= cap:
-                tree[i] -= 1
-                i += i & (-i)
-        t = self._time
-        if t >= cap:
-            self._grow()
-            tree = self._tree
-            cap = self._cap
-        i = t + 1
-        while i <= cap:
-            tree[i] += 1
-            i += i & (-i)
-        last[line] = t
-        self._time = t + 1
-        return distance
+    @property
+    def cold_misses(self) -> int:
+        self._drain(final=True)
+        return self._cold
 
-    def access_many(self, lines: Iterable[int]) -> None:
-        access = self.access
-        for line in lines:
-            access(int(line))
-
-    def _grow(self) -> None:
-        """Double capacity, rebuilding from the live line set only."""
-        while self._time >= self._cap:
-            self._cap *= 2
-        cap = self._cap
-        tree = [0] * (cap + 1)
-        for t in self._last_time.values():
-            i = t + 1
-            while i <= cap:
-                tree[i] += 1
-                i += i & (-i)
-        self._tree = tree
+    @property
+    def accesses(self) -> int:
+        self._drain(final=True)
+        return self._resolved
 
     @property
     def unique_lines(self) -> int:
-        return len(self._last_time)
+        self._drain(final=True)
+        return int(self._live.size)
 
     def cdf_at(self, threshold: int) -> float:
         """Fraction of *reuse* accesses with distance < ``threshold``.
@@ -115,12 +273,14 @@ class ReuseDistanceTracker:
         a separate characteristic.  Returns 0 when there were no reuses.
         Threshold is rounded down to a bucket boundary (power of two).
         """
-        reuses = sum(self._hist)
+        hist = self.histogram
+        reuses = int(hist.sum())
         if reuses == 0:
             return 0.0
         bucket = max(int(threshold).bit_length() - 1, 0)
-        return float(sum(self._hist[: bucket + 1])) / reuses
+        return float(hist[: bucket + 1].sum()) / reuses
 
     @property
     def cold_miss_rate(self) -> float:
-        return self.cold_misses / self.accesses if self.accesses else 0.0
+        accesses = self.accesses
+        return self.cold_misses / accesses if accesses else 0.0

@@ -38,7 +38,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.runtime import default_cache_dir, resolve_jobs, _pool_context
+from repro.core.runtime import (
+    _pool_context,
+    default_cache_dir,
+    numeric_environment,
+    resolve_jobs,
+)
 from repro.telemetry import get_telemetry
 from repro.trace.profile import WorkloadProfile
 from repro.trace.serialize import workload_profile_bytes
@@ -73,10 +78,10 @@ class SweepCache:
         self._model_digests: Dict[str, str] = {}
 
     def model_digest(self, name: str) -> str:
-        """Content digest of one timing model's source modules."""
+        """Digest of one timing model's source modules and the numeric environment."""
         cached = self._model_digests.get(name)
         if cached is None:
-            h = hashlib.sha256()
+            h = hashlib.sha256(numeric_environment())
             for path in model_source_files(name):
                 with open(path, "rb") as f:
                     h.update(f.read())

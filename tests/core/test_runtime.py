@@ -2,9 +2,14 @@
 
 import importlib.util
 import os
+import shutil
+import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+import repro
 
 from repro.api import characterize
 from repro.core import metrics
@@ -224,6 +229,37 @@ def test_editing_shared_sources_invalidates_everything(cache_dir, monkeypatch):
     result = run_characterization(config, rec)
     assert result.cache_misses == 1
     assert rec.workloads("workload_started") == ["VA"]
+
+
+def test_shared_digest_is_independent_of_checkout_location(tmp_path):
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    probe = (
+        "import repro; from repro.core.runtime import ProfileCache; "
+        "print(repro.__file__); print(ProfileCache('unused')._shared_digest())"
+    )
+    digests = {ProfileCache(str(tmp_path))._shared_digest()}
+    for root in (tmp_path / "a", tmp_path / "b" / "moved"):
+        shutil.copytree(
+            package, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(root)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        imported, digest = out.stdout.split()
+        assert imported.startswith(str(root))
+        digests.add(digest)
+    assert len(digests) == 1
+
+
+def test_numeric_environment_changes_shared_digest(tmp_path, monkeypatch):
+    before = ProfileCache(str(tmp_path))._shared_digest()
+    monkeypatch.setattr(np, "__version__", "0.0.0+elsewhere")
+    assert ProfileCache(str(tmp_path))._shared_digest() != before
 
 
 def test_editing_one_pass_reruns_only_that_pass(cache_dir, monkeypatch):

@@ -91,6 +91,12 @@ def test_model_edit_invalidates_only_that_models_shards(workloads, tmp_path, mon
     assert rerun.cache_misses == len(workloads) * n_designs
 
 
+def test_numeric_environment_changes_model_digest(tmp_path, monkeypatch):
+    before = SweepCache(str(tmp_path)).model_digest("roofline")
+    monkeypatch.setattr(np, "__version__", "0.0.0+elsewhere")
+    assert SweepCache(str(tmp_path)).model_digest("roofline") != before
+
+
 def test_new_design_point_tops_up_shard(workloads, tmp_path):
     base_space = default_design_space()
     run_sweep(workloads, configs=base_space, models=("roofline",), cache_dir=str(tmp_path))
