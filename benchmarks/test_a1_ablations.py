@@ -17,7 +17,7 @@ from repro.core.analysis.pca import fit_pca
 from repro.core.featurespace import FeatureMatrix, standardize
 from repro.report import ascii_table
 from repro.trace.collector import CollectorConfig
-from repro.workloads.runner import run_suite
+from repro.workloads.runner import run_workload
 
 #: A small, behaviourally spread probe set so the collector re-runs stay fast.
 PROBE = ["VA", "SLA", "KM", "MUM", "MM"]
@@ -34,10 +34,10 @@ def _cluster_at(profiles, variance_target, seed=0, k=6):
 def _build(profiles):
     clusterings = {vt: _cluster_at(profiles, vt) for vt in (0.85, 0.90, 0.95)}
     lines = {
-        line: run_suite(
-            abbrevs=PROBE,
-            collector_config=CollectorConfig(line_bytes=line),
-        )
+        line: [
+            run_workload(w, collector_config=CollectorConfig(line_bytes=line))
+            for w in PROBE
+        ]
         for line in (64, 128)
     }
     return clusterings, lines

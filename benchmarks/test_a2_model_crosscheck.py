@@ -11,14 +11,13 @@ import numpy as np
 
 from repro.core.evaluation import geomean, kendall_tau
 from repro.report import ascii_table
-from repro.uarch import BASELINE, cycle_speedup_matrix, default_design_space, speedup_matrix
+from repro.uarch import default_space, run_sweep
 
 
 def _build(profiles):
-    configs = default_design_space()
-    roofline = speedup_matrix(profiles, configs, BASELINE)
-    cycle = cycle_speedup_matrix(profiles, configs, BASELINE)
-    return configs, roofline, cycle
+    configs = default_space().configs()
+    sweep = run_sweep(profiles, configs, models=("roofline", "cycle"), use_cache=False)
+    return configs, sweep.speedups("roofline"), sweep.speedups("cycle")
 
 
 def test_a2_model_crosscheck(benchmark, profiles, save_artifact):

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core import metrics
 from repro.report import ascii_table
-from repro.workloads.runner import run_suite
+from repro.workloads.runner import run_workload
 
 PROBE = ["VA", "SLA", "KM", "SPMV", "HS", "BFS"]
 #: Ratio-type characteristics where sampling error is meaningfully comparable.
@@ -29,7 +29,7 @@ LOCALITY_SENSITIVE = {"loc.cold_rate"}
 
 def _build(profiles):
     runs = {
-        label: run_suite(abbrevs=PROBE, sample_blocks=blocks)
+        label: [run_workload(w, sample_blocks=blocks) for w in PROBE]
         for label, blocks in (("full", None), ("s48", 48), ("s8", 8))
     }
     vectors = {

@@ -13,14 +13,14 @@ from repro.core.analysis.diversity import representatives
 from repro.core.analysis.kmeans import kmeans
 from repro.core.evaluation import evaluate_subset, random_subset_errors
 from repro.report import ascii_table
-from repro.uarch import BASELINE, default_design_space, speedup_matrix
+from repro.uarch import default_space, run_sweep
 
 SUBSET_K = 8
 
 
 def _build(analysis):
-    configs = default_design_space()
-    perf = speedup_matrix(analysis.profiles, configs, BASELINE)
+    configs = default_space().configs()
+    perf = run_sweep(analysis.profiles, configs, use_cache=False).speedups("roofline")
     km = kmeans(analysis.pca.scores, SUBSET_K, np.random.default_rng(0), n_init=50)
     reps = representatives(km, analysis.pca.scores, analysis.workloads)
     evaluation = evaluate_subset(

@@ -17,7 +17,7 @@ from repro.core.analysis.diversity import representatives
 from repro.core.analysis.kmeans import kmeans
 from repro.core.evaluation import evaluate_subset, random_subset_errors
 from repro.report import ascii_table
-from repro.uarch import BASELINE, bottleneck_summary, default_design_space, speedup_matrix
+from repro.uarch import BASELINE, bottleneck_summary, default_space, run_sweep
 
 SUBSET_K = 8
 
@@ -25,10 +25,10 @@ SUBSET_K = 8
 def main():
     profiles = characterize().profiles
     result = analyze(profiles)
-    configs = default_design_space()
+    configs = default_space().configs()
 
     print("estimating the full suite on every design point...")
-    perf = speedup_matrix(profiles, configs, BASELINE)
+    perf = run_sweep(profiles, configs, use_cache=False).speedups("roofline")
 
     print("\nbaseline bottleneck mix:")
     for bottleneck, names in bottleneck_summary(profiles, BASELINE).items():

@@ -45,7 +45,7 @@ from repro.api import (
     evaluate,
     trace_session,
 )
-from repro.workloads import run_suite, run_workload
+from repro.workloads import run_workload
 
 __all__ = [
     "AnalysisResult",
@@ -58,7 +58,6 @@ __all__ = [
     "analyze",
     "characterize",
     "evaluate",
-    "run_suite",
     "run_workload",
     "trace_session",
 ]

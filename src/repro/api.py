@@ -174,12 +174,12 @@ def evaluate(
     from repro.core.analysis.diversity import representatives as pick_reps
     from repro.core.analysis.kmeans import kmeans
     from repro.core.evaluation import evaluate_subset
-    from repro.uarch import default_design_space, run_sweep
+    from repro.uarch import default_space, run_sweep
 
     profiles = _as_profiles(source)
     if analysis is None:
         analysis = analyze(profiles)
-    config_list = list(configs) if configs is not None else default_design_space()
+    config_list = list(configs) if configs is not None else default_space().configs()
     sweep = run_sweep(
         profiles,
         configs=config_list,

@@ -31,6 +31,7 @@ requested workload order regardless of completion order.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import sys
@@ -41,7 +42,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     ClassVar,
     Dict,
     List,
@@ -232,17 +232,6 @@ class RunObserver:
     def on_workload_failed(self, event: WorkloadFailed) -> None: ...
 
     def on_suite_finished(self, event: SuiteFinished) -> None: ...
-
-
-class CallbackObserver(RunObserver):
-    """Adapter for the legacy ``progress: Callable[[str], None]`` callback."""
-
-    def __init__(self, progress: Callable[[str], None]) -> None:
-        self._progress = progress
-
-    def on_workload_started(self, event: WorkloadStarted) -> None:
-        if event.attempt == 1:
-            self._progress(event.workload)
 
 
 class ConsoleObserver(RunObserver):
@@ -647,13 +636,12 @@ def _characterize_one(
         tele.begin_worker()
     t0 = time.perf_counter()
     try:
-        if tele is not None:
-            with tele.span(f"workload:{abbrev}", engine=engine):
-                profile = run_workload(
-                    abbrev, verify=verify, sample_blocks=sample_blocks,
-                    engine=engine, passes=passes,
-                )
-        else:
+        span = (
+            tele.span(f"workload:{abbrev}", engine=engine)
+            if tele is not None
+            else contextlib.nullcontext()
+        )
+        with span:
             profile = run_workload(
                 abbrev, verify=verify, sample_blocks=sample_blocks,
                 engine=engine, passes=passes,

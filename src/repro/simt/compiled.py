@@ -1249,16 +1249,16 @@ def run_compiled_launch(
     grid: Tuple[int, int],
     block: Tuple[int, int],
     params_by_name: Dict,
-) -> int:
+) -> None:
     """Drive one launch through the compiled engine.
 
     Blocks accumulate into batches of up to ``batch_limit`` contiguous
     blocks.  A batch containing profiled blocks runs the observed program
     with an :class:`~repro.simt.events.EventRecorder` capturing columnar
-    buffers delivered via ``sink.on_batch``; purely silent batches run the
+    buffers handed to ``executor._deliver``; purely silent batches run the
     silent program.  Blocks execute in ascending contiguous runs,
-    preserving the interpreter's sequential device-memory outcome.  Returns
-    the number of profiled blocks and records ``executor.last_launch_stats``.
+    preserving the interpreter's sequential device-memory outcome.  The
+    batching and plan fields are filled into ``executor.last_launch_stats``.
     """
     ck = compile_kernel(kernel)
     params = [params_by_name[p.name] for p in kernel.params]
@@ -1277,29 +1277,18 @@ def run_compiled_launch(
     sinks = executor.sinks
     pf = executor.profile_filter
     observed = ck.observed_runner(executor.hook_subscriptions()) if sinks else None
-    stats = {
-        "engine": "compiled",
-        "blocks": nblocks,
-        "profiled_blocks": 0,
-        "batches": 0,
-        "batched_blocks": 0,
-        "largest_batch": 0,
-        "batch_limit": limit,
-        "hazard_tier": plan.tier,
-        "pin_reason": plan.pin_reason,
-        "batch_groups": plan.groups,
-        "observed_batches": 0,
-        "event_counts": {"instr": 0, "mem": 0, "branch": 0},
-        "event_bytes": 0,
-    }
+    stats = executor.last_launch_stats
+    stats.update(
+        batch_limit=limit,
+        hazard_tier=plan.tier,
+        pin_reason=plan.pin_reason,
+        batch_groups=plan.groups,
+    )
     pending: List[int] = []
     prof_rows: List[int] = []
     prof_ids: List[int] = []
     templates: Dict[int, Dict] = {}
-    # Bound once per launch: None keeps the silent path telemetry-free, the
-    # same way observation hooks are compiled out of unprofiled blocks.
-    tele = get_telemetry()
-    observe_batch = tele.observe if tele.enabled else None
+    observe = get_telemetry().observe
 
     def flush() -> None:
         if not pending:
@@ -1309,25 +1298,16 @@ def run_compiled_launch(
             rec = EventRecorder(prof_ids, prof_rows, len(pending), npad, nwarps, nthreads)
             st.recorder = rec
             observed(st, st.block_mask)
-            batch = rec.finish()
-            stats["observed_batches"] += 1
-            stats["profiled_blocks"] += len(prof_ids)
-            counts = stats["event_counts"]
-            for kind, n in batch.event_counts().items():
-                counts[kind] += n
-            stats["event_bytes"] += batch.buffer_bytes()
             prof_ids.clear()
             prof_rows.clear()
-            for sink in sinks:
-                sink.on_batch(batch)
+            executor._deliver(rec.finish())
         else:
             ck.run_silent(st, st.block_mask)
         stats["batches"] += 1
         stats["batched_blocks"] += len(pending)
         if len(pending) > stats["largest_batch"]:
             stats["largest_batch"] = len(pending)
-        if observe_batch is not None:
-            observe_batch("engine.compiled.batch_blocks", len(pending))
+        observe("engine.compiled.batch_blocks", len(pending))
         pending.clear()
 
     for linear in range(nblocks):
@@ -1340,5 +1320,3 @@ def run_compiled_launch(
         if len(pending) >= limit:
             flush()
     flush()
-    executor.last_launch_stats = stats
-    return stats["profiled_blocks"]

@@ -49,7 +49,7 @@ from repro.simt.compiled import (
     compile_kernel,
     run_compiled_launch,
 )
-from repro.simt.events import EventRecorder
+from repro.simt.events import EventBatch, EventRecorder
 from repro.simt.memory import _ATOMIC_SCALAR, Device, DeviceBuffer
 from repro.simt.sink import TraceSink
 from repro.simt.types import WARP_SIZE, DType
@@ -97,6 +97,46 @@ def _as_dim(dim: DimLike, what: str) -> Tuple[int, int]:
 #: Supported execution engines (see :mod:`repro.simt.compiled` for the
 #: compiled/batched one; "interpreted" is the reference statement walker).
 ENGINES = ("compiled", "interpreted")
+
+
+def _launch_record(engine: str, nblocks: int) -> Dict[str, object]:
+    """A fresh launch record, the one place a launch's stats are kept.
+
+    Both engines fill the same fields.  The batching fields (``batches``,
+    ``batched_blocks``, ``largest_batch``, ``batch_limit``) and the plan
+    fields (``hazard_tier``, ``pin_reason``, ``batch_groups``) describe the
+    compiled engine's multi-block batches; the interpreter runs one block
+    at a time and leaves them at their defaults.  The observation fields
+    are counted by :meth:`Executor._deliver` for either engine.
+    """
+    return {
+        "engine": engine,
+        "blocks": nblocks,
+        "profiled_blocks": 0,
+        "batches": 0,
+        "batched_blocks": 0,
+        "largest_batch": 0,
+        "observed_batches": 0,
+        "event_counts": {"instr": 0, "mem": 0, "branch": 0},
+        "event_bytes": 0,
+        "batch_limit": 1,
+        "hazard_tier": None,
+        "pin_reason": None,
+        "batch_groups": None,
+    }
+
+
+#: Record fields the per-executor totals sum; the totals also keep the
+#: per-kind ``event_counts`` and the running maximum ``largest_batch``.
+_SUMMED = (
+    "blocks", "profiled_blocks", "batches", "batched_blocks", "observed_batches", "event_bytes",
+)
+_TOTALLED = _SUMMED + ("largest_batch", "event_counts")
+#: Scalar record fields mirrored onto each ``launch`` span.
+_SPAN_FIELDS = (
+    "profiled_blocks", "hazard_tier", "pin_reason", "batch_groups",
+    "largest_batch", "observed_batches", "event_bytes",
+)
 
 
 class Executor:
@@ -156,21 +196,14 @@ class Executor:
         self.engine = engine
         self.batch_blocks = batch_blocks
         self.block_order = None if block_order is None else [int(b) for b in block_order]
-        #: Populated after every launch: engine, block/batch counters.
-        self.last_launch_stats: Dict[str, Union[int, str]] = {}
+        #: The current (or last finished) launch's :func:`_launch_record`.
+        self.last_launch_stats: Dict[str, object] = {}
         #: Running totals over every launch this executor has driven —
         #: the per-workload aggregate surfaced by ``characterize --json``.
-        self.launch_stats_totals: Dict[str, Union[int, str, Dict[str, int]]] = {
+        self.launch_stats_totals: Dict[str, object] = {
             "engine": engine,
             "launches": 0,
-            "blocks": 0,
-            "profiled_blocks": 0,
-            "batches": 0,
-            "batched_blocks": 0,
-            "largest_batch": 0,
-            "observed_batches": 0,
-            "event_counts": {"instr": 0, "mem": 0, "branch": 0},
-            "event_bytes": 0,
+            **{k: v for k, v in _launch_record(engine, 0).items() if k in _TOTALLED},
             "hazard_tiers": {},
         }
 
@@ -206,57 +239,15 @@ class Executor:
         args = dict(args or {})
         params = self._bind_params(kernel, args)
 
+        stats = self.last_launch_stats = _launch_record(self.engine, nblocks)
         for sink in self.sinks:
             sink.on_kernel_begin(kernel, grid, block, nblocks)
+        # Spans wrap whole launches, never per-block or per-instruction work;
+        # with telemetry off each is a shared no-op context manager.
         tele = get_telemetry()
-        if tele.enabled:
-            profiled = self._launch_traced(tele, kernel, grid, block, params, nblocks)
-        else:
-            with np.errstate(all="ignore"):
-                if self.engine == "compiled":
-                    profiled = run_compiled_launch(self, kernel, grid, block, params)
-                else:
-                    profiled = self._launch_interpreted(kernel, grid, block, params, nblocks)
-        for sink in self.sinks:
-            sink.on_kernel_end(profiled, nblocks)
-        self._accumulate_launch_stats()
-
-    def _accumulate_launch_stats(self) -> None:
-        stats = self.last_launch_stats
-        totals = self.launch_stats_totals
-        totals["launches"] += 1
-        for key in ("blocks", "profiled_blocks", "batches", "batched_blocks",
-                    "observed_batches", "event_bytes"):
-            totals[key] += int(stats.get(key, 0))
-        totals["largest_batch"] = max(
-            totals["largest_batch"], int(stats.get("largest_batch", 0))
-        )
-        counts = totals["event_counts"]
-        for kind, n in stats.get("event_counts", {}).items():
-            counts[kind] += int(n)
-        tier = stats.get("hazard_tier")
-        if tier:
-            tiers = totals["hazard_tiers"]
-            tiers[tier] = tiers.get(tier, 0) + 1
-
-    def _launch_traced(
-        self,
-        tele,
-        kernel: Kernel,
-        grid: Tuple[int, int],
-        block: Tuple[int, int],
-        params: Dict[str, Union[int, float]],
-        nblocks: int,
-    ) -> int:
-        """Telemetry-enabled launch path: compile/execute spans + counters.
-
-        Kept out of :meth:`launch` so the disabled-telemetry fast path pays
-        exactly one ``enabled`` check per launch and nothing else.  Spans
-        wrap whole launches — never per-block or per-instruction work.
-        """
         with tele.span(
             "launch", kernel=kernel.name, engine=self.engine, blocks=nblocks
-        ) as lsp:
+        ) as lsp, np.errstate(all="ignore"):
             if self.engine == "compiled":
                 with tele.span(
                     "compile",
@@ -264,35 +255,63 @@ class Executor:
                     cached=getattr(kernel, "_compiled_cache", None) is not None,
                 ):
                     compile_kernel(kernel)
-            with np.errstate(all="ignore"):
-                with tele.span("execute", kernel=kernel.name, engine=self.engine):
-                    if self.engine == "compiled":
-                        profiled = run_compiled_launch(self, kernel, grid, block, params)
-                    else:
-                        profiled = self._launch_interpreted(
-                            kernel, grid, block, params, nblocks
-                        )
-            stats = self.last_launch_stats
-            lsp.set(profiled_blocks=profiled)
-            tele.count("engine.launches")
-            tele.count(f"engine.{self.engine}.blocks", nblocks)
-            if self.engine == "compiled":
-                tier = stats.get("hazard_tier")
-                if tier:
-                    tele.count(f"engine.compiled.hazard.{tier}")
-                tele.count("engine.compiled.batches", int(stats.get("batches", 0)))
-                tele.count(
-                    "engine.compiled.batched_blocks", int(stats.get("batched_blocks", 0))
-                )
-                observed = int(stats.get("observed_batches", 0))
-                if observed:
-                    tele.count("engine.compiled.observed_batches", observed)
-                    tele.count(
-                        "engine.compiled.event_bytes", int(stats.get("event_bytes", 0))
-                    )
-                    for kind, n in stats.get("event_counts", {}).items():
-                        tele.count(f"engine.compiled.events.{kind}", int(n))
-        return profiled
+            with tele.span("execute", kernel=kernel.name, engine=self.engine):
+                if self.engine == "compiled":
+                    run_compiled_launch(self, kernel, grid, block, params)
+                else:
+                    self._launch_interpreted(kernel, grid, block, params, nblocks)
+            lsp.set(**{key: stats[key] for key in _SPAN_FIELDS})
+        for sink in self.sinks:
+            sink.on_kernel_end(stats["profiled_blocks"], nblocks)
+        self._fold_launch_record(stats)
+
+    def _deliver(self, batch: EventBatch) -> None:
+        """Count one recorded batch into the launch record, then fan it out.
+
+        Both engines hand every observed batch here, so the record's
+        observation fields are counted in one place for either engine.
+        """
+        stats = self.last_launch_stats
+        stats["observed_batches"] += 1
+        stats["profiled_blocks"] += len(batch)
+        counts = stats["event_counts"]
+        for kind, n in batch.event_counts().items():
+            counts[kind] += n
+        stats["event_bytes"] += batch.buffer_bytes()
+        for sink in self.sinks:
+            sink.on_batch(batch)
+
+    def _fold_launch_record(self, stats: Dict[str, object]) -> None:
+        """Add a finished launch record to the totals and ``engine.*`` counters.
+
+        The totals stay here rather than being derived from the trace:
+        telemetry is off by default, and ``characterize --json`` and the
+        profile shards need them anyway.  Observation counters are only
+        touched by launches that observed a batch.
+        """
+        totals = self.launch_stats_totals
+        tele = get_telemetry()
+        prefix = f"engine.{self.engine}."
+        totals["launches"] += 1
+        tele.count("engine.launches")
+        for key in _SUMMED:
+            totals[key] += stats[key]
+        for key in ("blocks", "batches", "batched_blocks"):
+            tele.count(prefix + key, stats[key])
+        totals["largest_batch"] = max(totals["largest_batch"], stats["largest_batch"])
+        counts = totals["event_counts"]
+        for kind, n in stats["event_counts"].items():
+            counts[kind] += n
+        tier = stats["hazard_tier"]
+        if tier:
+            tiers = totals["hazard_tiers"]
+            tiers[tier] = tiers.get(tier, 0) + 1
+            tele.count(f"{prefix}hazard.{tier}")
+        if stats["observed_batches"]:
+            tele.count(prefix + "observed_batches", stats["observed_batches"])
+            tele.count(prefix + "event_bytes", stats["event_bytes"])
+            for kind, n in stats["event_counts"].items():
+                tele.count(f"{prefix}events.{kind}", n)
 
     def _launch_interpreted(
         self,
@@ -301,8 +320,7 @@ class Executor:
         block: Tuple[int, int],
         params: Dict[str, Union[int, float]],
         nblocks: int,
-    ) -> int:
-        profiled = 0
+    ) -> None:
         hooks = self.hook_subscriptions() if self.sinks else frozenset()
         order: Sequence[int] = range(nblocks)
         if self.block_order is not None:
@@ -314,20 +332,7 @@ class Executor:
         for linear in order:
             ctaid = (linear % grid[0], linear // grid[0])
             observe = bool(self.sinks) and self.profile_filter(linear, nblocks)
-            if observe:
-                profiled += 1
-            run = _BlockRun(self, kernel, grid, block, ctaid, params, observe, hooks)
-            run.execute()
-        self.last_launch_stats = {
-            "engine": "interpreted",
-            "blocks": nblocks,
-            "profiled_blocks": profiled,
-            "batches": 0,
-            "batched_blocks": 0,
-            "largest_batch": 0,
-            "batch_limit": 1,
-        }
-        return profiled
+            _BlockRun(self, kernel, grid, block, ctaid, params, observe, hooks).execute()
 
     def _bind_params(
         self, kernel: Kernel, args: Dict[str, Union[int, float, DeviceBuffer]]
@@ -416,9 +421,7 @@ class _BlockRun:
     def execute(self) -> None:
         self._exec_stmts(self.kernel.body, self.block_mask)
         if self.recorder is not None:
-            batch = self.recorder.finish()
-            for sink in self.executor.sinks:
-                sink.on_batch(batch)
+            self.executor._deliver(self.recorder.finish())
 
     def _exec_stmts(self, stmts: List[Stmt], mask: np.ndarray) -> None:
         # The active mask only changes when lanes retire, so a straight-line

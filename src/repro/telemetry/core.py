@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -372,11 +372,6 @@ class Telemetry:
 
     def spans_by_name(self, name: str) -> List[Span]:
         return [sp for sp in self.spans if sp.name == name]
-
-    def iter_children(self, span_id: str) -> Iterator[Span]:
-        for sp in self.spans:
-            if sp.parent_id == span_id:
-                yield sp
 
 
 _GLOBAL: Optional[Telemetry] = None

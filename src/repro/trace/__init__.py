@@ -13,7 +13,6 @@ from repro.trace.collector import (
     NUM_BANKS,
     SEG_LARGE,
     SEG_SMALL,
-    collect_workload,
 )
 from repro.trace.ilp import IlpTracker, IlpTrackerBank
 from repro.trace.passes import AnalysisPass, pass_names, register_pass, resolve_passes
@@ -52,7 +51,6 @@ __all__ = [
     "SharedMemStats",
     "TextureStats",
     "WorkloadProfile",
-    "collect_workload",
     "dump_profiles",
     "load_profiles",
     "merge_profiles",

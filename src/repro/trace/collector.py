@@ -27,7 +27,7 @@ from repro.telemetry import get_telemetry
 from repro.trace.ilp import IlpTrackerBank
 from repro.trace.passes import make_passes
 from repro.trace.passes.shared import NUM_BANKS  # noqa: F401  (re-export)
-from repro.trace.profile import KernelProfile, WorkloadProfile
+from repro.trace.profile import KernelProfile
 
 #: Cache-line granularity (bytes) for locality analysis.
 LINE_BYTES = 128
@@ -43,7 +43,6 @@ class CollectorConfig:
     line_bytes: int = LINE_BYTES
     seg_small: int = SEG_SMALL
     seg_large: int = SEG_LARGE
-    track_reuse: bool = True
     ilp_windows: Tuple[int, ...] = IlpTrackerBank.DEFAULT_WINDOWS
 
     def __post_init__(self) -> None:
@@ -78,17 +77,15 @@ class KernelTraceCollector(TraceSink):
         self.pass_names: Tuple[str, ...] = tuple(p.name for p in self._passes)
         self.profiles: List[KernelProfile] = []
         self._p: Optional[KernelProfile] = None
-        # Per-pass cost accounting, active only while telemetry is enabled at
-        # construction time: every lifecycle call and ``consume`` is timed
-        # and each batch's event count attributed, flushed to
-        # ``pass.<name>.{seconds,events}`` counters at every kernel end.
-        tele = get_telemetry()
-        self._tele = tele if tele.enabled else None
+        # Per-pass cost accounting: every lifecycle call and ``consume`` is
+        # timed and each batch's event count attributed, flushed to the
+        # ``pass.<name>.{seconds,events}`` counters at every kernel end
+        # (no-ops while telemetry is disabled).
         self._pass_seconds: Dict[str, float] = {p.name: 0.0 for p in self._passes}
-        self._pass_events: Dict[str, int] = {p.name: 0 for p in self._passes}
+        self._events = 0
 
-    def _run_lifecycle(self, hook: str, *args) -> None:
-        """Dispatch a lifecycle hook to every pass, timing each when traced.
+    def _dispatch(self, hook: str, *args) -> None:
+        """Call ``hook`` on every pass, timing each.
 
         Lifecycle hooks are timed as well as ``consume`` so every enabled
         pass accrues nonzero measured seconds even on workloads that never
@@ -125,52 +122,29 @@ class KernelTraceCollector(TraceSink):
             register_pressure=_register_pressure_of(kernel),
             passes=self.pass_names,
         )
-        if self._tele is None:
-            for p in self._passes:
-                p.begin_kernel(kernel, self._p)
-        else:
-            self._run_lifecycle("begin_kernel", kernel, self._p)
+        self._dispatch("begin_kernel", kernel, self._p)
 
     def on_kernel_end(self, profiled_blocks: int, total_blocks: int) -> None:
         assert self._p is not None
         p = self._p
         p.profiled_blocks = profiled_blocks
-        if self._tele is None:
-            for ap in self._passes:
-                ap.end_kernel(p)
-        else:
-            self._run_lifecycle("end_kernel", p)
-            self._flush_pass_metrics()
-        self.profiles.append(p)
-        self._p = None
-
-    def _flush_pass_metrics(self) -> None:
-        tele = self._tele
+        self._dispatch("end_kernel", p)
+        tele = get_telemetry()
         for name, secs in self._pass_seconds.items():
             tele.count(f"pass.{name}.seconds", secs)
-            tele.count(f"pass.{name}.events", self._pass_events[name])
+            tele.count(f"pass.{name}.events", self._events)
             self._pass_seconds[name] = 0.0
-            self._pass_events[name] = 0
+        self._events = 0
+        self.profiles.append(p)
+        self._p = None
 
     def on_batch(self, batch) -> None:
         """Hand the whole batch to each pass's ``consume``.
 
-        Per-pass accounting attributes the batch's event count to every
-        pass.
+        Every pass is charged the batch's event count.
         """
-        if self._tele is None:
-            for p in self._passes:
-                p.consume(batch)
-            return
-        perf = time.perf_counter
-        nevents = len(batch.events)
-        seconds = self._pass_seconds
-        events = self._pass_events
-        for p in self._passes:
-            t0 = perf()
-            p.consume(batch)
-            seconds[p.name] += perf() - t0
-            events[p.name] += nevents
+        self._dispatch("consume", batch)
+        self._events += len(batch.events)
 
 
 def _register_pressure_of(kernel: Kernel) -> int:
@@ -188,7 +162,3 @@ def _register_pressure_of(kernel: Kernel) -> int:
         kernel._register_pressure_cache = cached
     return cached
 
-
-def collect_workload(workload: str, suite: str, profiles: List[KernelProfile]) -> WorkloadProfile:
-    """Bundle kernel profiles into a workload profile."""
-    return WorkloadProfile(workload=workload, suite=suite, kernels=list(profiles))

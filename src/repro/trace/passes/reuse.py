@@ -21,13 +21,11 @@ class ReusePass(AnalysisPass):
     fields = ("locality",)
 
     def begin_kernel(self, kernel, profile):
-        self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
+        self._tracker = ReuseDistanceTracker()
 
     def consume(self, batch):
         # The reuse-distance stack is order-sensitive: the line stream is
         # block-major, each block's statements in emission order.
-        if self._tracker is None:
-            return
         evs = [
             (ev[5], ev[6])
             for ev in batch.events
@@ -38,11 +36,10 @@ class ReusePass(AnalysisPass):
         )
 
     def end_kernel(self, profile):
-        if self._tracker is not None:
-            profile.locality = LocalityStats(
-                reuse_histogram=self._tracker.histogram,
-                cold_misses=self._tracker.cold_misses,
-                line_accesses=self._tracker.accesses,
-                unique_lines=self._tracker.unique_lines,
-            )
+        profile.locality = LocalityStats(
+            reuse_histogram=self._tracker.histogram,
+            cold_misses=self._tracker.cold_misses,
+            line_accesses=self._tracker.accesses,
+            unique_lines=self._tracker.unique_lines,
+        )
         self._tracker = None

@@ -21,7 +21,7 @@ class TexturePass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._t = profile.texture
-        self._tracker = ReuseDistanceTracker() if self.config.track_reuse else None
+        self._tracker = ReuseDistanceTracker()
 
     def consume(self, batch):
         # Access counters are integer sums over warp rows (exact in any
@@ -35,19 +35,17 @@ class TexturePass(AnalysisPass):
             addrs, act = ev[5], ev[6]
             t.accesses += int(act.reshape(-1, WARP_SIZE).any(axis=1).sum())
             t.lane_accesses += int(act.sum())
-            if self._tracker is not None:
-                evs.append((addrs, act))
+            evs.append((addrs, act))
         if evs:
             self._tracker.extend(
                 block_major_lines(evs, len(batch.block_ids), self.config.line_bits)
             )
 
     def end_kernel(self, profile):
-        if self._tracker is not None:
-            t = profile.texture
-            t.reuse_histogram = self._tracker.histogram
-            t.cold_misses = self._tracker.cold_misses
-            t.line_accesses = self._tracker.accesses
-            t.unique_lines = self._tracker.unique_lines
+        t = profile.texture
+        t.reuse_histogram = self._tracker.histogram
+        t.cold_misses = self._tracker.cold_misses
+        t.line_accesses = self._tracker.accesses
+        t.unique_lines = self._tracker.unique_lines
         self._t = None
         self._tracker = None

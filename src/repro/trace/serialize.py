@@ -197,11 +197,6 @@ def kernel_section_bytes(profile: KernelProfile, pass_name: str) -> bytes:
     return _canonical(kernel_section_dict(profile, pass_name))
 
 
-def kernel_header_bytes(profile: KernelProfile) -> bytes:
-    """Canonical bytes of a kernel profile's pass-independent header."""
-    return _canonical(kernel_header_dict(profile))
-
-
 def workload_section_bytes(profile: WorkloadProfile, pass_name: str) -> bytes:
     """Canonical bytes of one pass's sections across a workload's launches."""
     return _canonical([kernel_section_dict(k, pass_name) for k in profile.kernels])

@@ -1,19 +1,12 @@
 """Analytical GPU performance models and the design-space exploration engine."""
 
-from repro.uarch.config import BASELINE, GpuConfig, default_design_space
-from repro.uarch.cycle import (
-    CycleEstimate,
-    cycle_speedup_matrix,
-    cycle_time_workload,
-    simulate_kernel,
-)
+from repro.uarch.config import BASELINE, GpuConfig
+from repro.uarch.cycle import CycleEstimate, simulate_kernel
 from repro.uarch.model import (
     KernelTiming,
     occupancy_warps,
     bottleneck_summary,
-    speedup_matrix,
     time_kernel,
-    time_workload,
 )
 from repro.uarch.models import (
     KernelEstimate,
@@ -46,17 +39,12 @@ from repro.uarch.sweep import (
 __all__ = [
     "BASELINE",
     "CycleEstimate",
-    "cycle_speedup_matrix",
-    "cycle_time_workload",
     "simulate_kernel",
     "GpuConfig",
     "KernelTiming",
     "bottleneck_summary",
-    "default_design_space",
     "occupancy_warps",
-    "speedup_matrix",
     "time_kernel",
-    "time_workload",
     "KernelEstimate",
     "TimingModel",
     "get_model",

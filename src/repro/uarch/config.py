@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -43,17 +42,3 @@ class GpuConfig:
 
 #: The baseline used for speedup normalisation throughout the evaluation.
 BASELINE = GpuConfig(name="base")
-
-
-def default_design_space() -> List[GpuConfig]:
-    """The design points swept by the evaluation-implications experiments.
-
-    Each point changes one or two resources relative to the baseline — the
-    kind of sweep an architect runs when sizing a new part.  The space is
-    declared as a ``repro.design-space/v1`` spec in
-    :data:`repro.uarch.space.DEFAULT_SPEC`; this wrapper keeps the
-    historical list-returning entry point.
-    """
-    from repro.uarch.space import default_space
-
-    return default_space().configs()

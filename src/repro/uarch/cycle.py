@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
-from repro.trace.profile import KernelProfile, WorkloadProfile
+from repro.trace.profile import KernelProfile
 from repro.uarch.config import GpuConfig
 from repro.uarch.model import _cache_hit_rate, occupancy_warps
 
@@ -192,22 +191,3 @@ def _schedule_wave(
     last_ready = max((w.ready_at for w in warps), default=0.0)
     clock = max(clock, last_ready, dram_free)
     return clock, issued, mems, misses, stall
-
-
-def cycle_time_workload(profile: WorkloadProfile, config: GpuConfig) -> float:
-    """Total estimated cycles for a workload under the cycle model."""
-    return sum(simulate_kernel(k, config).cycles for k in profile.kernels)
-
-
-def cycle_speedup_matrix(
-    profiles: Sequence[WorkloadProfile],
-    configs: Sequence[GpuConfig],
-    baseline: GpuConfig,
-) -> np.ndarray:
-    """Speedups over ``baseline`` under the cycle model."""
-    base = np.array([cycle_time_workload(p, baseline) for p in profiles])
-    out = np.empty((len(profiles), len(configs)))
-    for j, config in enumerate(configs):
-        cycles = np.array([cycle_time_workload(p, config) for p in profiles])
-        out[:, j] = base / cycles
-    return out

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.trace.profile import KernelProfile, WorkloadProfile
 from repro.uarch.config import GpuConfig
 
@@ -133,25 +131,6 @@ def time_kernel(profile: KernelProfile, config: GpuConfig) -> KernelTiming:
         dram_transactions=dram_transactions,
         cache_hit_rate=hit,
     )
-
-
-def time_workload(profile: WorkloadProfile, config: GpuConfig) -> float:
-    """Total estimated cycles of a workload (sum over kernel launches)."""
-    return sum(time_kernel(k, config).total_cycles for k in profile.kernels)
-
-
-def speedup_matrix(
-    profiles: Sequence[WorkloadProfile],
-    configs: Sequence[GpuConfig],
-    baseline: GpuConfig,
-) -> np.ndarray:
-    """Speedups over ``baseline``: shape (n_workloads, n_configs)."""
-    base = np.array([time_workload(p, baseline) for p in profiles])
-    out = np.empty((len(profiles), len(configs)))
-    for j, config in enumerate(configs):
-        cycles = np.array([time_workload(p, config) for p in profiles])
-        out[:, j] = base / cycles
-    return out
 
 
 def bottleneck_summary(

@@ -16,9 +16,8 @@ so experiment definitions live in version-controlled files rather than
 code.  All validation errors raise :class:`DesignSpaceError` with a
 message naming the offending axis/field/point.
 
-The historical 16-point space from ``config.default_design_space()`` is
-re-expressed here as :data:`DEFAULT_SPEC`; ``config`` now delegates to this
-module.
+The evaluation's 16-point default space is :data:`DEFAULT_SPEC`, built by
+:func:`default_space`.
 """
 
 from __future__ import annotations

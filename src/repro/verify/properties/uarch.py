@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.fuzz.generator import Case, case_stmt_count, generate_case
 from repro.fuzz.shrink import shrink_case
-from repro.uarch import BASELINE
-from repro.uarch.model import time_workload
+from repro.uarch import BASELINE, get_model
 from repro.verify.data import collect_case_profile
 from repro.verify.properties.simt import _PLANT_ATTEMPTS, _case_witness
 from repro.verify.registry import (
@@ -46,10 +45,11 @@ def _monotonic_diffs(case: Case, upgrades=_UPGRADES) -> List[str]:
     profile = collect_case_profile(case)
     if profile is None:
         return []
-    base = time_workload(profile, BASELINE)
+    roofline = get_model("roofline")
+    base = roofline.time_workload(profile, BASELINE)
     bad: List[str] = []
     for label, changes in upgrades:
-        upgraded = time_workload(profile, BASELINE.derive(label, **changes))
+        upgraded = roofline.time_workload(profile, BASELINE.derive(label, **changes))
         if upgraded > base * (1.0 + _REL_SLACK):
             bad.append(
                 f"{label}: {upgraded:.1f} cycles > baseline {base:.1f} "

@@ -2,7 +2,7 @@
 
 from repro.workloads.base import RunContext, Workload, assert_close, ceil_div
 from repro.workloads.registry import abbrevs, all_workloads, by_suite, get, register
-from repro.workloads.runner import run_suite, run_workload
+from repro.workloads.runner import run_workload
 
 __all__ = [
     "RunContext",
@@ -14,6 +14,5 @@ __all__ = [
     "ceil_div",
     "get",
     "register",
-    "run_suite",
     "run_workload",
 ]

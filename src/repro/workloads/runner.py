@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, List, Optional, Sequence, Type, Union
+from typing import Optional, Sequence, Type, Union
 
 from repro.simt.executor import Executor, profile_all_blocks, stride_sampler
 from repro.simt.memory import Device
@@ -69,65 +68,3 @@ def run_workload(
     profile.engine_stats = executor.launch_stats_totals
     return profile
 
-
-def run_suite(
-    abbrevs: Optional[Sequence[str]] = None,
-    verify: bool = True,
-    sample_blocks: Optional[int] = DEFAULT_SAMPLE_BLOCKS,
-    collector_config: Optional[CollectorConfig] = None,
-    progress: Optional[callable] = None,
-    observer=None,
-    engine: str = "compiled",
-) -> List[WorkloadProfile]:
-    """Characterize a set of workloads (all registered ones by default).
-
-    This is the low-level serial loop with no caching; most callers want
-    :func:`repro.core.runtime.run_characterization` (parallel, cached,
-    fault-isolated) or the :func:`repro.api.characterize` facade.
-    ``observer`` receives the same typed events as the runtime; the
-    ``progress`` callback is deprecated in its favour.
-    """
-    if progress is not None:
-        import warnings
-
-        warnings.warn(
-            "run_suite(progress=...) is deprecated; pass observer=RunObserver",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if observer is None:
-            from repro.core.runtime import CallbackObserver
-
-            observer = CallbackObserver(progress)
-    classes: Iterable[Type[Workload]]
-    if abbrevs is None:
-        classes = registry.all_workloads()
-    else:
-        classes = [registry.get(a) for a in abbrevs]
-    profiles = []
-    for cls in classes:
-        if observer is not None:
-            from repro.core.runtime import WorkloadFinished, WorkloadStarted
-
-            observer.on_event(WorkloadStarted(workload=cls.abbrev, attempt=1))
-        t0 = time.perf_counter()
-        profile = run_workload(
-            cls,
-            verify=verify,
-            sample_blocks=sample_blocks,
-            collector_config=collector_config,
-            engine=engine,
-        )
-        if observer is not None:
-            observer.on_event(
-                WorkloadFinished(
-                    workload=cls.abbrev,
-                    wall_seconds=time.perf_counter() - t0,
-                    thread_instrs=int(profile.total_thread_instrs),
-                    warp_instrs=int(profile.total_warp_instrs),
-                    kernels=len(profile.kernels),
-                    attempt=1,
-                )
-            )
-        profiles.append(profile)
-    return profiles

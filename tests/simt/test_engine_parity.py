@@ -42,14 +42,21 @@ def _run_engine(cls, engine):
     wl = cls()
     wl.run(ctx)
     buffers = {b.name: device.download(b) for b in device.buffers}
-    return buffers, WorkloadProfile(workload=wl.abbrev, suite=wl.suite, kernels=collector.profiles)
+    profile = WorkloadProfile(workload=wl.abbrev, suite=wl.suite, kernels=collector.profiles)
+    return buffers, profile, executor
 
 
 @pytest.mark.parametrize("abbrev", registry.abbrevs())
 def test_workload_parity(abbrev):
     cls = registry.get(abbrev)
-    ibufs, iprof = _run_engine(cls, "interpreted")
-    cbufs, cprof = _run_engine(cls, "compiled")
+    ibufs, iprof, iex = _run_engine(cls, "interpreted")
+    cbufs, cprof, cex = _run_engine(cls, "compiled")
+    # One launch record for both engines: same fields, same profiled blocks,
+    # and the interpreter counts each profiled block as one observed batch.
+    assert set(iex.last_launch_stats) == set(cex.last_launch_stats)
+    itotals, ctotals = iex.launch_stats_totals, cex.launch_stats_totals
+    assert itotals["profiled_blocks"] == ctotals["profiled_blocks"]
+    assert itotals["observed_batches"] == itotals["profiled_blocks"]
     assert sorted(ibufs) == sorted(cbufs)
     for name, iarr in ibufs.items():
         carr = cbufs[name]
@@ -58,6 +65,14 @@ def test_workload_parity(abbrev):
         assert iarr.tobytes() == carr.tobytes(), f"buffer {name!r} differs"
     assert workload_to_dict(iprof) == workload_to_dict(cprof)
     assert section_digests(iprof) == DIGESTS["workloads"][abbrev], DIGEST_REGEN_HINT
+
+
+def test_interpreted_launch_record_counts_delivered_batches():
+    _, _, ex = _run_engine(registry.get("VA"), "interpreted")
+    totals = ex.launch_stats_totals
+    assert totals["observed_batches"] == totals["profiled_blocks"] == SAMPLE_BLOCKS
+    assert all(n > 0 for n in totals["event_counts"].values())
+    assert totals["event_bytes"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def _characterize(jobs, abbrevs):
 
 
 def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
-    _characterize(jobs=1, abbrevs=["VA"])
+    (profile,) = _characterize(jobs=1, abbrevs=["VA"]).profiles
     t = global_tele
     (suite,) = t.spans_by_name("suite")
     (workload,) = t.spans_by_name("workload:VA")
@@ -172,6 +172,18 @@ def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
     assert launches and all(sp.duration > 0 for sp in launches)
     assert t.counters["engine.launches"] == len(launches)
     assert t.counters["cache.misses"] == 1
+    # Each launch span mirrors its launch record, and the engine counters
+    # fold the same records the profile's totals do.
+    for sp in launches:
+        assert {"profiled_blocks", "hazard_tier", "pin_reason"} <= set(sp.attrs)
+    totals = profile.engine_stats
+    assert totals["launches"] == len(launches)
+    for key in ("blocks", "batches", "batched_blocks", "observed_batches", "event_bytes"):
+        assert t.counters[f"engine.compiled.{key}"] == totals[key]
+    for kind, n in totals["event_counts"].items():
+        assert t.counters[f"engine.compiled.events.{kind}"] == n
+    for tier, n in totals["hazard_tiers"].items():
+        assert t.counters[f"engine.compiled.hazard.{tier}"] == n
     # Every enabled pass accrues nonzero measured time, even event-less ones.
     from repro.trace.profile import PASS_NAMES
 

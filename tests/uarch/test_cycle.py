@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, WorkloadProfile
-from repro.uarch import BASELINE, cycle_speedup_matrix, cycle_time_workload, simulate_kernel
+from repro.uarch import BASELINE, get_model, run_sweep, simulate_kernel
 
 
 def _profile(warp_instrs_total=100_000, mem_warp=0, blocks=64, reuse_frac=0.0):
@@ -95,7 +95,7 @@ def test_workload_sums_kernels():
     p1 = _profile(10_000)
     p2 = _profile(20_000)
     wp = WorkloadProfile("w", "s", [p1, p2])
-    total = cycle_time_workload(wp, BASELINE)
+    total = get_model("cycle").time_workload(wp, BASELINE)
     parts = simulate_kernel(p1, BASELINE).cycles + simulate_kernel(p2, BASELINE).cycles
     assert total == pytest.approx(parts)
 
@@ -103,7 +103,7 @@ def test_workload_sums_kernels():
 def test_speedup_matrix_shape_and_baseline():
     wps = [WorkloadProfile("a", "s", [_profile(10_000)]), WorkloadProfile("b", "s", [_profile(5_000, 2_000)])]
     configs = [BASELINE, BASELINE.derive("sm32", num_sms=32)]
-    m = cycle_speedup_matrix(wps, configs, BASELINE)
+    m = run_sweep(wps, configs, models=("cycle",), use_cache=False).speedups("cycle")
     assert m.shape == (2, 2)
     assert np.allclose(m[:, 0], 1.0)
 
@@ -111,11 +111,9 @@ def test_speedup_matrix_shape_and_baseline():
 def test_agreement_with_roofline_on_real_suite(suite_profiles):
     """The two independent models must broadly agree on design rankings."""
     from repro.core.evaluation import geomean, kendall_tau
-    from repro.uarch import default_design_space, speedup_matrix
-
-    configs = default_design_space()
-    cm = cycle_speedup_matrix(suite_profiles, configs, BASELINE)
-    rm = speedup_matrix(suite_profiles, configs, BASELINE)
+    sweep = run_sweep(suite_profiles, models=("roofline", "cycle"), use_cache=False)
+    cm = sweep.speedups("cycle")
+    rm = sweep.speedups("roofline")
     cfull = [geomean(cm[:, j]) for j in range(cm.shape[1])]
     rfull = [geomean(rm[:, j]) for j in range(rm.shape[1])]
     assert kendall_tau(cfull, rfull) > 0.8

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, WorkloadProfile
-from repro.uarch import BASELINE, GpuConfig, simulate_kernel, time_kernel, time_workload
-from repro.uarch.cycle import cycle_time_workload
+from repro.uarch import BASELINE, GpuConfig, get_model, run_sweep, simulate_kernel, time_kernel
 from repro.uarch.model import occupancy_warps
 
 
@@ -75,8 +74,8 @@ def test_zero_profiled_blocks_scale_to_zero_work():
 
 def test_empty_workload_times_to_zero():
     empty = WorkloadProfile(workload="none", suite="t", kernels=[])
-    assert time_workload(empty, BASELINE) == 0.0
-    assert cycle_time_workload(empty, BASELINE) == 0.0
+    assert get_model("roofline").time_workload(empty, BASELINE) == 0.0
+    assert get_model("cycle").time_workload(empty, BASELINE) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -153,14 +152,12 @@ def test_occupancy_with_degenerate_block_shape():
 
 
 def test_design_space_finite_on_edge_profiles():
-    from repro.uarch import default_design_space, speedup_matrix
-
     profiles = [
         WorkloadProfile(workload="empty", suite="t", kernels=[_profile(thread_instrs={}, warp_instrs={})]),
         WorkloadProfile(workload="solo", suite="t", kernels=[
             _mem_profile(grid=(1, 1), total_blocks=1, profiled_blocks=1, threads_total=64)
         ]),
     ]
-    perf = speedup_matrix(profiles, default_design_space(), BASELINE)
+    perf = run_sweep(profiles, use_cache=False).speedups("roofline")
     assert np.isfinite(perf).all()
     assert (perf > 0).all()

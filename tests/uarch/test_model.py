@@ -8,10 +8,10 @@ from repro.uarch import (
     BASELINE,
     GpuConfig,
     bottleneck_summary,
-    default_design_space,
-    speedup_matrix,
+    default_space,
+    get_model,
+    run_sweep,
     time_kernel,
-    time_workload,
 )
 
 
@@ -140,7 +140,7 @@ def test_sampling_scale_extrapolates():
 
 def test_time_workload_sums_kernels():
     wp = WorkloadProfile("w", "s", [_compute_profile(), _memory_profile()])
-    total = time_workload(wp, BASELINE)
+    total = get_model("roofline").time_workload(wp, BASELINE)
     parts = sum(time_kernel(k, BASELINE).total_cycles for k in wp.kernels)
     assert total == pytest.approx(parts)
 
@@ -151,14 +151,14 @@ def test_speedup_matrix_baseline_column_is_one():
         WorkloadProfile("b", "s", [_memory_profile()]),
     ]
     configs = [BASELINE, BASELINE.derive("sm32", num_sms=32)]
-    m = speedup_matrix(wps, configs, BASELINE)
+    m = run_sweep(wps, configs, use_cache=False).speedups("roofline")
     assert m.shape == (2, 2)
     assert np.allclose(m[:, 0], 1.0)
     assert m[0, 1] > 1.0  # compute-bound gains from SMs
 
 
 def test_default_design_space_well_formed():
-    space = default_design_space()
+    space = default_space().configs()
     names = [c.name for c in space]
     assert len(names) == len(set(names))
     assert BASELINE in space

@@ -13,7 +13,6 @@ from repro.uarch import (
     resolve_models,
     simulate_kernel,
     time_kernel,
-    time_workload,
 )
 from repro.uarch.models import register_model
 
@@ -71,17 +70,6 @@ def test_cycle_adapter_matches_simulate_kernel():
     sim = simulate_kernel(k, BASELINE)
     assert est.cycles == sim.cycles
     assert est.detail["stall_fraction"] == sim.stall_fraction
-
-
-def test_time_workload_sums_estimates():
-    wp = WorkloadProfile("w", "s", [_kernel(), _kernel()])
-    model = get_model("roofline")
-    assert model.time_workload(wp, BASELINE) == pytest.approx(
-        time_workload(wp, BASELINE)
-    )
-    assert model.time_workload(wp, BASELINE) == pytest.approx(
-        2 * model.estimate(_kernel(), BASELINE).cycles
-    )
 
 
 def test_source_files_declare_invalidation_units():

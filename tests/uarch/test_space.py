@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.uarch import BASELINE, DesignSpace, DesignSpaceError, default_design_space, default_space
+from repro.uarch import BASELINE, DesignSpace, DesignSpaceError, default_space
 from repro.uarch.space import DEFAULT_SPEC, SPEC_SCHEMA, Axis, AxisPoint, load_space
 
 
@@ -29,7 +29,7 @@ def _tiny_spec(**overrides):
 
 
 def test_default_space_matches_historical_points():
-    configs = default_design_space()
+    configs = default_space().configs()
     names = [c.name for c in configs]
     assert names == [
         "base", "sm08", "sm32", "dual-issue", "bw-half", "bw-2x",

@@ -7,7 +7,7 @@ from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, Wo
 from repro.uarch import (
     BASELINE,
     config_key,
-    default_design_space,
+    default_space,
     design_cost,
     pareto_frontier,
     profile_digest,
@@ -85,7 +85,7 @@ def test_model_edit_invalidates_only_that_models_shards(workloads, tmp_path, mon
 
     monkeypatch.setattr(SweepCache, "model_digest", edited)
     rerun = run_sweep(workloads, models=None, cache_dir=str(tmp_path))
-    n_designs = len(default_design_space())
+    n_designs = len(default_space().configs())
     # Roofline shards still hit; every cycle cell is recomputed.
     assert rerun.cache_hits == len(workloads) * n_designs
     assert rerun.cache_misses == len(workloads) * n_designs
@@ -98,7 +98,7 @@ def test_numeric_environment_changes_model_digest(tmp_path, monkeypatch):
 
 
 def test_new_design_point_tops_up_shard(workloads, tmp_path):
-    base_space = default_design_space()
+    base_space = default_space().configs()
     run_sweep(workloads, configs=base_space, models=("roofline",), cache_dir=str(tmp_path))
     extended = base_space + [BASELINE.derive("sm64", num_sms=64)]
     topped = run_sweep(
@@ -170,7 +170,7 @@ def test_telemetry_counts_cache_traffic(workloads, tmp_path):
         run_sweep(workloads, models=("roofline",), cache_dir=str(tmp_path))
     finally:
         tele.disable()
-    n_cells = len(workloads) * len(default_design_space())
+    n_cells = len(workloads) * len(default_space().configs())
     assert tele.counters["dse.cache.misses"] == n_cells
     assert tele.counters["dse.cache.hits"] == n_cells
     assert len(tele.spans_by_name("dse.sweep")) == 2
