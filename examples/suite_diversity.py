@@ -8,7 +8,9 @@ representative subset an architect would simulate.
 Run:  python examples/suite_diversity.py
 """
 
-from repro.api import CharacterizationConfig, ConsoleObserver, analyze, characterize
+import sys
+
+from repro.api import CharacterizationConfig, analyze, characterize
 from repro.core.analysis.diversity import outlier_ranking, suite_diversity
 from repro.report import ascii_table, text_dendrogram, text_scatter
 
@@ -16,10 +18,13 @@ from repro.report import ascii_table, text_dendrogram, text_scatter
 def main():
     print("characterizing the suites (first run simulates everything)...")
     # jobs=0 fans the first-run simulation out over every core; cached
-    # profiles make later runs instant.  ConsoleObserver streams live
-    # per-workload progress events to stderr.
+    # profiles make later runs instant.  The progress sink streams live
+    # per-workload lines to stderr.
     result = analyze(
-        characterize(CharacterizationConfig(jobs=0), observer=ConsoleObserver())
+        characterize(
+            CharacterizationConfig(jobs=0),
+            progress=lambda msg: print(msg, file=sys.stderr),
+        )
     )
 
     pca = result.pca

@@ -39,7 +39,6 @@ from repro.api import (
     CharacterizationError,
     CharacterizationResult,
     EvaluationResult,
-    RunObserver,
     analyze,
     characterize,
     evaluate,
@@ -53,7 +52,6 @@ __all__ = [
     "CharacterizationError",
     "CharacterizationResult",
     "EvaluationResult",
-    "RunObserver",
     "__version__",
     "analyze",
     "characterize",

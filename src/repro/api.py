@@ -18,28 +18,27 @@ Everything here is re-exported from :mod:`repro` itself, so
 
 Migration from the removed legacy entrypoints:
 
-=============================================  ===================================
+=============================================  =================================================
 old (removed)                                  new
-=============================================  ===================================
+=============================================  =================================================
 ``core.pipeline.characterize_suites(cfg)``     ``api.characterize(cfg).profiles``
 ``core.pipeline.characterize_and_analyze()``   ``api.analyze(api.characterize())``
 ``core.pipeline.analyze(profiles)``            ``api.analyze(result_or_profiles)``
-=============================================  ===================================
+``observer=ConsoleObserver()``                 ``progress=lambda m: print(m, file=sys.stderr)``
+=============================================  =================================================
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.pipeline import AnalysisResult
 from repro.core.runtime import (
     CharacterizationConfig,
     CharacterizationError,
     CharacterizationResult,
-    ConsoleObserver,
-    RunObserver,
     run_characterization,
 )
 from repro.telemetry import Telemetry, get_telemetry, write_trace
@@ -49,8 +48,6 @@ __all__ = [
     "CharacterizationConfig",
     "CharacterizationError",
     "CharacterizationResult",
-    "ConsoleObserver",
-    "RunObserver",
     "AnalysisResult",
     "EvaluationResult",
     "characterize",
@@ -65,22 +62,23 @@ ProfileSource = Union[CharacterizationResult, Sequence[WorkloadProfile]]
 
 def characterize(
     config: Optional[CharacterizationConfig] = None,
-    observer: Optional[RunObserver] = None,
+    progress: Optional[Callable[[str], None]] = None,
     strict: bool = True,
 ) -> CharacterizationResult:
     """Characterize a workload set (all registered ones by default).
 
     Returns the full :class:`CharacterizationResult` — profiles, structured
-    failures and cache statistics.  With ``strict=True`` (default) any
-    workload failure raises :class:`CharacterizationError`; ``strict=False``
-    returns the partial result for callers that want to inspect failures
-    themselves.
+    failures and cache statistics.  ``progress`` receives one line per suite
+    and workload milestone (started, cached, ok, FAILED, done).  With
+    ``strict=True`` (default) any workload failure raises
+    :class:`CharacterizationError`; ``strict=False`` returns the partial
+    result for callers that want to inspect failures themselves.
     """
     if config is not None and not isinstance(config, CharacterizationConfig):
         raise TypeError(
             f"characterize() takes a CharacterizationConfig, got {type(config).__name__}"
         )
-    result = run_characterization(config, observer)
+    result = run_characterization(config, progress)
     if strict and result.failures:
         raise CharacterizationError(result.failures)
     return result

@@ -113,7 +113,7 @@ def _pass_selection(args: argparse.Namespace):
 
 
 def _profiles(args: argparse.Namespace):
-    from repro.api import CharacterizationConfig, ConsoleObserver, characterize
+    from repro.api import CharacterizationConfig, characterize
 
     try:
         config = CharacterizationConfig(
@@ -123,8 +123,8 @@ def _profiles(args: argparse.Namespace):
             jobs=args.jobs,
             passes=_pass_selection(args),
         )
-        observer = ConsoleObserver(sys.stderr) if args.verbose else None
-        result = characterize(config, observer, strict=False)
+        progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
+        result = characterize(config, progress, strict=False)
     except (KeyError, ValueError) as exc:
         # Unknown workload abbrev, pass or metric name, or a bad REPRO_JOBS.
         raise _usage_error(exc.args[0] if exc.args else exc)

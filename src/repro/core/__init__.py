@@ -14,17 +14,8 @@ from repro.core.runtime import (
     CharacterizationConfig,
     CharacterizationError,
     CharacterizationResult,
-    ConsoleObserver,
     ProfileCache,
-    RunEvent,
-    RunObserver,
-    SuiteFinished,
-    SuiteStarted,
-    WorkloadCacheHit,
-    WorkloadFailed,
     WorkloadFailure,
-    WorkloadFinished,
-    WorkloadStarted,
     run_characterization,
 )
 
@@ -33,20 +24,11 @@ __all__ = [
     "CharacterizationConfig",
     "CharacterizationError",
     "CharacterizationResult",
-    "ConsoleObserver",
     "FeatureMatrix",
     "Placement",
     "ProfileCache",
-    "RunEvent",
-    "RunObserver",
     "StandardizedMatrix",
-    "SuiteFinished",
-    "SuiteStarted",
-    "WorkloadCacheHit",
-    "WorkloadFailed",
     "WorkloadFailure",
-    "WorkloadFinished",
-    "WorkloadStarted",
     "analyze",
     "correlated_pairs",
     "correlation_matrix",

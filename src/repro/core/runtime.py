@@ -1,14 +1,19 @@
-"""Parallel characterization runtime: config, events, sharded cache, pool.
+"""Parallel characterization runtime: config, sharded cache, pool.
 
 This module is the execution engine behind ``repro.api.characterize()``:
 
 * :class:`CharacterizationConfig` — one object for every knob that used to
-  be a scattered keyword argument (workload set, sampling, verification,
-  caching, worker count, retries, timeouts).
-* typed run events (:class:`SuiteStarted`, :class:`WorkloadFinished`, …)
-  consumed through the :class:`RunObserver` interface — the CLI renders
-  them as live progress, tests assert on them, and anything else (a web
-  dashboard, a log shipper) can subscribe without touching the runtime.
+  be a scattered keyword argument (workload set, sampling, caching, worker
+  count, retries, timeouts, passes).
+* progress — one human-readable line per suite and workload milestone,
+  sent to an optional ``progress`` callable (the CLI's ``-v`` prints them
+  to stderr).  The same facts land on telemetry spans when telemetry is
+  enabled: ``suite`` (workload count, jobs, sampling, completed, failed,
+  cache hits), one ``cache_hit`` per served workload (saved seconds, warp
+  instructions) and one parent-side ``attempt`` per simulation (cache
+  ``miss`` or ``top-up`` with the rerun passes, the retry number, the
+  error or the warp instructions and kernel count), so a single
+  ``--trace-out`` file records each workload's cache provenance.
 * :class:`ProfileCache` — a per-workload sharded, content-addressed profile
   cache.  Each shard is keyed by a digest of the source files whose
   behaviour it depends on (``repro/simt``, ``repro/trace``, the workload's
@@ -40,22 +45,13 @@ import traceback as traceback_mod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import (
-    ClassVar,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    TextIO,
-    Tuple,
-    Type,
-)
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 import repro
-from repro.telemetry import TelemetrySnapshot, get_telemetry
+from repro.telemetry import Span, TelemetrySnapshot, get_telemetry
 from repro.trace.passes import pass_source_file, resolve_passes
 from repro.trace.profile import WorkloadProfile, merge_profiles
 from repro.trace.serialize import dump_workload_profile, load_workload_profile
@@ -105,8 +101,6 @@ class CharacterizationConfig:
     abbrevs: Optional[Sequence[str]] = None
     #: Profiled blocks per kernel launch (``None`` = profile every block).
     sample_blocks: Optional[int] = DEFAULT_SAMPLE_BLOCKS
-    #: Run each workload's numpy reference check.
-    verify: bool = True
     #: Consult/populate the on-disk sharded profile cache.
     use_cache: bool = True
     #: Parallel worker processes; ``None`` defers to ``REPRO_JOBS`` (then 1),
@@ -122,9 +116,6 @@ class CharacterizationConfig:
     #: Cache directory override (default: ``REPRO_CACHE_DIR`` env, then a
     #: directory under the system temp dir).
     cache_dir: Optional[str] = None
-    #: Execution engine (``"compiled"`` or ``"interpreted"``).  Both produce
-    #: bit-identical profiles, so the profile cache is engine-agnostic.
-    engine: str = "compiled"
     #: Analysis passes to collect (``None`` = every registered pass).  The
     #: engines only emit the event hooks the selected passes subscribe to,
     #: and the cache serves/refreshes sections per pass.
@@ -134,158 +125,12 @@ class CharacterizationConfig:
         return resolve_jobs(self.jobs)
 
     def workload_list(self) -> List[str]:
+        """Requested abbrevs in order, each once (repeats are dropped)."""
         from repro.workloads import registry
 
-        return list(self.abbrevs) if self.abbrevs is not None else registry.abbrevs()
-
-
-# ---------------------------------------------------------------------------
-# Events and observers
-
-
-@dataclass(frozen=True)
-class RunEvent:
-    """Base class for typed runtime events."""
-
-    kind: ClassVar[str] = "event"
-
-
-@dataclass(frozen=True)
-class SuiteStarted(RunEvent):
-    kind: ClassVar[str] = "suite_started"
-    workloads: Tuple[str, ...]
-    jobs: int
-    sample_blocks: Optional[int]
-
-
-@dataclass(frozen=True)
-class WorkloadStarted(RunEvent):
-    kind: ClassVar[str] = "workload_started"
-    workload: str
-    attempt: int
-    #: Passes this run will collect (``None`` = all).  On a partial cache
-    #: hit this is just the missing subset.
-    passes: Optional[Tuple[str, ...]] = None
-
-
-@dataclass(frozen=True)
-class WorkloadCacheHit(RunEvent):
-    kind: ClassVar[str] = "workload_cache_hit"
-    workload: str
-    path: str
-    #: Simulation seconds the hit saved (as recorded when the shard was built).
-    saved_seconds: float
-    warp_instrs: int
-
-
-@dataclass(frozen=True)
-class WorkloadFinished(RunEvent):
-    kind: ClassVar[str] = "workload_finished"
-    workload: str
-    wall_seconds: float
-    thread_instrs: int
-    warp_instrs: int
-    kernels: int
-    attempt: int
-
-
-@dataclass(frozen=True)
-class WorkloadFailed(RunEvent):
-    kind: ClassVar[str] = "workload_failed"
-    workload: str
-    error: str
-    attempts: int
-    wall_seconds: float
-
-
-@dataclass(frozen=True)
-class SuiteFinished(RunEvent):
-    kind: ClassVar[str] = "suite_finished"
-    completed: int
-    failed: int
-    cache_hits: int
-    wall_seconds: float
-
-
-class RunObserver:
-    """Event sink for characterization runs.
-
-    Subclass and override ``on_event`` (every event) and/or the per-kind
-    hooks (``on_workload_finished`` etc. — named after ``RunEvent.kind``).
-    The default implementation dispatches ``on_event`` to the per-kind hook.
-    """
-
-    def on_event(self, event: RunEvent) -> None:
-        handler = getattr(self, f"on_{event.kind}", None)
-        if handler is not None:
-            handler(event)
-
-    # Per-kind hooks; all optional no-ops.
-    def on_suite_started(self, event: SuiteStarted) -> None: ...
-
-    def on_workload_started(self, event: WorkloadStarted) -> None: ...
-
-    def on_workload_cache_hit(self, event: WorkloadCacheHit) -> None: ...
-
-    def on_workload_finished(self, event: WorkloadFinished) -> None: ...
-
-    def on_workload_failed(self, event: WorkloadFailed) -> None: ...
-
-    def on_suite_finished(self, event: SuiteFinished) -> None: ...
-
-
-class ConsoleObserver(RunObserver):
-    """Human-readable live progress, one line per event (used by ``-v``)."""
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        import sys
-
-        self._stream = stream if stream is not None else sys.stderr
-        self._total = 0
-        self._done = 0
-
-    def _line(self, text: str) -> None:
-        print(text, file=self._stream, flush=True)
-
-    def on_suite_started(self, event: SuiteStarted) -> None:
-        self._total = len(event.workloads)
-        self._line(
-            f"characterizing {self._total} workloads "
-            f"(jobs={event.jobs}, sample_blocks={event.sample_blocks})"
-        )
-
-    def on_workload_started(self, event: WorkloadStarted) -> None:
-        retry = f" (retry {event.attempt - 1})" if event.attempt > 1 else ""
-        self._line(f"  {event.workload:6s} started{retry}")
-
-    def _count(self) -> str:
-        self._done += 1
-        return f"[{self._done}/{self._total}]" if self._total else ""
-
-    def on_workload_cache_hit(self, event: WorkloadCacheHit) -> None:
-        self._line(
-            f"  {event.workload:6s} cached  {self._count()} "
-            f"(saved {event.saved_seconds:.1f}s, {event.warp_instrs:,} warp instrs)"
-        )
-
-    def on_workload_finished(self, event: WorkloadFinished) -> None:
-        self._line(
-            f"  {event.workload:6s} ok      {self._count()} "
-            f"{event.wall_seconds:.2f}s, {event.warp_instrs:,} warp instrs, "
-            f"{event.kernels} kernels"
-        )
-
-    def on_workload_failed(self, event: WorkloadFailed) -> None:
-        self._line(
-            f"  {event.workload:6s} FAILED  {self._count()} "
-            f"after {event.attempts} attempts: {event.error}"
-        )
-
-    def on_suite_finished(self, event: SuiteFinished) -> None:
-        self._line(
-            f"done: {event.completed} ok, {event.failed} failed, "
-            f"{event.cache_hits} cache hits in {event.wall_seconds:.1f}s"
-        )
+        if self.abbrevs is None:
+            return registry.abbrevs()
+        return list(dict.fromkeys(self.abbrevs))
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +462,6 @@ class CharacterizationError(RuntimeError):
 def _characterize_one(
     abbrev: str,
     sample_blocks: Optional[int],
-    verify: bool,
-    engine: str = "compiled",
     passes: Optional[Tuple[str, ...]] = None,
     traced: bool = False,
 ) -> Tuple[WorkloadProfile, float, Optional[TelemetrySnapshot]]:
@@ -636,16 +479,9 @@ def _characterize_one(
         tele.begin_worker()
     t0 = time.perf_counter()
     try:
-        span = (
-            tele.span(f"workload:{abbrev}", engine=engine)
-            if tele is not None
-            else contextlib.nullcontext()
-        )
+        span = tele.span(f"workload:{abbrev}") if tele is not None else contextlib.nullcontext()
         with span:
-            profile = run_workload(
-                abbrev, verify=verify, sample_blocks=sample_blocks,
-                engine=engine, passes=passes,
-            )
+            profile = run_workload(abbrev, sample_blocks=sample_blocks, passes=passes)
     finally:
         snap = None
         if tele is not None:
@@ -667,20 +503,21 @@ def _pool_context():
 
 def run_characterization(
     config: Optional[CharacterizationConfig] = None,
-    observer: Optional[RunObserver] = None,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> CharacterizationResult:
-    """Characterize a workload set under ``config``, emitting typed events.
+    """Characterize a workload set under ``config``.
 
     Serial when ``jobs`` resolves to 1, process-pool parallel otherwise.
     Workload faults (exceptions, worker death, hangs past
     ``workload_timeout``) are retried ``retries`` times and then reported as
     :class:`WorkloadFailure` entries — one bad workload never aborts the
     suite.  Returned profiles follow the requested workload order.
+    ``progress`` receives one line per suite and workload milestone.
     """
     from repro.workloads import registry
 
     config = config or CharacterizationConfig()
-    emit = observer.on_event if observer is not None else (lambda event: None)
+    say = progress or (lambda message: None)
     abbrevs = config.workload_list()
     # Resolve every abbrev up front so typos fail fast, before simulating.
     classes = {abbrev: registry.get(abbrev) for abbrev in abbrevs}
@@ -689,15 +526,20 @@ def run_characterization(
     tele = get_telemetry()
 
     t0 = time.perf_counter()
-    emit(SuiteStarted(workloads=tuple(abbrevs), jobs=jobs, sample_blocks=config.sample_blocks))
+    say(
+        f"characterizing {len(abbrevs)} workloads "
+        f"(jobs={jobs}, sample_blocks={config.sample_blocks})"
+    )
     suite_span = tele.start_span(
-        "suite", workloads=len(abbrevs), jobs=jobs, engine=config.engine
+        "suite", workloads=len(abbrevs), jobs=jobs, sample_blocks=config.sample_blocks
     )
 
     requested = resolve_passes(config.passes)
     results: Dict[str, WorkloadProfile] = {}
     failures: Dict[str, WorkloadFailure] = {}
-    cache_hits = 0
+
+    def counted() -> str:
+        return f"[{len(results) + len(failures)}/{len(abbrevs)}]"
 
     todo: List[str] = []
     # Per-workload pass set to simulate: the full request on a miss, only
@@ -706,22 +548,21 @@ def run_characterization(
     # abbrev -> (cached profile, metadata) for partial hits, merged on success.
     partial: Dict[str, Tuple[WorkloadProfile, Dict]] = {}
     for abbrev in abbrevs:
-        if abbrev in results or abbrev in todo:  # duplicate request
-            continue
         hit = cache.lookup(classes[abbrev], config.sample_blocks, requested) if cache else None
         if hit is not None:
             profile, meta, missing = hit
             if not missing:
                 results[abbrev] = profile
-                cache_hits += 1
+                saved = float(meta.get("wall_seconds", 0.0))
+                warp_instrs = int(meta.get("warp_instrs", profile.total_warp_instrs))
                 tele.count("cache.hits")
-                emit(
-                    WorkloadCacheHit(
-                        workload=abbrev,
-                        path=cache.shard_path(classes[abbrev], config.sample_blocks),
-                        saved_seconds=float(meta.get("wall_seconds", 0.0)),
-                        warp_instrs=int(meta.get("warp_instrs", profile.total_warp_instrs)),
-                    )
+                with tele.span(
+                    "cache_hit", workload=abbrev, saved_seconds=saved, warp_instrs=warp_instrs
+                ):
+                    pass
+                say(
+                    f"  {abbrev:6s} cached  {counted()} "
+                    f"(saved {saved:.1f}s, {warp_instrs:,} warp instrs)"
                 )
                 continue
             partial[abbrev] = (profile, meta)
@@ -730,8 +571,22 @@ def run_characterization(
             run_passes[abbrev] = requested
         tele.count("cache.misses")
         todo.append(abbrev)
+    cache_hits = len(results)
 
-    def record_success(abbrev: str, profile: WorkloadProfile, wall: float, attempt: int) -> None:
+    def announce(abbrev: str, attempt: int) -> Dict:
+        """Announce one simulation attempt; returns its ``attempt`` span attrs."""
+        if attempt > 1:
+            tele.count("pool.retries")
+        say(f"  {abbrev:6s} started" + (f" (retry {attempt - 1})" if attempt > 1 else ""))
+        if abbrev in partial:
+            return dict(
+                workload=abbrev, attempt=attempt, cache="top-up", passes=list(run_passes[abbrev])
+            )
+        return dict(workload=abbrev, attempt=attempt, cache="miss")
+
+    def record_success(
+        abbrev: str, profile: WorkloadProfile, wall: float, span: Optional[Span]
+    ) -> None:
         digest_overrides: Optional[Dict[str, str]] = None
         if abbrev in partial:
             cached_profile, meta = partial[abbrev]
@@ -755,43 +610,40 @@ def run_characterization(
                 wall,
                 pass_digests=digest_overrides,
             )
-        emit(
-            WorkloadFinished(
-                workload=abbrev,
-                wall_seconds=wall,
-                thread_instrs=int(profile.total_thread_instrs),
-                warp_instrs=int(profile.total_warp_instrs),
-                kernels=len(profile.kernels),
-                attempt=attempt,
-            )
+        warp_instrs, kernels = int(profile.total_warp_instrs), len(profile.kernels)
+        if span is not None:
+            span.attrs.update(warp_instrs=warp_instrs, kernels=kernels)
+        say(
+            f"  {abbrev:6s} ok      {counted()} "
+            f"{wall:.2f}s, {warp_instrs:,} warp instrs, {kernels} kernels"
         )
 
     def record_failure(abbrev: str, error: str, attempts: int, wall: float, tb: str = "") -> None:
         failures[abbrev] = WorkloadFailure(
             workload=abbrev, error=error, attempts=attempts, wall_seconds=wall, traceback=tb
         )
-        emit(WorkloadFailed(workload=abbrev, error=error, attempts=attempts, wall_seconds=wall))
+        say(f"  {abbrev:6s} FAILED  {counted()} after {attempts} attempts: {error}")
 
     max_attempts = 1 + max(config.retries, 0)
 
     if todo and jobs <= 1:
-        _run_serial(config, todo, run_passes, emit, record_success, record_failure, max_attempts)
+        _run_serial(
+            config, todo, run_passes, announce, record_success, record_failure, max_attempts
+        )
     elif todo:
         _run_parallel(
-            config, todo, run_passes, jobs, emit, record_success, record_failure, max_attempts
+            config, todo, run_passes, jobs, announce, record_success, record_failure, max_attempts
         )
 
     wall = time.perf_counter() - t0
     if suite_span is not None:
-        suite_span.attrs.update(completed=len(results), failed=len(failures))
-        tele.finish_span(suite_span)
-    emit(
-        SuiteFinished(
-            completed=len(results),
-            failed=len(failures),
-            cache_hits=cache_hits,
-            wall_seconds=wall,
+        suite_span.attrs.update(
+            completed=len(results), failed=len(failures), cache_hits=cache_hits
         )
+        tele.finish_span(suite_span)
+    say(
+        f"done: {len(results)} ok, {len(failures)} failed, "
+        f"{cache_hits} cache hits in {wall:.1f}s"
     )
     ordered = [results[a] for a in abbrevs if a in results]
     ordered_failures = [failures[a] for a in abbrevs if a in failures]
@@ -804,24 +656,20 @@ def run_characterization(
     )
 
 
-def _run_serial(config, todo, run_passes, emit, record_success, record_failure, max_attempts) -> None:
+def _run_serial(
+    config, todo, run_passes, announce, record_success, record_failure, max_attempts
+) -> None:
     tele = get_telemetry()
     for abbrev in todo:
         spent = 0.0
-        with tele.span(f"workload:{abbrev}", engine=config.engine):
+        with tele.span(f"workload:{abbrev}"):
             for attempt in range(1, max_attempts + 1):
-                emit(WorkloadStarted(workload=abbrev, attempt=attempt, passes=run_passes.get(abbrev)))
-                if attempt > 1:
-                    tele.count("pool.retries")
+                attrs = announce(abbrev, attempt)
                 t0 = time.perf_counter()
                 try:
-                    with tele.span("attempt", workload=abbrev, attempt=attempt):
+                    with tele.span("attempt", **attrs) as live:
                         profile, wall, _snap = _characterize_one(
-                            abbrev,
-                            config.sample_blocks,
-                            config.verify,
-                            config.engine,
-                            run_passes.get(abbrev),
+                            abbrev, config.sample_blocks, run_passes.get(abbrev)
                         )
                 except Exception as exc:
                     spent += time.perf_counter() - t0
@@ -834,12 +682,12 @@ def _run_serial(config, todo, run_passes, emit, record_success, record_failure, 
                             traceback_mod.format_exc(),
                         )
                 else:
-                    record_success(abbrev, profile, wall, attempt)
+                    record_success(abbrev, profile, wall, live.span)
                     break
 
 
 def _run_parallel(
-    config, todo, run_passes, jobs, emit, record_success, record_failure, max_attempts
+    config, todo, run_passes, jobs, announce, record_success, record_failure, max_attempts
 ) -> None:
     """Windowed process-pool execution with retry, crash and hang isolation.
 
@@ -890,21 +738,15 @@ def _run_parallel(
         while queue or in_flight:
             while queue and len(in_flight) < window:
                 abbrev, attempt = queue.popleft()
-                emit(WorkloadStarted(workload=abbrev, attempt=attempt, passes=run_passes.get(abbrev)))
-                if attempt > 1:
-                    tele.count("pool.retries")
+                attrs = announce(abbrev, attempt)
                 fut = executor.submit(
                     _characterize_one,
                     abbrev,
                     config.sample_blocks,
-                    config.verify,
-                    config.engine,
                     run_passes.get(abbrev),
                     tele.enabled,
                 )
-                span = tele.open_span(
-                    "attempt", parent_id=suite_id, workload=abbrev, attempt=attempt
-                )
+                span = tele.open_span("attempt", parent_id=suite_id, **attrs)
                 start = time.monotonic()
                 deadline = (
                     start + config.workload_timeout if config.workload_timeout else None
@@ -979,7 +821,7 @@ def _run_parallel(
                     close_span(span)
                     if snap is not None and span is not None:
                         tele.merge_snapshot(snap, parent_id=span.span_id)
-                    record_success(abbrev, profile, sim_wall, attempt)
+                    record_success(abbrev, profile, sim_wall, span)
             if broken:
                 # Every other in-flight future is also broken: requeue them
                 # (same attempt — they are presumed innocent), then narrow

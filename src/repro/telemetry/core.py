@@ -155,6 +155,9 @@ class _NullSpan:
 
     __slots__ = ()
 
+    #: No span is recorded (``_LiveSpan.span`` is the open one).
+    span: Optional[Span] = None
+
     def __enter__(self) -> "_NullSpan":
         return self
 

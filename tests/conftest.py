@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import CharacterizationConfig, characterize
 from repro.simt import Device, Executor, KernelBuilder
+from repro.telemetry import get_telemetry
 from repro.trace import KernelTraceCollector
 
 
@@ -36,6 +37,17 @@ def load_section_digests():
 @pytest.fixture(scope="session")
 def suite_profiles():
     return characterize(CharacterizationConfig()).profiles
+
+
+@pytest.fixture()
+def global_tele():
+    """The process-global telemetry registry, enabled and emptied for one
+    test, then restored to disabled+empty afterwards."""
+    t = get_telemetry()
+    t.enable(reset=True)
+    yield t
+    t.disable()
+    t.reset()
 
 
 @pytest.fixture()

@@ -108,6 +108,24 @@ def test_characterize_with_jobs_flag(capsys, tmp_path, monkeypatch):
     assert "VA" in capsys.readouterr().out
 
 
+def test_characterize_verbose_prints_progress_once_per_workload(
+    capsys, tmp_path, monkeypatch
+):
+    from repro.telemetry import get_telemetry
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "features.csv"
+    args = ["characterize", "VA", "VA", "--sample-blocks", "8", "-v", "--csv", str(path)]
+    assert main(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "characterizing 1 workloads (jobs=1, sample_blocks=8)"
+    assert err[2].startswith("  VA     ok      [1/1] ")
+    assert err[-1].startswith("done: 1 ok, 0 failed, 0 cache hits in ")
+    assert len(path.read_text().strip().splitlines()) == 2  # header + one VA row
+    # -v is a progress sink only; it does not switch telemetry on.
+    assert not get_telemetry().enabled and get_telemetry().spans == []
+
+
 def test_profile_cache_inspection_and_purge(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["profile-cache"]) == 0

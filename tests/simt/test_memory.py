@@ -188,3 +188,38 @@ def test_atomic_min_max_duplicates_match_serial_order():
     )
     assert np.array_equal(olds, [50, 30, -50, -50])
     assert np.array_equal(dev.download(buf), [30, -80])
+
+
+@pytest.mark.parametrize("need_old", [True, False])
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("dtype", [DType.I32, DType.F32])
+@pytest.mark.parametrize("op_name", ["ADD", "MIN", "MAX"])
+def test_atomic_update_matches_scalar_lane_loop(op_name, dtype, duplicates, need_old):
+    # Whatever path atomic_update takes (one gather/scatter, ufunc.at or the
+    # lane loop), memory and old values must equal the ascending-lane loop
+    # over the scalar semantics.
+    from repro.simt.ir import AtomicOp
+    from repro.simt.memory import _ATOMIC_SCALAR
+
+    op = AtomicOp[op_name]
+    rng = np.random.default_rng(7)
+    dev = Device()
+    buf = dev.alloc("x", 64, dtype)
+    if dtype is DType.I32:
+        dev.upload(buf, rng.integers(-100, 100, 64))
+        values = rng.integers(-100, 100, 32).astype(buf.data.dtype)
+    else:
+        dev.upload(buf, rng.standard_normal(64) * 100)
+        values = (rng.standard_normal(32) * 100).astype(buf.data.dtype)
+    elems = rng.integers(0, 8, 32) if duplicates else rng.permutation(64)[:32]
+    expected = dev.download(buf)
+    expected_olds = np.empty(32, dtype=buf.data.dtype)
+    for lane, (elem, value) in enumerate(zip(elems, values)):
+        expected_olds[lane] = expected[elem]
+        expected[elem] = _ATOMIC_SCALAR[op](expected[elem], value)
+
+    addrs = (buf.base + elems * buf.elem_size).astype(np.int64)
+    olds = dev.atomic_update(addrs, values, op, buf.elem_size, need_old=need_old)
+    assert dev.download(buf).tobytes() == expected.tobytes()
+    if need_old:
+        assert olds.tobytes() == expected_olds.tobytes()

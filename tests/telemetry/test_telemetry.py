@@ -24,16 +24,6 @@ def tele():
     return t
 
 
-@pytest.fixture()
-def global_tele():
-    """The process-global registry, restored to disabled+empty afterwards."""
-    t = get_telemetry()
-    t.enable(reset=True)
-    yield t
-    t.disable()
-    t.reset()
-
-
 # ----------------------------------------------------------------------
 # Core span/metric semantics
 # ----------------------------------------------------------------------
