@@ -195,16 +195,31 @@ def run_case(case: Case) -> CaseReport:
         report.engines_run.append(outcome.engine)
         report.failures.extend(_compare(base, outcome, check_profile=True))
 
-    block_y = case["block"][1]
-    reference_applies = not classification.communicating and not (
-        classification.requires_1d_block and block_y > 1
-    )
-    if reference_applies:
+    if reference_applies(case, classification):
         outcome = _run_reference_engine(case)
         report.engines_run.append(outcome.engine)
         report.failures.extend(_compare(base, outcome, check_profile=False))
 
     return report
+
+
+def reference_applies(case: Case, classification=None) -> bool:
+    """Whether the lane-serial reference engine can run ``case``: no
+    inter-lane communication, and a 1-D block where the kernel needs one."""
+    if classification is None:
+        classification = classify_kernel(build_kernel(case))
+    return not classification.communicating and not (
+        classification.requires_1d_block and case["block"][1] > 1
+    )
+
+
+def reference_leg(case: Case) -> List[str]:
+    """The oracle's reference leg alone: the reference engine's memory (or
+    error class) against the interpreted baseline.  The caller checks
+    :func:`reference_applies` first."""
+    return _compare(
+        _run_engine(case, "interpreted"), _run_reference_engine(case), check_profile=False
+    )
 
 
 # ---------------------------------------------------------------------------

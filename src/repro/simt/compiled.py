@@ -16,7 +16,7 @@ interpreter in :mod:`repro.simt.executor`:
   shared-memory row per block), amortising every numpy operation across K
   blocks.  Profiled blocks batch exactly like silent ones: a batch
   containing profiled blocks runs the observed program with an
-  :class:`~repro.simt.events.EventRecorder` capturing per-event columnar
+  :class:`~repro.simt.events.EventRecorder` capturing per-kind columnar
   buffers, delivered to sinks as one ``on_batch`` call.  Kernels
   containing atomics are never batched: atomic lane serialisation is
   defined in launch order, which stacking would reorder.
@@ -61,7 +61,13 @@ import numpy as np
 
 from repro.simt import footprint
 from repro.simt.errors import ExecutionError
-from repro.simt.events import EventRecorder
+from repro.simt.events import (
+    BRANCH_KIND_CODE,
+    CATEGORY_CODE,
+    MEM_KIND_CODE,
+    SPACE_CODE,
+    EventRecorder,
+)
 from repro.simt.ir import (
     Atomic,
     Barrier,
@@ -171,6 +177,11 @@ _LOAD_CATEGORY = {
     MemSpace.TEXTURE: OpCategory.LOAD_TEXTURE,
     MemSpace.GLOBAL: OpCategory.LOAD_GLOBAL,
 }
+#: Recorder codes of the control-flow events.
+_BRANCH_CODE = CATEGORY_CODE[OpCategory.BRANCH]
+_BARRIER_CODE = CATEGORY_CODE[OpCategory.BARRIER]
+_IF = BRANCH_KIND_CODE["if"]
+_LOOP = BRANCH_KIND_CODE["loop"]
 
 
 class _RunState:
@@ -473,10 +484,11 @@ def _compile_instr(ck, stmt: Instr, hooks: frozenset):
                 return fn(*[a(st) for a in accs])
 
     if "instr" in hooks:
+        sid, code = stmt.sid, CATEGORY_CODE[category]
 
         def run(st, act):
             write(st, core(st, act), act)
-            st.recorder.instr(stmt, category, act)
+            st.recorder.instr(sid, code, act)
 
     else:
 
@@ -598,26 +610,27 @@ def _wrap_mem_op(core, stmt, category, kind, esize, hooks: frozenset, space=None
             core(st, act)
 
         return run
-    if space is None:
-        space = stmt.space
+    sid, code = stmt.sid, CATEGORY_CODE[category]
+    space = SPACE_CODE[stmt.space if space is None else space]
+    kind = MEM_KIND_CODE[kind]
     if ni and nm:
 
         def run(st, act):
             addrs = core(st, act)
-            st.recorder.instr(stmt, category, act)
-            st.recorder.mem(stmt, space, kind, esize, addrs, act)
+            st.recorder.instr(sid, code, act)
+            st.recorder.mem(sid, space, kind, esize, addrs, act)
 
     elif ni:
 
         def run(st, act):
             core(st, act)
-            st.recorder.instr(stmt, category, act)
+            st.recorder.instr(sid, code, act)
 
     else:
 
         def run(st, act):
             addrs = core(st, act)
-            st.recorder.mem(stmt, space, kind, esize, addrs, act)
+            st.recorder.mem(sid, space, kind, esize, addrs, act)
 
     return run
 
@@ -628,6 +641,7 @@ def _compile_if(ck, stmt: If, hooks: frozenset):
     else_run = _compile_block(ck, stmt.else_body, hooks) if stmt.else_body else None
     ni = "instr" in hooks
     nb = "branch" in hooks
+    sid = stmt.sid
 
     if ni or nb:
 
@@ -635,9 +649,9 @@ def _compile_if(ck, stmt: If, hooks: frozenset):
             c = cond(st)
             taken = act & c
             if ni:
-                st.recorder.instr(stmt, OpCategory.BRANCH, act)
+                st.recorder.instr(sid, _BRANCH_CODE, act)
             if nb:
-                st.recorder.branch(stmt, "if", act, taken)
+                st.recorder.branch(sid, _IF, act, taken)
             if taken.any():
                 then_run(st, taken)
             if else_run is not None:
@@ -668,6 +682,7 @@ def _compile_while(ck, stmt: While, hooks: frozenset):
     body_may_ret = any(map(_contains_return, stmt.body))
     ni = "instr" in hooks
     nb = "branch" in hooks
+    sid = stmt.sid
 
     if ni or nb:
 
@@ -682,9 +697,9 @@ def _compile_while(ck, stmt: While, hooks: frozenset):
                 c = cond(st)
                 stay = live & c
                 if ni:
-                    st.recorder.instr(stmt, OpCategory.BRANCH, live)
+                    st.recorder.instr(sid, _BRANCH_CODE, live)
                 if nb:
-                    st.recorder.branch(stmt, "loop", live, stay)
+                    st.recorder.branch(sid, _LOOP, live, stay)
                 live = stay
                 if not live.any():
                     return
@@ -749,7 +764,7 @@ def _compile_barrier(ck, stmt: Barrier, hooks: frozenset):
 
         def run(st, act):
             core(st, act)
-            st.recorder.instr(stmt, OpCategory.BARRIER, act)
+            st.recorder.instr(sid, _BARRIER_CODE, act)
 
         return run
 
@@ -758,9 +773,10 @@ def _compile_barrier(ck, stmt: Barrier, hooks: frozenset):
 
 def _compile_return(ck, stmt: Return, hooks: frozenset):
     if "instr" in hooks:
+        sid = stmt.sid
 
         def run(st, act):
-            st.recorder.instr(stmt, OpCategory.BRANCH, act)
+            st.recorder.instr(sid, _BRANCH_CODE, act)
             st.returned |= act
 
     else:

@@ -30,8 +30,8 @@ class TraceSink:
 
     Each :meth:`on_batch` call carries an
     :class:`~repro.simt.events.EventBatch`: the events of a run of profiled
-    blocks as columnar buffers with a leading block axis (the schema and
-    the participation rule are documented in :mod:`repro.simt.events`).
+    blocks as per-kind columns over those blocks (the schema and the
+    participation rule are documented in :mod:`repro.simt.events`).
     The interpreted engine delivers one single-block batch per profiled
     block, in visit order; the compiled engine delivers one batch per
     observed lockstep batch, whose ``block_ids`` ascend.

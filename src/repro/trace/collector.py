@@ -78,11 +78,11 @@ class KernelTraceCollector(TraceSink):
         self.profiles: List[KernelProfile] = []
         self._p: Optional[KernelProfile] = None
         # Per-pass cost accounting: every lifecycle call and ``consume`` is
-        # timed and each batch's event count attributed, flushed to the
-        # ``pass.<name>.{seconds,events}`` counters at every kernel end
-        # (no-ops while telemetry is disabled).
+        # timed and each pass charged the events of the kinds it subscribes
+        # to, flushed to the ``pass.<name>.{seconds,events}`` counters at
+        # every kernel end (no-ops while telemetry is disabled).
         self._pass_seconds: Dict[str, float] = {p.name: 0.0 for p in self._passes}
-        self._events = 0
+        self._pass_events: Dict[str, int] = {p.name: 0 for p in self._passes}
 
     def _dispatch(self, hook: str, *args) -> None:
         """Call ``hook`` on every pass, timing each.
@@ -132,19 +132,21 @@ class KernelTraceCollector(TraceSink):
         tele = get_telemetry()
         for name, secs in self._pass_seconds.items():
             tele.count(f"pass.{name}.seconds", secs)
-            tele.count(f"pass.{name}.events", self._events)
+            tele.count(f"pass.{name}.events", self._pass_events[name])
             self._pass_seconds[name] = 0.0
-        self._events = 0
+            self._pass_events[name] = 0
         self.profiles.append(p)
         self._p = None
 
     def on_batch(self, batch) -> None:
         """Hand the whole batch to each pass's ``consume``.
 
-        Every pass is charged the batch's event count.
+        Each pass is charged the batch's events of the kinds it subscribes to.
         """
         self._dispatch("consume", batch)
-        self._events += len(batch.events)
+        counts = batch.event_counts()
+        for p in self._passes:
+            self._pass_events[p.name] += sum(counts[kind] for kind in p.subscribes)
 
 
 def _register_pressure_of(kernel: Kernel) -> int:

@@ -68,6 +68,15 @@ class IlpTracker:
         return self._ilp_sum / self._windows
 
 
+def window_ilp(instrs: Sequence[Tuple[Optional[str], Sequence[str]]]) -> float:
+    """ILP of one window of ``(dest, srcs)`` instructions: the value an
+    :class:`IlpTracker` adds to its sum when it closes that window."""
+    tracker = IlpTracker(len(instrs))
+    for dest, srcs in instrs:
+        tracker.note(dest, srcs)
+    return tracker._ilp_sum
+
+
 class IlpTrackerBank:
     """A set of ILP trackers at the standard MICA window sizes."""
 
@@ -88,17 +97,9 @@ class IlpTrackerBank:
     def results(self) -> Dict[int, float]:
         return {w: t.ilp for w, t in self.trackers.items()}
 
-    def contribution(self) -> Tuple[Tuple[float, int, int], ...]:
-        """Snapshot of per-tracker accumulators (ilp_sum, windows, instrs).
-
-        A bank fed one block's stream and flushed yields that block's
-        additive contribution; :meth:`add_contribution` folds it into
-        another bank.  This is what lets the collector cache the ILP of a
-        repeated per-block dependence stream instead of replaying it.
-        """
-        return tuple((t._ilp_sum, t._windows, t.instructions) for t in self._bank)
-
     def add_contribution(self, contrib: Tuple[Tuple[float, int, int], ...]) -> None:
+        """Add one stream's per-tracker ``(ilp_sum, windows, instructions)``,
+        in tracker order (what feeding the stream and flushing would add)."""
         for t, (ilp_sum, windows, instructions) in zip(self._bank, contrib):
             t._ilp_sum += ilp_sum
             t._windows += windows

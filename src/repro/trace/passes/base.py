@@ -26,6 +26,8 @@ from typing import (
     Type,
 )
 
+import numpy as np
+
 from repro.simt.ir import Kernel
 from repro.simt.sink import EVENT_KINDS
 from repro.trace.profile import PASS_FIELDS, PASS_NAMES, KernelProfile, canonical_passes
@@ -57,17 +59,36 @@ class AnalysisPass:
     def consume(self, batch: "EventBatch") -> None:
         """Fold one batch of profiled blocks' events into the pass state.
 
-        ``batch`` follows the schema in :mod:`repro.simt.events`: a block
-        takes part in an event only where its row has an active lane, and a
-        memory event's ``space`` must be checked by the pass.  Anything
+        ``batch`` follows the schema in :mod:`repro.simt.events`: one group
+        of columns per event kind (``batch.instr``, ``batch.mem``,
+        ``batch.branch``), each in emission order with a leading event axis
+        and a block axis behind it.  A pass reads only the kinds it
+        subscribes to and reduces them with whole-column numpy kernels, not
+        a Python loop per event.  A block takes part in an event only where
+        its row has an active lane, and a memory pass must select its
+        ``space``.  Integer counters are order-free; anything
         order-sensitive (float sums, sequential trackers) accumulates
-        block-major, so the section bytes do not depend on how the engine
-        grouped blocks into batches.
+        block-major, each block's events in order, so the section bytes do
+        not depend on how the engine grouped blocks into batches.
+        Temporaries stacked from the columns stay within
+        :data:`~repro.simt.events.STACK_ELEMS` elements per chunk.
         """
         raise NotImplementedError
 
     def end_kernel(self, profile: KernelProfile) -> None:
         """Fold accumulated state into the owned profile section."""
+
+
+def fold_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + ...`` added strictly left to right.
+
+    This is the float a Python loop accumulating the values one by one
+    yields (``np.cumsum`` is a sequential fold, unlike the pairwise
+    ``np.sum``).
+    """
+    if not len(values):
+        return start
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
 
 
 _REGISTRY: Dict[str, Type[AnalysisPass]] = {}

@@ -1,37 +1,43 @@
 """Branch-divergence pass.
 
 The statistics are a pure function of each block's (active, taken) warp
-vectors, which repeat heavily across blocks and loop iterations: the
-per-row contribution is memoized (same floats added in the same order, so
-the accumulated sums are bit-identical to the direct computation).
+vectors.  Rows are reduced in bulk, grouped by their number of warps with
+active lanes, so each row's float sums are the sums over its compressed
+warp vector that a row-by-row computation would produce; they are folded
+block-major, so the accumulated sums are bit-identical to adding the rows
+one at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.trace.passes.base import AnalysisPass, register_pass
+from repro.simt.events import BRANCH_KIND_CODE, event_chunks
+from repro.trace.passes.base import AnalysisPass, fold_sum, register_pass
 
 
-def _contribution(row: np.ndarray) -> Tuple[int, int, float, float]:
-    """(warp events, divergent, taken-fraction sum, its square sum) of one
-    block's active counts concatenated with its taken counts."""
-    nw = row.size // 2
-    has = row[:nw] > 0
-    active = row[:nw][has]
-    taken = row[nw:][has]
-    if active.size == 0:
-        return (0, 0, 0.0, 0.0)
-    divergent = (taken > 0) & (taken < active)
-    frac = taken / active
-    return (
-        active.size,
-        int(divergent.sum()),
-        float(frac.sum()),
-        float((frac * frac).sum()),
-    )
+def _contributions(
+    active: np.ndarray, taken: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``(rows, nwarps)`` active/taken lane counts: warp events,
+    divergent warps, and the taken-fraction sum and square sum over the
+    warps with active lanes.  Rows with ``k`` such warps are compressed to
+    a contiguous ``(m, k)`` array and summed along its rows, which adds the
+    floats exactly as summing each row's ``(k,)`` vector does."""
+    has = active > 0
+    n = has.sum(axis=1)
+    divergent = ((taken > 0) & (taken < active)).sum(axis=1)
+    frac_sum = np.zeros(len(n))
+    frac_sqsum = np.zeros(len(n))
+    for k in np.unique(n[n > 0]).tolist():
+        rows = np.flatnonzero(n == k)
+        sel = has[rows]
+        frac = (taken[rows][sel] / active[rows][sel]).reshape(-1, k)
+        frac_sum[rows] = frac.sum(axis=1)
+        frac_sqsum[rows] = (frac * frac).sum(axis=1)
+    return n, divergent, frac_sum, frac_sqsum
 
 
 @register_pass
@@ -42,41 +48,31 @@ class BranchPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._stats = profile.branch
-        self._cache: Dict[bytes, Tuple[int, int, float, float]] = {}
 
     def consume(self, batch):
-        # A block row's contribution is keyed by its active+taken bytes.
-        # Contributions are looked up event by event and accumulated
-        # block-major, so the float sums add in the same order however the
-        # blocks were batched.
-        cache = self._cache
-        contribs = []
-        for ev in batch.events:
-            if ev[0] != "branch":
-                continue
-            cs = []
-            for row in np.concatenate((ev[3], ev[4]), axis=1):
-                key = row.tobytes()
-                c = cache.get(key)
-                if c is None:
-                    c = cache[key] = _contribution(row)
-                cs.append(c)
-            contribs.append((ev[2] == "loop", cs))
+        # Counters are integer sums; the float sums fold the per-row values
+        # strictly in block-major order (each block's events in order), so
+        # they add the same floats in the same order however the blocks
+        # were batched.
+        br = batch.branch
+        Eb = len(br)
+        if not Eb:
+            return
+        nwarps = batch.nwarps
+        loop = br.kind == BRANCH_KIND_CODE["loop"]
         b = self._stats
-        for i in range(len(batch.block_ids)):
-            for is_loop, cs in contribs:
-                c = cs[i]
-                n = c[0]
-                if n == 0:
-                    continue
-                b.events += n
-                if is_loop:
-                    b.loop_events += n
-                else:
-                    b.if_events += n
-                b.divergent += c[1]
-                b.taken_frac_sum += c[2]
-                b.taken_frac_sqsum += c[3]
+        for blocks in event_chunks(len(batch), Eb * nwarps):
+            active = br.active[:, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
+            taken = br.taken[:, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
+            n, divergent, frac_sum, frac_sqsum = _contributions(active, taken)
+            loops = int(n[np.tile(loop, len(n) // Eb)].sum())
+            total = int(n.sum())
+            b.events += total
+            b.loop_events += loops
+            b.if_events += total - loops
+            b.divergent += int(divergent.sum())
+            b.taken_frac_sum = fold_sum(b.taken_frac_sum, frac_sum)
+            b.taken_frac_sqsum = fold_sum(b.taken_frac_sqsum, frac_sqsum)
 
     def end_kernel(self, profile):
         self._stats = None

@@ -2,9 +2,9 @@
 
 ILP is windowed over the per-block register-dependence stream, which is a
 pure function of the executed sid sequence.  Blocks of one launch usually
-replay the same sequence, so sids are buffered per block and each distinct
-stream's tracker contribution is cached (barriers/branches carry no regs
-and are skipped from the stream).
+replay the same sequence, so each distinct stream's tracker contribution is
+cached, and within a stream each distinct window's ILP (barriers/branches
+carry no regs and are skipped from the stream).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.simt.ir import Atomic, Instr, Load, Reg, Stmt
-from repro.trace.ilp import IlpTrackerBank
+from repro.trace.ilp import IlpTrackerBank, window_ilp
 from repro.trace.passes.base import AnalysisPass, register_pass
 
 
@@ -44,56 +44,66 @@ class IlpPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._bank = IlpTrackerBank(self.config.ilp_windows)
-        # Per-launch cache of _reg_deps(stmt) keyed by static statement id
-        # (one kernel at a time, so sids are unambiguous within a launch).
-        self._deps: Dict[int, Tuple[Optional[str], List[str]]] = {}
-        self._feeds: Dict[int, bool] = {}
-        # Tracker contribution per distinct stream, keyed by its int64 bytes.
+        # Register dependences per static statement id, and whether the
+        # statement feeds the stream at all (barriers and bare branches
+        # carry no registers and are skipped).
+        self._deps: Dict[int, Tuple[Optional[str], List[str]]] = {
+            stmt.sid: _reg_deps(stmt) for stmt in kernel.walk()
+        }
+        self._feeds = np.zeros(kernel.num_static_stmts, dtype=bool)
+        for sid, (dest, srcs) in self._deps.items():
+            self._feeds[sid] = dest is not None or bool(srcs)
+        # Tracker contribution per distinct stream, and ILP per distinct
+        # window, keyed by their int64 sid bytes.
         self._contribs: Dict[bytes, tuple] = {}
+        self._windows: Dict[bytes, float] = {}
 
     def consume(self, batch):
-        # One participation matrix over the feeding events gives each
-        # block's sid stream in a single fancy-index; streams repeat across
-        # blocks, so the per-stream tracker contribution cache (keyed by
-        # the stream's int64 bytes) does the heavy lifting.
-        sids: List[int] = []
-        lane_cols = []
-        feeds_cache = self._feeds
-        deps_cache = self._deps
-        for ev in batch.events:
-            if ev[0] != "instr":
-                continue
-            stmt = ev[1]
-            feeds = feeds_cache.get(stmt.sid)
-            if feeds is None:
-                deps = _reg_deps(stmt)
-                deps_cache[stmt.sid] = deps
-                feeds = deps[0] is not None or bool(deps[1])
-                feeds_cache[stmt.sid] = feeds
-            if feeds:
-                sids.append(stmt.sid)
-                lane_cols.append(ev[3])
-        if not sids:
+        # Each block's stream is the feeding sid column restricted to the
+        # events it takes part in.  Streams repeat across blocks, so the
+        # per-stream contribution cache does the heavy lifting; contributions
+        # are added block by block.
+        ins = batch.instr
+        feeding = self._feeds[ins.sid]
+        sids = ins.sid[feeding]
+        if not sids.size:
             return
-        sid_arr = np.array(sids, dtype=np.int64)
-        part = np.stack(lane_cols, axis=1) > 0  # (P, events)
+        slots = ins.slot[feeding]
+        takes_part = ins.lanes.T > 0  # (P, S)
         contribs = self._contribs
-        for i in range(len(batch.block_ids)):
-            stream = sid_arr[part[i]]
+        for i in range(len(batch)):
+            stream = sids[takes_part[i][slots]]
             if stream.size == 0:
                 continue
             key = stream.tobytes()
             contrib = contribs.get(key)
             if contrib is None:
-                bank = IlpTrackerBank(self.config.ilp_windows)
-                deps = deps_cache
-                for sid in stream:
-                    dest, srcs = deps[sid]
-                    bank.note(dest, srcs)
-                bank.flush()
-                contrib = bank.contribution()
-                contribs[key] = contrib
+                contrib = contribs[key] = self._contribution(stream)
             self._bank.add_contribution(contrib)
+
+    def _contribution(self, stream: np.ndarray) -> tuple:
+        """One block's tracker contribution, window by window.
+
+        A tracker clears its depth table at every window close, so a
+        window's ILP depends only on that window's sids and is cached; the
+        windows' values are summed in window order as the tracker adds them.
+        """
+        out = []
+        for width in self._bank.trackers:
+            ilp_sum = 0.0
+            nwin = 0
+            for w0 in range(0, stream.size, width):
+                win = stream[w0 : w0 + width]
+                key = win.tobytes()
+                value = self._windows.get(key)
+                if value is None:
+                    value = self._windows[key] = window_ilp(
+                        [self._deps[sid] for sid in win.tolist()]
+                    )
+                ilp_sum += value
+                nwin += 1
+            out.append((ilp_sum, nwin, stream.size))
+        return tuple(out)
 
     def end_kernel(self, profile):
         profile.ilp = self._bank.results()

@@ -13,8 +13,9 @@ from typing import Dict
 
 import numpy as np
 
+from repro.simt.events import CATEGORIES
 from repro.simt.types import WARP_SIZE
-from repro.trace.passes.base import AnalysisPass, register_pass
+from repro.trace.passes.base import AnalysisPass, fold_sum, register_pass
 
 
 @register_pass
@@ -35,37 +36,37 @@ class MixPass(AnalysisPass):
         self._cv_blocks = 0
 
     def consume(self, batch):
-        # Category counters are per-sid sums (commutative ints), so the
-        # whole event column folds at once; the imbalance CV needs the
-        # per-block warp-issue counts, accumulated as one (P, nwarps)
-        # matrix (a block that does not take part in an event has an
-        # all-false warp-mask row, so the unconditional add is exact).
-        P = len(batch.block_ids)
-        counts = np.zeros((P, batch.nwarps), dtype=np.int64)
-        acc = self._sid_acc
-        for ev in batch.events:
-            if ev[0] != "instr":
-                continue
-            counts += ev[4]
-            lanes_sum = int(ev[3].sum())
-            warps_sum = int(ev[5].sum())
-            rec = acc.get(ev[1].sid)
-            if rec is None:
-                acc[ev[1].sid] = [lanes_sum, warps_sum, ev[2].value]
-            else:
-                rec[0] += lanes_sum
-                rec[1] += warps_sum
-        # Per-block CV, one block at a time so the float sum adds in block
-        # order however the blocks were batched.
-        for i in range(P):
-            row = counts[i]
-            if row.size > 1 and row.sum() > 0:
-                mean = row.mean()
-                if mean > 0:
-                    self._cv_sum += float(row.std() / mean)
-                    self._cv_blocks += 1
-            elif row.size >= 1:
-                self._cv_blocks += 1
+        # Category counters are per-sid integer sums, folded into the
+        # accumulator in first-occurrence order.  Per-event lane and warp
+        # totals come from the slot tables, and each block's warp-issue
+        # counts are the slot multiplicities times the warp-mask table (a
+        # block that does not take part in an event has an all-false row).
+        ins = batch.instr
+        S, P, nwarps = ins.warp_mask.shape
+        mult = np.bincount(ins.slot, minlength=S)
+        counts = (mult @ ins.warp_mask.reshape(S, P * nwarps)).reshape(P, nwarps)
+        if len(ins):
+            sids, first, inv = np.unique(ins.sid, return_index=True, return_inverse=True)
+            lanes = np.zeros(len(sids), dtype=np.int64)
+            warps = np.zeros(len(sids), dtype=np.int64)
+            np.add.at(lanes, inv, ins.lanes.sum(axis=1)[ins.slot])
+            np.add.at(warps, inv, ins.warp_counts.sum(axis=1)[ins.slot])
+            cats = ins.category[first]
+            acc = self._sid_acc
+            for k in np.argsort(first).tolist():
+                sid = int(sids[k])
+                rec = acc.get(sid)
+                if rec is None:
+                    acc[sid] = [int(lanes[k]), int(warps[k]), CATEGORIES[cats[k]].value]
+                else:
+                    rec[0] += int(lanes[k])
+                    rec[1] += int(warps[k])
+        # Every block counts towards the CV average; blocks that issued
+        # warps add their CV, in block order however the blocks were batched.
+        self._cv_blocks += P
+        if nwarps > 1:
+            busy = counts[counts.sum(axis=1) > 0]
+            self._cv_sum = fold_sum(self._cv_sum, busy.std(axis=1) / busy.mean(axis=1))
 
     def end_kernel(self, profile):
         p = profile

@@ -26,13 +26,11 @@ class ReusePass(AnalysisPass):
     def consume(self, batch):
         # The reuse-distance stack is order-sensitive: the line stream is
         # block-major, each block's statements in emission order.
-        evs = [
-            (ev[5], ev[6])
-            for ev in batch.events
-            if ev[0] == "mem" and ev[2] is MemSpace.GLOBAL
-        ]
+        mem = batch.mem
         self._tracker.extend(
-            block_major_lines(evs, len(batch.block_ids), self.config.line_bits)
+            block_major_lines(
+                mem.addrs, mem.act, mem.events_in(MemSpace.GLOBAL), self.config.line_bits
+            )
         )
 
     def end_kernel(self, profile):

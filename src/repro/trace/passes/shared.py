@@ -1,16 +1,17 @@
 """Shared-memory bank-conflict pass.
 
-Shared addresses are block-relative, so each block's (mask, active
-addresses) row — and therefore its additive contribution — repeats across
-profiled blocks; contributions are cached keyed by the row's bytes.
+Shared addresses are block-relative, so warp rows repeat heavily across
+events and profiled blocks: each chunk of rows is deduplicated first and
+the distinct rows' contributions are weighted by their multiplicity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.simt.events import event_chunks
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
@@ -18,30 +19,40 @@ from repro.trace.passes.base import AnalysisPass, register_pass
 #: Number of shared-memory banks (4-byte interleave), as on GT200/Fermi.
 NUM_BANKS = 32
 
+_NO_WORD = np.iinfo(np.int64).max
 
-def _contribution(row: np.ndarray) -> Tuple[int, float, int]:
-    """(accessing warps, summed conflict degree, conflicted warps) of one
-    block's address row, inactive lanes pinned to -1."""
-    act = row != -1
-    word = row[act] >> 2
-    bank = word % NUM_BANKS
-    wid = np.flatnonzero(act) // WARP_SIZE
-    # Distinct (warp, bank, word) triples: same-word lanes broadcast for
-    # free; distinct words on the same bank serialise.
-    key = (wid << 44) | (bank << 38) | (word & ((1 << 38) - 1))
-    wb = np.unique(key) >> 38  # (warp, bank) pairs
-    pairs, counts = np.unique(wb, return_counts=True)
-    warp_of = pairs >> 6
-    nwarps = row.size // WARP_SIZE
-    degree = np.zeros(nwarps, dtype=np.int64)
-    np.maximum.at(degree, warp_of, counts)
-    present = np.zeros(nwarps, dtype=bool)
-    present[warp_of] = True
-    return (
-        int(present.sum()),
-        float(degree[present].sum()),
-        int((degree[present] > 1).sum()),
+#: Odd multipliers hashing a warp row into one uint64 key.
+_ROW_HASH = np.random.default_rng(0).integers(1, 1 << 63, WARP_SIZE, dtype=np.uint64) | np.uint64(1)
+
+
+def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(n, WARP_SIZE)`` int64 rows and their multiplicities.
+
+    Rows are keyed by a wrapping multiply-add hash and deduplicated with a
+    1-D ``np.unique``; the result is verified row by row and falls back to
+    the exact, slower ``np.unique(axis=0)`` on a hash collision.
+    """
+    keys = rows.view(np.uint64) @ _ROW_HASH
+    _, first, inv, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
+    if np.array_equal(rows[first][inv], rows):
+        return rows[first], counts
+    return np.unique(rows, axis=0, return_counts=True)
+
+
+def _conflict_degree(rows: np.ndarray) -> np.ndarray:
+    """Conflict degree of each ``(WARP_SIZE,)`` address row, inactive lanes
+    pinned to -1: the most distinct words any one bank serves (same-word
+    lanes broadcast for free; distinct words on one bank serialise)."""
+    words = np.where(rows != -1, rows >> 2, _NO_WORD)
+    words.sort(axis=1)
+    distinct = words != _NO_WORD
+    distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
+    n = len(rows)
+    slot = np.arange(n)[:, None] * NUM_BANKS + words % NUM_BANKS
+    per_bank = np.bincount(slot[distinct], minlength=n * NUM_BANKS)
+    return per_bank.reshape(n, NUM_BANKS).max(axis=1)
 
 
 @register_pass
@@ -52,35 +63,25 @@ class SharedPass(AnalysisPass):
 
     def begin_kernel(self, kernel, profile):
         self._s = profile.shmem
-        self._cache: Dict[bytes, Tuple[int, float, int]] = {}
 
     def consume(self, batch):
-        # Inactive lanes are pinned to -1, which no validated shared address
-        # can be, so a block row's bytes key its contribution.  Contributions
-        # are looked up event by event and accumulated block-major, so
-        # conflict_degree_sum adds its floats in the same order however the
-        # blocks were batched.
-        cache = self._cache
-        contribs = []
-        for ev in batch.events:
-            if ev[0] != "mem" or ev[2] is not MemSpace.SHARED:
-                continue
-            cs = []
-            for row in np.where(ev[6], ev[5], -1):
-                key = row.tobytes()
-                c = cache.get(key)
-                if c is None:
-                    c = cache[key] = _contribution(row)
-                cs.append(c)
-            contribs.append(cs)
+        # Every warp with an active lane is one access of its conflict
+        # degree.  The degree is an integer, so the float degree sum is
+        # exact in any order and the rows are reduced chunk by chunk.
+        mem = batch.mem
+        idx = mem.events_in(MemSpace.SHARED)
         s = self._s
-        for i in range(len(batch.block_ids)):
-            for cs in contribs:
-                c = cs[i]
-                if c[0]:
-                    s.accesses += c[0]
-                    s.conflict_degree_sum += c[1]
-                    s.conflicted += c[2]
+        for sl in event_chunks(idx.size, len(batch) * batch.npad):
+            e = idx[sl]
+            rows = np.where(mem.act[e], mem.addrs[e], -1).reshape(-1, WARP_SIZE)
+            rows = rows[(rows != -1).any(axis=1)]
+            if not len(rows):
+                continue
+            rows, mult = _distinct_rows(rows)
+            degree = _conflict_degree(rows)
+            s.accesses += int(mult.sum())
+            s.conflict_degree_sum += float(mult @ degree)
+            s.conflicted += int(mult[degree > 1].sum())
 
     def end_kernel(self, profile):
         self._s = None

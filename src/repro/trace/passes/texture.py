@@ -7,6 +7,7 @@ not transaction counts (no coalescing rules apply).
 
 from __future__ import annotations
 
+from repro.simt.events import event_chunks
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
@@ -27,19 +28,18 @@ class TexturePass(AnalysisPass):
         # Access counters are integer sums over warp rows (exact in any
         # order); the fetch stream's reuse tracker is order-sensitive and
         # is fed block-major like the reuse pass.
+        mem = batch.mem
+        idx = mem.events_in(MemSpace.TEXTURE)
+        if not idx.size:
+            return
         t = self._t
-        evs = []
-        for ev in batch.events:
-            if ev[0] != "mem" or ev[2] is not MemSpace.TEXTURE:
-                continue
-            addrs, act = ev[5], ev[6]
+        for sl in event_chunks(idx.size, len(batch) * batch.npad):
+            act = mem.act[idx[sl]]
             t.accesses += int(act.reshape(-1, WARP_SIZE).any(axis=1).sum())
             t.lane_accesses += int(act.sum())
-            evs.append((addrs, act))
-        if evs:
-            self._tracker.extend(
-                block_major_lines(evs, len(batch.block_ids), self.config.line_bits)
-            )
+        self._tracker.extend(
+            block_major_lines(mem.addrs, mem.act, idx, self.config.line_bits)
+        )
 
     def end_kernel(self, profile):
         t = profile.texture

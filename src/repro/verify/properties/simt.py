@@ -12,6 +12,9 @@ happened to schedule it.  These properties pin that down:
 * the compiled engine's hazard-driven batch pinning agrees with the
   interpreted baseline on generated kernels (the PR-3 oracle, run as a
   standing invariant);
+* the interpreted engine agrees with the lane-serial reference engine
+  (the fuzz oracle's reference leg), the only check that sees a fault in
+  the vectorized atomics both batched engines share;
 * footprint-grouped batching (hazard-flagged launches whose per-block
   write footprints were proven disjoint by the concrete extent analysis)
   matches the interpreted baseline bit-for-bit, and a falsified extent
@@ -292,6 +295,93 @@ class BatchParity(Property):
             )
         finally:
             compiled._batch_hazard = original
+
+
+@register
+class ReferenceParity(Property):
+    name = "sim.reference.parity"
+    layer = "simt"
+    invariant = (
+        "the interpreted engine's device memory and error class match the "
+        "lane-serial reference engine on generated kernels it can run"
+    )
+    generator_backed = True
+
+    def check(self, ctx: VerifyContext) -> PropertyResult:
+        from repro.fuzz.oracle import reference_applies, reference_leg
+
+        n = ctx.cases(6, 30)
+        cases = 0
+        for i in range(10_000):
+            if cases >= n:
+                break
+            case = generate_case(ctx.case_seed(self.name, i))
+            if not reference_applies(case):
+                continue
+            cases += 1
+            failures = reference_leg(case)
+            if failures:
+                shrunk = shrink_case(
+                    case, lambda c: reference_applies(c) and bool(reference_leg(c))
+                )
+                return self._result(
+                    cases, failures, _case_witness(shrunk, reference_leg(shrunk))
+                )
+        return self._result(cases, [])
+
+    def plant(self, ctx: VerifyContext) -> PlantResult:
+        """Swap atomic MIN for ``np.maximum`` in the vectorized atomics.
+
+        Both batched engines share ``_ATOMIC_UFUNCS``, so only the
+        reference engine's scalar lane loop can tell: this is why the
+        reference engine is kept.
+        """
+        import numpy as np
+
+        from repro.fuzz.oracle import reference_applies, reference_leg
+        from repro.simt import memory
+        from repro.simt.ir import AtomicOp
+        from repro.verify.data import _case_has_kind
+
+        start = time.perf_counter()
+        ufuncs = memory._ATOMIC_UFUNCS
+        original = ufuncs[AtomicOp.MIN]
+        try:
+            ufuncs[AtomicOp.MIN] = np.maximum
+            for attempt in range(_PLANT_ATTEMPTS):
+                case = generate_case(9000 + attempt)
+                if not (_case_has_kind(case, ("atomic",)) and reference_applies(case)):
+                    continue
+                failures = reference_leg(case)
+                if not failures:
+                    continue
+                before = case_stmt_count(case)
+                shrunk = shrink_case(
+                    case, lambda c: reference_applies(c) and bool(reference_leg(c))
+                )
+                # With the real MIN restored the shrunk case must be clean.
+                ufuncs[AtomicOp.MIN] = original
+                clean = not reference_leg(shrunk)
+                return PlantResult(
+                    name=self.name,
+                    detected=clean,
+                    seconds=time.perf_counter() - start,
+                    detail=(
+                        f"seed {case['seed']}: {failures[0]}"
+                        if clean
+                        else "shrunk case still fails with MIN restored"
+                    ),
+                    shrunk_from=before,
+                    shrunk_to=case_stmt_count(shrunk),
+                )
+            return PlantResult(
+                name=self.name,
+                detected=False,
+                seconds=time.perf_counter() - start,
+                detail=f"no reference mismatch found in {_PLANT_ATTEMPTS} seeds",
+            )
+        finally:
+            ufuncs[AtomicOp.MIN] = original
 
 
 def _case_plan(case: Case):

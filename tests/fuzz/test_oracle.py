@@ -6,6 +6,7 @@ from repro.fuzz import case_stmt_count, generate_case, run_case, shrink_case
 from repro.fuzz.campaign import case_seed
 from repro.fuzz.oracle import _run_engine, batch_plan, check_profile_invariants
 from repro.simt import compiled
+from repro.simt.events import CATEGORY_CODE
 from repro.simt.ir import Barrier
 
 
@@ -44,7 +45,7 @@ def _barrier_compiler_without_recheck(ck, stmt, observe):
     if observe:
 
         def run(st, act):
-            st.recorder.instr(stmt, compiled.OpCategory.BARRIER, act)
+            st.recorder.instr(stmt.sid, CATEGORY_CODE[compiled.OpCategory.BARRIER], act)
 
         return run
 

@@ -180,6 +180,12 @@ def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
     for name in PASS_NAMES:
         assert t.counters[f"pass.{name}.seconds"] > 0
         assert f"pass.{name}.events" in t.counters
+    # Each pass is charged only the events of the kinds it subscribes to.
+    counts = totals["event_counts"]
+    assert counts["instr"] > 0 and counts["mem"] > 0
+    assert t.counters["pass.mix.events"] == counts["instr"]
+    assert t.counters["pass.coalescing.events"] == counts["mem"]
+    assert t.counters["pass.branch.events"] == counts["branch"]
     # The compiled engine recorded its batch-occupancy distribution.
     assert t.histograms["engine.compiled.batch_blocks"].count > 0
 

@@ -7,14 +7,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simt.events import EventBatch
+from repro.simt import events
 from repro.simt.ir import MemSpace
-from repro.trace import reuse
 from repro.trace.collector import CollectorConfig
 from repro.trace.passes.reuse import ReusePass
 from repro.trace.passes.texture import TexturePass
 from repro.trace.profile import KernelProfile
 from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
+from tests.trace.batches import record
 from tests.trace.fenwick_reference import ReuseDistanceTracker as FenwickTracker
 
 
@@ -235,9 +235,12 @@ def _random_mem_events(rng, P, npad, nevents, universe):
 def test_block_major_lines_matches_row_loop(P, nevents, stack_elems, seed):
     rng = np.random.default_rng(seed)
     evs = _random_mem_events(rng, P, 64, nevents, universe=50)
-    with mock.patch.object(reuse, "_STACK_ELEMS", stack_elems):
-        got = block_major_lines(evs, P, 7)
-    np.testing.assert_array_equal(got, _row_loop_lines(evs, P, 7))
+    addrs = np.stack([a for a, _ in evs]) if evs else np.empty((0, P, 64), dtype=np.int64)
+    act = np.stack([m for _, m in evs]) if evs else np.empty((0, P, 64), dtype=bool)
+    idx = np.flatnonzero(rng.random(nevents) < 0.7)
+    with mock.patch.object(events, "STACK_ELEMS", stack_elems):
+        got = block_major_lines(addrs, act, idx, 7)
+    np.testing.assert_array_equal(got, _row_loop_lines([evs[i] for i in idx], P, 7))
 
 
 def test_reuse_and_texture_passes_match_fenwick_row_loop():
@@ -252,16 +255,16 @@ def test_reuse_and_texture_passes_match_fenwick_row_loop():
             p.begin_kernel(None, profile)
         for _ in range(30):
             P = int(rng.integers(1, 6))
-            events = []
+            evs = []
             for space in rng.choice(list(spaces.values()), 10):
                 (addrs, act), = _random_mem_events(rng, P, 64, 1, universe=40)
-                events.append(("mem", None, space, None, 4, addrs, act))
-            batch = EventBatch(tuple(range(P)), 64, 2, 64, events)
+                evs.append(("mem", 0, space, "load", 4, addrs, act))
+            batch = record(evs, P, 64)
             for p in passes:
                 p.consume(batch)
             for name, space in spaces.items():
-                evs = [(ev[5], ev[6]) for ev in events if ev[2] is space]
-                refs[name].access_many(_row_loop_lines(evs, P, config.line_bits))
+                pairs = [(ev[5], ev[6]) for ev in evs if ev[2] is space]
+                refs[name].access_many(_row_loop_lines(pairs, P, config.line_bits))
         for p in passes:
             p.end_kernel(profile)
     sections = {"reuse": profile.locality, "texture": profile.texture}
