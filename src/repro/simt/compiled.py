@@ -55,6 +55,7 @@ in sequential block order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -284,6 +285,7 @@ def _make_write(ck: "CompiledKernel", dest: Reg):
 def _make_shared_locate(ck: "CompiledKernel"):
     decls = ck.shared_decls
     offsets = ck.shared_offsets
+    starts = offsets.tolist()
     kname = ck.kernel.name
 
     def locate(a: np.ndarray, esize: int):
@@ -291,28 +293,29 @@ def _make_shared_locate(ck: "CompiledKernel"):
             raise ExecutionError(
                 f"kernel {kname!r} accesses shared memory but declares none"
             )
-        di = np.searchsorted(offsets, a, side="right") - 1
-        if np.any(di < 0):
-            raise ExecutionError(f"kernel {kname!r}: negative shared address")
-        if di.size:
-            u0 = int(di[0])
-            if (di == u0).all():
-                # All lanes hit one declaration (the common case even in
-                # multi-array kernels): skip the per-decl partitioning.
+        if a.size:
+            hi = int(a.max())
+            u0 = bisect_right(starts, int(a.min())) - 1
+            if u0 < 0:
+                raise ExecutionError(f"kernel {kname!r}: negative shared address")
+            if bisect_right(starts, hi) - 1 == u0:
+                # Both ends in one declaration (the common case even in
+                # multi-array kernels): bound the highest address alone and
+                # skip the per-decl partitioning.
                 decl = decls[u0]
-                elems = (a - decl.offset) // esize
-                if np.any(elems >= decl.count) or np.any(elems < 0):
+                if (hi - decl.offset) // esize >= decl.count:
                     raise ExecutionError(
                         f"kernel {kname!r}: shared array {decl.name!r} "
                         f"index out of bounds (size {decl.count})"
                     )
-                return [(u0, slice(None), elems)]
+                return [(u0, slice(None), (a - decl.offset) // esize)]
+        di = np.searchsorted(offsets, a, side="right") - 1
         out = []
         for u in np.unique(di):
             decl = decls[u]
             sel = di == u
             elems = (a[sel] - decl.offset) // esize
-            if np.any(elems >= decl.count) or np.any(elems < 0):
+            if np.any(elems >= decl.count):
                 raise ExecutionError(
                     f"kernel {kname!r}: shared array {decl.name!r} "
                     f"index out of bounds (size {decl.count})"
@@ -323,55 +326,7 @@ def _make_shared_locate(ck: "CompiledKernel"):
     return locate
 
 
-def _make_shared_elems(ck: "CompiledKernel"):
-    """Single-declaration fast path: address -> element index, bounds-checked.
-
-    Skips the searchsorted/unique decl resolution; the checks reproduce the
-    generic path's errors exactly (an address below the decl's offset is a
-    negative shared address, anything past ``count`` is out of bounds).
-    """
-    decl = ck.shared_decls[0]
-    offset = decl.offset
-    count = decl.count
-    name = decl.name
-    kname = ck.kernel.name
-
-    def elems_of(a: np.ndarray, esize: int) -> np.ndarray:
-        elems = (a - offset) // esize
-        if elems.size:
-            lo = int(elems.min())
-            if lo < 0:
-                if a.min() < offset:
-                    raise ExecutionError(f"kernel {kname!r}: negative shared address")
-                raise ExecutionError(
-                    f"kernel {kname!r}: shared array {name!r} "
-                    f"index out of bounds (size {count})"
-                )
-            if int(elems.max()) >= count:
-                raise ExecutionError(
-                    f"kernel {kname!r}: shared array {name!r} "
-                    f"index out of bounds (size {count})"
-                )
-        return elems
-
-    return elems_of
-
-
 def _make_shared_gather(ck: "CompiledKernel"):
-    if len(ck.shared_decls) == 1:
-        elems_of = _make_shared_elems(ck)
-
-        def gather(st: _RunState, addrs, act, esize) -> np.ndarray:
-            lanes = np.flatnonzero(act)
-            elems = elems_of(addrs[lanes], esize)
-            arr = st.shared[0]
-            vals = arr[0, elems] if st.nblk == 1 else arr[st.lane_block[lanes], elems]
-            values = np.zeros(st.nlanes, dtype=np.result_type(np.float64, vals.dtype))
-            values[lanes] = vals
-            return values
-
-        return gather
-
     locate = _make_shared_locate(ck)
 
     def gather(st: _RunState, addrs, act, esize) -> np.ndarray:
@@ -380,31 +335,13 @@ def _make_shared_gather(ck: "CompiledKernel"):
         a = addrs[lanes]
         rows = st.lane_block[lanes]
         for u, sel, elems in locate(a, esize):
-            vals = st.shared[u][rows[sel], elems]
-            if values.dtype != vals.dtype:
-                values = values.astype(np.result_type(values.dtype, vals.dtype))
-            values[lanes[sel]] = vals
+            values[lanes[sel]] = st.shared[u][rows[sel], elems]
         return values
 
     return gather
 
 
 def _make_shared_scatter(ck: "CompiledKernel"):
-    if len(ck.shared_decls) == 1:
-        elems_of = _make_shared_elems(ck)
-
-        def scatter(st: _RunState, addrs, values, act, esize) -> None:
-            lanes = np.flatnonzero(act)
-            elems = elems_of(addrs[lanes], esize)
-            arr = st.shared[0]
-            vals = values[lanes].astype(arr.dtype, copy=False)
-            if st.nblk == 1:
-                arr[0, elems] = vals
-            else:
-                arr[st.lane_block[lanes], elems] = vals
-
-        return scatter
-
     locate = _make_shared_locate(ck)
 
     def scatter(st: _RunState, addrs, values, act, esize) -> None:

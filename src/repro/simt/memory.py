@@ -13,6 +13,7 @@ executor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -82,7 +83,8 @@ class Device:
     def __init__(self) -> None:
         self._cursor = _HEAP_BASE
         self._buffers: List[DeviceBuffer] = []
-        self._bases: np.ndarray = np.empty(0, dtype=np.int64)
+        self._bases: List[int] = []
+        self._ends: List[int] = []
         self._by_name: Dict[str, DeviceBuffer] = {}
 
     # ------------------------------------------------------------------
@@ -109,7 +111,8 @@ class Device:
         buf = DeviceBuffer(name, self._cursor, count, dtype, readonly=readonly, data=data)
         self._cursor += -(-buf.nbytes // _ALIGN) * _ALIGN
         self._buffers.append(buf)
-        self._bases = np.array([b.base for b in self._buffers], dtype=np.int64)
+        self._bases.append(buf.base)
+        self._ends.append(buf.end)
         self._by_name[name] = buf
         return buf
 
@@ -149,35 +152,44 @@ class Device:
     # Lane-level access resolution
     # ------------------------------------------------------------------
 
-    def _resolve(self, addrs: np.ndarray, elem_size: int) -> "ResolvedAccess":
-        """Map byte addresses to (buffer index, element index) per lane."""
-        if self._bases.size == 0:
+    def _resolve(self, addrs: np.ndarray, elem_size: int) -> list:
+        """Split an access into ``(buffer, lanes, element indices)`` groups,
+        ``lanes`` being a lane mask, in buffer address order.
+
+        An access inside one buffer is settled by one bounds test on its
+        lowest and highest address and comes back as a single group whose
+        ``lanes`` is ``slice(None)``.  Buffer bases are 256-byte aligned,
+        so address alignment is offset alignment, and a matching element
+        size is a power of two (a mask and a shift).  Anything else takes
+        :meth:`_resolve_lanes`.
+        """
+        if addrs.size:
+            i = bisect_right(self._bases, int(addrs.min())) - 1
+            if i >= 0 and int(addrs.max()) < self._ends[i]:
+                buf = self._buffers[i]
+                if buf.elem_size == elem_size and not (
+                    int(np.bitwise_or.reduce(addrs)) & (elem_size - 1)
+                ):
+                    elems = (addrs - buf.base) >> (elem_size.bit_length() - 1)
+                    return [(buf, slice(None), elems)]
+        return self._resolve_lanes(addrs, elem_size)
+
+    def _resolve_lanes(self, addrs: np.ndarray, elem_size: int) -> list:
+        """Per-lane resolution: cross-buffer accesses and every fault.
+
+        Faults are checked lane by lane in a fixed order (empty device,
+        below the heap base, then per buffer in address order: element
+        size, alignment, bounds), so the first bad lane names the fault.
+        """
+        if not self._buffers:
             raise MemoryFault("access on a device with no buffers")
         bi = np.searchsorted(self._bases, addrs, side="right") - 1
         if np.any(bi < 0):
             bad = int(addrs[bi < 0][0])
             raise MemoryFault(f"access below heap base: 0x{bad:x}")
-        offsets = addrs - self._bases[bi]
+        offsets = addrs - np.asarray(self._bases)[bi]
         elems = offsets // elem_size
-        if bi.size and (bi == bi[0]).all():
-            # Single-buffer access (the overwhelmingly common case): run the
-            # same checks without the per-buffer partitioning.
-            buf = self._buffers[bi[0]]
-            if buf.elem_size != elem_size:
-                raise MemoryFault(
-                    f"access to {buf.name!r} with element size {elem_size}, "
-                    f"buffer element size is {buf.elem_size}"
-                )
-            if np.any(offsets % elem_size != 0):
-                bad = int(addrs[offsets % elem_size != 0][0])
-                raise MemoryFault(f"misaligned access to {buf.name!r} at 0x{bad:x}")
-            if np.any(elems >= buf.count):
-                bad = int(elems.max())
-                raise MemoryFault(
-                    f"out-of-bounds access to {buf.name!r}: element {bad} "
-                    f"of {buf.count}"
-                )
-            return ResolvedAccess(self, bi, elems)
+        groups = []
         for u in np.unique(bi):
             buf = self._buffers[u]
             sel = bi == u
@@ -195,24 +207,18 @@ class Device:
                     f"out-of-bounds access to {buf.name!r}: element {bad} "
                     f"of {buf.count}"
                 )
-        return ResolvedAccess(self, bi, elems)
+            groups.append((buf, sel, elems[sel]))
+        return groups
 
     def gather(self, addrs: np.ndarray, elem_size: int) -> np.ndarray:
         """Load one element per lane from the given byte addresses."""
-        res = self._resolve(addrs, elem_size)
-        bi = res.buffer_idx
-        if bi.size and (bi == bi[0]).all():
-            # Single-buffer fast path (fancy indexing already copies).
-            return self._buffers[bi[0]].data[res.elem_idx]
-        out = None
-        for u in np.unique(res.buffer_idx):
-            buf = self._buffers[u]
-            sel = res.buffer_idx == u
-            vals = buf.data[res.elem_idx[sel]]
-            if out is None:
-                out = np.zeros(addrs.shape, dtype=vals.dtype)
-            out[sel] = vals
-        assert out is not None
+        groups = self._resolve(addrs, elem_size)
+        if len(groups) == 1:
+            buf, _, elems = groups[0]
+            return buf.data[elems]  # fancy indexing already copies
+        out = np.zeros(addrs.shape, dtype=groups[0][0].data.dtype if groups else None)
+        for buf, lanes, elems in groups:
+            out[lanes] = buf.data[elems]
         return out
 
     def scatter(self, addrs: np.ndarray, values: np.ndarray, elem_size: int) -> None:
@@ -222,28 +228,18 @@ class Device:
         wins (numpy fancy-assignment order) — a fixed, documented resolution
         of what real hardware leaves unspecified.
         """
-        res = self._resolve(addrs, elem_size)
-        bi = res.buffer_idx
-        if bi.size and (bi == bi[0]).all():
-            buf = self._buffers[bi[0]]
+        for buf, lanes, elems in self._resolve(addrs, elem_size):
             if buf.readonly:
                 raise MemoryFault(f"store to read-only buffer {buf.name!r}")
-            buf.data[res.elem_idx] = values.astype(buf.data.dtype, copy=False)
-            return
-        for u in np.unique(res.buffer_idx):
-            buf = self._buffers[u]
-            if buf.readonly:
-                raise MemoryFault(f"store to read-only buffer {buf.name!r}")
-            sel = res.buffer_idx == u
-            buf.data[res.elem_idx[sel]] = values[sel].astype(buf.data.dtype, copy=False)
+            buf.data[elems] = values[lanes].astype(buf.data.dtype, copy=False)
 
-    def atomic_lane_view(self, addrs: np.ndarray, elem_size: int) -> "ResolvedAccess":
-        """Resolve addresses for lane-serialised atomic execution."""
-        res = self._resolve(addrs, elem_size)
-        for u in np.unique(res.buffer_idx):
-            if self._buffers[u].readonly:
-                raise MemoryFault(f"atomic on read-only buffer {self._buffers[u].name!r}")
-        return res
+    def atomic_lane_view(self, addrs: np.ndarray, elem_size: int) -> list:
+        """Resolve addresses for an atomic, rejecting read-only buffers."""
+        groups = self._resolve(addrs, elem_size)
+        for buf, _, _ in groups:
+            if buf.readonly:
+                raise MemoryFault(f"atomic on read-only buffer {buf.name!r}")
+        return groups
 
     def atomic_update(
         self,
@@ -257,10 +253,11 @@ class Device:
         """Atomic read-modify-write, one element per lane (active lanes only).
 
         Lanes apply in ascending order, the documented serialisation of
-        :class:`~repro.simt.ir.Atomic`.  ADD/MIN/MAX over a single buffer
-        vectorise: unique addresses via one gather/scatter, duplicates via
-        ``np.ufunc.at`` (index-ordered, so floating-point accumulation is
-        bit-identical to the scalar loop).  EXCH/CAS, cross-buffer access,
+        :class:`~repro.simt.ir.Atomic`; lanes on different buffers never
+        touch the same word, so each buffer's lanes run in turn.  ADD/MIN/MAX
+        vectorise per buffer: unique addresses via one gather/scatter,
+        duplicates via ``np.ufunc.at`` (index-ordered, so floating-point
+        accumulation is bit-identical to the scalar loop).  EXCH/CAS,
         mixed-dtype updates, and duplicate addresses that need old values
         keep the scalar loop.  MIN/MAX only vectorise for integer data:
         ``np.minimum`` propagates NaN while the serial ``min`` keeps the
@@ -269,47 +266,28 @@ class Device:
         Returns per-lane old values, or ``None`` when ``need_old`` is
         false and they were not materialised.
         """
-        res = self.atomic_lane_view(addrs, elem_size)
-        bi = res.buffer_idx
-        ufunc = _ATOMIC_UFUNCS.get(op)
-        if ufunc is not None and bi.size and (bi == bi[0]).all():
-            buf = self._buffers[bi[0]]
-            if values.dtype == buf.data.dtype and (
-                op is AtomicOp.ADD or values.dtype.kind != "f"
-            ):
-                elems = res.elem_idx
-                if np.unique(elems).size == elems.size:
-                    olds = buf.data[elems]
-                    buf.data[elems] = ufunc(olds, values)
-                    return olds if need_old else None
-                if not need_old:
-                    ufunc.at(buf.data, elems, values)
-                    return None
         olds = np.zeros(addrs.shape, dtype=values.dtype) if need_old else None
-        for pos in range(addrs.size):
-            old = res.read_lane(pos)
-            if op is AtomicOp.CAS:
-                new = values[pos] if old == compare[pos] else old
-            else:
-                new = _ATOMIC_SCALAR[op](old, values[pos])
-            res.write_lane(pos, new)
-            if olds is not None:
-                olds[pos] = old
+        ufunc = _ATOMIC_UFUNCS.get(op)
+        vectorise = ufunc is not None and (op is AtomicOp.ADD or values.dtype.kind != "f")
+        for buf, lanes, elems in self.atomic_lane_view(addrs, elem_size):
+            data = buf.data
+            if vectorise and values.dtype == data.dtype:
+                if np.unique(elems).size == elems.size:
+                    old = data[elems]
+                    data[elems] = ufunc(old, values[lanes])
+                    if olds is not None:
+                        olds[lanes] = old
+                    continue
+                if olds is None:
+                    ufunc.at(data, elems, values[lanes])
+                    continue
+            for pos, elem in zip(np.arange(addrs.size)[lanes], elems):
+                old = data[elem]
+                if op is AtomicOp.CAS:
+                    new = values[pos] if old == compare[pos] else old
+                else:
+                    new = _ATOMIC_SCALAR[op](old, values[pos])
+                data[elem] = new
+                if olds is not None:
+                    olds[pos] = old
         return olds
-
-
-@dataclass
-class ResolvedAccess:
-    """Per-lane (buffer, element) resolution of a vector of byte addresses."""
-
-    device: Device
-    buffer_idx: np.ndarray
-    elem_idx: np.ndarray
-
-    def read_lane(self, lane: int) -> Union[int, float]:
-        buf = self.device._buffers[self.buffer_idx[lane]]
-        return buf.data[self.elem_idx[lane]]
-
-    def write_lane(self, lane: int, value: Union[int, float]) -> None:
-        buf = self.device._buffers[self.buffer_idx[lane]]
-        buf.data[self.elem_idx[lane]] = value

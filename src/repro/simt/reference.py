@@ -186,14 +186,16 @@ def _exec_stmt(stmt: Stmt, state: _LaneState) -> None:
     elif isinstance(stmt, Atomic):
         addr = int(state.eval(stmt.addr))
         value = state.eval(stmt.value)
-        resolved = state.device.atomic_lane_view(np.array([addr]), stmt.dtype.element_size)
-        old = resolved.read_lane(0)
+        [(buf, _, elems)] = state.device.atomic_lane_view(
+            np.array([addr]), stmt.dtype.element_size
+        )
+        old = buf.data[elems[0]]
         if stmt.op is AtomicOp.CAS:
             compare = state.eval(stmt.compare)
             new = value if old == compare else old
         else:
             new = _ATOMIC_SCALAR[stmt.op](old, value)
-        resolved.write_lane(0, new)
+        buf.data[elems[0]] = new
         if stmt.dest is not None:
             state.env[stmt.dest.name] = old
     elif isinstance(stmt, Barrier):

@@ -18,7 +18,9 @@ happened to schedule it.  These properties pin that down:
 * footprint-grouped batching (hazard-flagged launches whose per-block
   write footprints were proven disjoint by the concrete extent analysis)
   matches the interpreted baseline bit-for-bit, and a falsified extent
-  computation is caught.
+  computation is caught;
+* device accesses resolved by one bounds test name the same buffer,
+  elements or fault as the per-lane resolution.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.fuzz.generator import Case, case_stmt_count, generate_case
 from repro.fuzz.shrink import shrink_case
+from repro.simt import Device, DType, MemoryFault
 from repro.verify.data import (
     ORDER_FREE_PASSES,
     RESHARD_NBLOCKS,
@@ -509,3 +514,97 @@ class FootprintGrouping(Property):
             )
         finally:
             footprint._block_extents = original
+
+
+def _random_device(rng: np.random.Generator) -> Device:
+    """One to four buffers; counts of 64 and 128 leave no alignment gap."""
+    dev = Device()
+    for i in range(int(rng.integers(1, 5))):
+        dtype = (DType.I32, DType.F32, DType.PRED)[int(rng.integers(3))]
+        dev.alloc(f"b{i}", int(rng.choice((1, 7, 64, 70, 128))), dtype)
+    return dev
+
+
+def _lane_map(route, addrs: np.ndarray, esize: int):
+    """Per-lane ``(buffer, element)`` pairs of one resolution, or its fault."""
+    try:
+        groups = route(addrs, esize)
+    except MemoryFault as exc:
+        return str(exc)
+    lanes = [None] * addrs.size
+    for buf, sel, elems in groups:
+        for lane, elem in zip(np.arange(addrs.size)[sel].tolist(), elems.tolist()):
+            lanes[lane] = (buf.name, elem)
+    return lanes
+
+
+def _resolve_diffs(dev: Device, rng: np.random.Generator, vectors: int = 64) -> List[str]:
+    """Accesses where the bounds test and the per-lane resolution disagree.
+
+    Each vector hits one buffer, with one lane left alone or moved to
+    another buffer, an edge or alignment gap, a misaligned or a below-heap
+    address.
+    """
+    bufs = dev.buffers
+    edges = [a for b in bufs for a in (b.base, b.end - 4, b.end)]
+    diffs = []
+    for _ in range(vectors):
+        buf, other = (bufs[i] for i in rng.integers(len(bufs), size=2))
+        addrs = buf.base + 4 * rng.integers(0, buf.count, int(rng.integers(1, 33)))
+        addrs[int(rng.integers(addrs.size))] = rng.choice([
+            addrs[0],
+            other.base + 4 * int(rng.integers(other.count)),
+            edges[int(rng.integers(len(edges)))],
+            addrs[0] + int(rng.integers(1, 4)),
+            int(rng.integers(0, 0x1000)),
+        ])
+        esize = int(rng.choice((4, 4, 4, 1)))
+        fast = _lane_map(dev._resolve, addrs, esize)
+        slow = _lane_map(dev._resolve_lanes, addrs, esize)
+        if fast != slow:
+            diffs.append(
+                f"{addrs.tolist()!s:.60} esize={esize}: bounds test {fast!s:.60}, "
+                f"per-lane {slow!s:.60}"
+            )
+    return diffs
+
+
+@register
+class MemoryResolve(Property):
+    name = "sim.memory.resolve"
+    layer = "simt"
+    invariant = (
+        "a device access resolved by one min/max bounds test maps to the same "
+        "buffer and elements, or raises the same fault, as the per-lane path"
+    )
+
+    def check(self, ctx: VerifyContext) -> PropertyResult:
+        rng = ctx.rng(self.name)
+        n = ctx.cases(8, 40)
+        for case in range(n):
+            dev = _random_device(rng)
+            diffs = _resolve_diffs(dev, rng)
+            if diffs:
+                layout = [(b.name, b.base, b.count, b.dtype.value) for b in dev.buffers]
+                return self._result(
+                    case + 1, diffs[:4], {"buffers": layout, "failures": diffs[:8]}
+                )
+        return self._result(n, [])
+
+    def plant(self, ctx: VerifyContext) -> PlantResult:
+        """Move the bounds test's end by one element (``hi > end`` faults)."""
+        start = time.perf_counter()
+        rng = ctx.rng(self.name)
+        diffs: List[str] = []
+        for _ in range(_PLANT_ATTEMPTS):
+            dev = _random_device(rng)
+            dev._ends = [end + 4 for end in dev._ends]
+            diffs = _resolve_diffs(dev, rng)
+            if diffs:
+                break
+        return PlantResult(
+            name=self.name,
+            detected=bool(diffs),
+            seconds=time.perf_counter() - start,
+            detail=diffs[0] if diffs else f"no disagreement on {_PLANT_ATTEMPTS} layouts",
+        )

@@ -223,3 +223,166 @@ def test_atomic_update_matches_scalar_lane_loop(op_name, dtype, duplicates, need
     assert dev.download(buf).tobytes() == expected.tobytes()
     if need_old:
         assert olds.tobytes() == expected_olds.tobytes()
+
+
+def test_empty_gather_returns_zero_length_array():
+    dev = Device()
+    dev.alloc("x", 4)
+    out = dev.gather(np.array([], np.int64), 4)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Resolution equivalence: gather/scatter/atomic_update against a scalar
+# per-lane oracle over seeded address vectors.
+# ----------------------------------------------------------------------
+
+#: (dtype, count, readonly) per buffer.  Counts of 64 and 128 fill their
+#: 256-byte slot exactly (the next base is the end address); the others
+#: leave an alignment gap.
+_LAYOUTS = [
+    [(DType.F32, 3, False)],
+    [(DType.I32, 64, False), (DType.F32, 5, True), (DType.PRED, 7, False)],
+    [(DType.F32, 70, False), (DType.I32, 128, False), (DType.I32, 1, True)],
+    [(DType.PRED, 64, True), (DType.F32, 64, False), (DType.I32, 9, False)],
+]
+
+
+def _layout_device(layout, rng):
+    dev = Device()
+    for i, (dtype, count, readonly) in enumerate(layout):
+        buf = dev.alloc(f"b{i}", count, dtype, readonly=readonly)
+        buf.data[:] = rng.integers(-50, 50, count).astype(buf.data.dtype)
+    return dev
+
+
+def _oracle(dev, addrs, esize):
+    """Per-lane ``(buffer index, element)`` pairs, or the fault message.
+
+    Checks in the documented order: an empty device, any lane below the
+    heap base, then each touched buffer in address order (element size,
+    first misaligned lane, largest out-of-bounds element).
+    """
+    bufs = dev.buffers
+    if not bufs:
+        return "access on a device with no buffers"
+    owners = []
+    for a in addrs.tolist():
+        below = [k for k, b in enumerate(bufs) if b.base <= a]
+        if not below:
+            return f"access below heap base: 0x{a:x}"
+        owners.append(below[-1])
+    for k in sorted(set(owners)):
+        buf = bufs[k]
+        mine = [a for a, o in zip(addrs.tolist(), owners) if o == k]
+        if buf.elem_size != esize:
+            return (
+                f"access to {buf.name!r} with element size {esize}, "
+                f"buffer element size is {buf.elem_size}"
+            )
+        for a in mine:
+            if (a - buf.base) % esize:
+                return f"misaligned access to {buf.name!r} at 0x{a:x}"
+        top = max((a - buf.base) // esize for a in mine)
+        if top >= buf.count:
+            return f"out-of-bounds access to {buf.name!r}: element {top} of {buf.count}"
+    return [(k, (a - bufs[k].base) // esize) for a, k in zip(addrs.tolist(), owners)]
+
+
+def _address_vectors(dev, rng, n):
+    """Seeded address vectors: in-buffer, edges, gaps, crossings, faults."""
+    bufs = dev.buffers
+    edges = [a for b in bufs for a in (b.base, b.end - 4, b.end, b.end + 4)]
+    yield np.array([], np.int64)
+    yield np.array([0x1000 - 4], np.int64)
+    for a in edges:
+        yield np.array([a], np.int64)
+    for _ in range(n):
+        buf = bufs[rng.integers(len(bufs))]
+        lanes = int(rng.integers(1, 40))
+        addrs = buf.base + 4 * rng.integers(0, buf.count, lanes)
+        kind = rng.integers(6)
+        if kind == 1:  # cross-buffer
+            other = bufs[rng.integers(len(bufs))]
+            addrs[rng.integers(lanes)] = other.base + 4 * rng.integers(other.count)
+        elif kind == 2:  # edges and alignment gaps
+            addrs[rng.integers(lanes)] = rng.choice(edges)
+        elif kind == 3:  # misaligned
+            addrs[rng.integers(lanes)] += rng.integers(1, 4)
+        elif kind == 4:  # below the heap base
+            addrs[rng.integers(lanes)] = rng.integers(-8, 0x1000)
+        yield addrs.astype(np.int64)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except MemoryFault as exc:
+        return None, str(exc)
+
+
+def _memory(dev):
+    return [b.data.tobytes() for b in dev.buffers]
+
+
+@pytest.mark.parametrize("layout_index", range(len(_LAYOUTS) + 1))
+def test_resolution_matches_scalar_oracle(layout_index):
+    from repro.simt.ir import AtomicOp
+
+    rng = np.random.default_rng(1000 + layout_index)
+    layout = _LAYOUTS[layout_index] if layout_index < len(_LAYOUTS) else []
+    dev = _layout_device(layout, rng)
+    bufs = dev.buffers
+    vectors = list(_address_vectors(dev, rng, 150)) if layout else [
+        np.array([], np.int64),
+        np.array([0x1000], np.int64),
+    ]
+    for addrs in vectors:
+        for esize in (4, 4, 4, 1, 8):
+            expected = _oracle(dev, addrs, esize)
+            values = rng.integers(-9, 9, addrs.size)
+            label = f"{addrs.tolist()} esize={esize}"
+
+            got, err = _outcome(lambda: dev.gather(addrs, esize))
+            if isinstance(expected, str):
+                assert err == expected, label
+            else:
+                assert err is None, label
+                assert got.tolist() == [bufs[k].data[e] for k, e in expected], label
+
+            # Stores: read-only buffers fault in address order, after the
+            # stores to the writable buffers before them.
+            want_mem = [b.data.copy() for b in bufs]
+            want_err = expected if isinstance(expected, str) else None
+            if want_err is None:
+                for k in sorted({k for k, _ in expected}):
+                    if bufs[k].readonly:
+                        want_err = f"store to read-only buffer {bufs[k].name!r}"
+                        break
+                    for (o, e), v in zip(expected, values):
+                        if o == k:
+                            want_mem[k][e] = v
+            _, err = _outcome(lambda: dev.scatter(addrs, values, esize))
+            assert err == want_err, label
+            assert _memory(dev) == [m.tobytes() for m in want_mem], label
+
+            # Atomic add: every read-only check precedes any update.
+            want_mem = [b.data.copy() for b in bufs]
+            want_err = expected if isinstance(expected, str) else None
+            want_olds = []
+            if want_err is None:
+                ro = sorted(k for k, _ in expected if bufs[k].readonly)
+                if ro:
+                    want_err = f"atomic on read-only buffer {bufs[ro[0]].name!r}"
+                else:
+                    for (k, e), v in zip(expected, values):
+                        want_olds.append(want_mem[k][e])
+                        want_mem[k][e] = want_mem[k][e] + v
+            olds, err = _outcome(
+                lambda: dev.atomic_update(addrs, values, AtomicOp.ADD, esize)
+            )
+            assert err == want_err, label
+            assert _memory(dev) == [m.tobytes() for m in want_mem], label
+            if want_err is None:
+                assert olds.tolist() == want_olds, label
