@@ -30,7 +30,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.fuzz import default_corpus_dir, iter_corpus  # noqa: E402
-from repro.fuzz.oracle import _run_engine  # noqa: E402
+from repro.fuzz.oracle import SAMPLE_BLOCKS, launch_case  # noqa: E402
 from repro.trace.serialize import section_digests  # noqa: E402
 from repro.workloads import registry  # noqa: E402
 from repro.workloads.runner import run_workload  # noqa: E402
@@ -87,7 +87,7 @@ def build() -> dict:
     for path, case, _meta in iter_corpus(default_corpus_dir()):
         name = os.path.splitext(os.path.basename(path))[0]
         corpus[name] = _agreed(name, [
-            (e, _run_engine(case, e).digests()) for e in engines
+            (e, launch_case(case, e, sample_blocks=SAMPLE_BLOCKS).digests()) for e in engines
         ])
     return {"workloads": workloads, "sweep_all_blocks": sweep, "corpus": corpus}
 

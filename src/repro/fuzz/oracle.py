@@ -17,19 +17,33 @@ internal accounting invariants (fractions in ``[0, 1]``, per-category
 thread/warp instruction consistency, SIMD lane/slot closure, per-space lane
 counts, and reuse-histogram mass = line accesses − cold misses).  Corpus
 replays also hold the baseline's per-pass section digests to the frozen
-``tests/fixtures/section_digests.json`` (``EngineOutcome.digests``), so
+``tests/fixtures/section_digests.json`` (``LaunchOutcome.digests``), so
 the baseline itself cannot drift unnoticed.
+
+Every leg runs through :func:`launch` (:func:`launch_case` for a case),
+the one launch runner the ``repro.verify`` properties use too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.generator import Case, build_kernel, make_device
-from repro.simt import Executor, SimtError, classify_kernel, stride_sampler
+from repro.simt import (
+    Device,
+    DeviceBuffer,
+    Executor,
+    Kernel,
+    SimtError,
+    classify_kernel,
+    profile_all_blocks,
+    run_reference,
+    stride_sampler,
+)
 from repro.simt.types import WARP_SIZE
-from repro.trace.collector import KernelTraceCollector
+from repro.trace.collector import CollectorConfig, KernelTraceCollector
 from repro.trace.profile import KernelProfile, WorkloadProfile
 from repro.trace.serialize import (
     section_digests,
@@ -43,18 +57,27 @@ SAMPLE_BLOCKS = 2
 
 
 @dataclass
-class EngineOutcome:
-    """What one engine did with one case."""
+class LaunchOutcome:
+    """What one engine did with one launch: device memory and the collected
+    profile, or the type of the fault that stopped it."""
 
     engine: str
     status: str  # "ok" | "error"
     error_type: str = ""
     buffers: Optional[Dict[str, bytes]] = None
+    #: ``None`` for the reference engine, which feeds no collector.
     profile: Optional[WorkloadProfile] = None
-    #: Canonical bytes of the launch headers, and of each pass's sections —
-    #: compared per pass, so a mismatch names the offending pass.
-    header_bytes: Optional[bytes] = None
-    section_bytes: Optional[Dict[str, bytes]] = None
+
+    @cached_property
+    def header_bytes(self) -> bytes:
+        """Canonical bytes of the launch headers."""
+        return workload_header_bytes(self.profile)
+
+    @cached_property
+    def section_bytes(self) -> Dict[str, bytes]:
+        """Canonical bytes of each pass's sections — compared per pass, so a
+        mismatch names the offending pass."""
+        return {name: workload_section_bytes(self.profile, name) for name in self.profile.passes}
 
     def digests(self) -> Dict[str, str]:
         """The frozen-fixture form: per-pass section digests, or the fault type."""
@@ -74,7 +97,7 @@ class CaseReport:
     engines_run: List[str] = field(default_factory=list)
     #: The interpreted engine's outcome, which every other leg is checked
     #: against.
-    baseline: Optional[EngineOutcome] = None
+    baseline: Optional[LaunchOutcome] = None
 
     @property
     def ok(self) -> bool:
@@ -94,59 +117,59 @@ def batch_plan(grid: int) -> List[Optional[int]]:
     return out
 
 
-def _run_engine(
-    case: Case,
+def launch(
+    kernel: Kernel,
+    dev: Device,
+    bufs: Dict[str, DeviceBuffer],
+    grid,
+    block,
     engine: str,
     batch_blocks: Optional[int] = None,
-) -> EngineOutcome:
-    """Run one engine over a fresh kernel + fresh deterministic device."""
-    kernel = build_kernel(case)
-    dev, bufs = make_device(case)
+    block_order: Optional[Sequence[int]] = None,
+    sample_blocks: Optional[int] = None,
+    passes: Optional[Sequence[str]] = None,
+    config: Optional[CollectorConfig] = None,
+) -> LaunchOutcome:
+    """Launch ``kernel`` once on ``dev`` and collect what it did.
+
+    ``engine`` is an :class:`Executor` engine or ``"reference"`` (the
+    lane-serial interpreter, which collects no profile).  The other knobs go
+    to the executor (``sample_blocks`` as a stride sampler; ``None``
+    profiles every block) and to the trace collector.  A :class:`SimtError`
+    becomes an ``"error"`` outcome carrying its type.
+    """
     label = engine if batch_blocks is None else f"{engine}(batch={batch_blocks})"
-    collector = KernelTraceCollector()
-    executor = Executor(
-        dev,
-        sinks=[collector],
-        profile_filter=stride_sampler(SAMPLE_BLOCKS),
-        engine=engine,
-        batch_blocks=batch_blocks,
-    )
-    grid = case["grid"]
-    block = tuple(case["block"])
+    profile = None
     try:
-        executor.launch(kernel, grid, block, bufs)
+        if engine == "reference":
+            run_reference(kernel, grid, block, bufs, dev)
+        else:
+            collector = KernelTraceCollector(config=config, passes=passes)
+            sampler = stride_sampler(sample_blocks) if sample_blocks else profile_all_blocks
+            executor = Executor(
+                dev,
+                sinks=[collector],
+                profile_filter=sampler,
+                engine=engine,
+                batch_blocks=batch_blocks,
+                block_order=block_order,
+            )
+            executor.launch(kernel, grid, block, bufs)
+            profile = WorkloadProfile(workload="fuzz", suite="fuzz", kernels=collector.profiles)
     except SimtError as exc:
-        return EngineOutcome(label, "error", error_type=type(exc).__name__)
-    profile = WorkloadProfile(workload="fuzz", suite="fuzz", kernels=collector.profiles)
-    return EngineOutcome(
-        label,
-        "ok",
-        buffers={name: dev.download(b).tobytes() for name, b in bufs.items()},
-        profile=profile,
-        header_bytes=workload_header_bytes(profile),
-        section_bytes={
-            name: workload_section_bytes(profile, name) for name in profile.passes
-        },
-    )
+        return LaunchOutcome(label, "error", error_type=type(exc).__name__)
+    buffers = {name: dev.download(b).tobytes() for name, b in bufs.items()}
+    return LaunchOutcome(label, "ok", buffers=buffers, profile=profile)
 
 
-def _run_reference_engine(case: Case) -> EngineOutcome:
-    from repro.simt.reference import run_reference
-
-    kernel = build_kernel(case)
+def launch_case(case: Case, engine: str, **options) -> LaunchOutcome:
+    """:func:`launch` of ``case``'s kernel on a fresh deterministic device."""
     dev, bufs = make_device(case)
-    try:
-        run_reference(kernel, case["grid"], tuple(case["block"]), bufs, dev)
-    except SimtError as exc:
-        return EngineOutcome("reference", "error", error_type=type(exc).__name__)
-    return EngineOutcome(
-        "reference",
-        "ok",
-        buffers={name: dev.download(b).tobytes() for name, b in bufs.items()},
-    )
+    kernel = build_kernel(case)
+    return launch(kernel, dev, bufs, case["grid"], tuple(case["block"]), engine, **options)
 
 
-def _compare(base: EngineOutcome, other: EngineOutcome, check_profile: bool) -> List[str]:
+def _compare(base: LaunchOutcome, other: LaunchOutcome, check_profile: bool) -> List[str]:
     if base.status != other.status:
         return [
             f"{other.engine}: status {other.status!r} ({other.error_type}) != "
@@ -182,7 +205,7 @@ def run_case(case: Case) -> CaseReport:
     classification = classify_kernel(build_kernel(case))
     report = CaseReport(case=case, tag=classification.tag)
 
-    base = _run_engine(case, "interpreted")
+    base = launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS)
     report.baseline = base
     report.engines_run.append(base.engine)
     report.baseline_status = base.status
@@ -191,12 +214,12 @@ def run_case(case: Case) -> CaseReport:
         report.failures.extend(check_profile_invariants(base.profile))
 
     for bb in batch_plan(case["grid"]):
-        outcome = _run_engine(case, "compiled", batch_blocks=bb)
+        outcome = launch_case(case, "compiled", batch_blocks=bb, sample_blocks=SAMPLE_BLOCKS)
         report.engines_run.append(outcome.engine)
         report.failures.extend(_compare(base, outcome, check_profile=True))
 
     if reference_applies(case, classification):
-        outcome = _run_reference_engine(case)
+        outcome = launch_case(case, "reference")
         report.engines_run.append(outcome.engine)
         report.failures.extend(_compare(base, outcome, check_profile=False))
 
@@ -218,7 +241,9 @@ def reference_leg(case: Case) -> List[str]:
     error class) against the interpreted baseline.  The caller checks
     :func:`reference_applies` first."""
     return _compare(
-        _run_engine(case, "interpreted"), _run_reference_engine(case), check_profile=False
+        launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS),
+        launch_case(case, "reference"),
+        check_profile=False,
     )
 
 

@@ -49,7 +49,7 @@ from repro.simt.ir import (
     Stmt,
     Store,
     While,
-    walk_stmts,
+    assigned_regs,
 )
 from repro.simt.types import DType
 
@@ -197,7 +197,7 @@ class _Analyzer:
             # iteration-dependent value: pin them to opaques both before the
             # walk (so in-loop addresses can't be proven affine from
             # pre-loop trees) and after (so post-loop uses can't either).
-            assigned = _assigned_regs(stmt.cond_body) | _assigned_regs(stmt.body)
+            assigned = assigned_regs(stmt.cond_body) | assigned_regs(stmt.body)
             for name in assigned:
                 self.env[name] = self._fresh()
             self._loop_depth += 1
@@ -206,16 +206,6 @@ class _Analyzer:
             self._loop_depth -= 1
             for name in assigned:
                 self.env[name] = self._fresh()
-
-
-def _assigned_regs(stmts: List[Stmt]) -> Set[str]:
-    names: Set[str] = set()
-    for stmt in walk_stmts(stmts):
-        if isinstance(stmt, (Instr, Load)):
-            names.add(stmt.dest.name)
-        elif isinstance(stmt, Atomic) and stmt.dest is not None:
-            names.add(stmt.dest.name)
-    return names
 
 
 def _read_regs(kernel: Kernel) -> Set[str]:

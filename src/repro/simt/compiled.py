@@ -1074,7 +1074,7 @@ def plan_batches(
     elif footprint.symbolically_disjoint(fp, grid):
         plan = BatchPlan("symbolic_clear", cap)
     else:
-        extents = footprint._block_extents(fp, grid, nblocks)
+        extents = footprint.block_extents(fp, grid, nblocks)
         if extents is None:
             plan = BatchPlan("pinned", 1, pin_reason="opaque-address")
         else:

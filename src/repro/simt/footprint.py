@@ -75,6 +75,7 @@ from repro.simt.ir import (
     Stmt,
     Store,
     While,
+    assigned_regs,
     walk_stmts,
 )
 
@@ -170,16 +171,6 @@ def _checked(aff: Optional[Aff], syms: List[FootSym]) -> Optional[Aff]:
     if lo <= -_VALUE_LIMIT or hi >= _VALUE_LIMIT:
         return None
     return aff
-
-
-def _assigned_regs(stmts: Sequence[Stmt]) -> set:
-    names: set = set()
-    for stmt in walk_stmts(list(stmts)):
-        if isinstance(stmt, (Instr, Load)):
-            names.add(stmt.dest.name)
-        elif isinstance(stmt, Atomic) and stmt.dest is not None:
-            names.add(stmt.dest.name)
-    return names
 
 
 class _Pass:
@@ -366,7 +357,7 @@ class _Pass:
             self._while(stmt)
 
     def _while(self, stmt: While) -> None:
-        assigned = _assigned_regs(stmt.cond_body) | _assigned_regs(stmt.body)
+        assigned = assigned_regs(stmt.cond_body) | assigned_regs(stmt.body)
         induction = None
         counted = _match_counted(stmt, assigned)
         if counted is not None:
@@ -635,12 +626,6 @@ def block_extents(fp: Footprints, grid: Tuple[int, int], nblocks: int):
                 hi += max(extent, 0)
         out.append((site.kind, site.in_loop, blk + lo, blk + hi + site.esize - 1))
     return out
-
-
-#: Patch point for the ``simt.footprint_grouping`` planted-violation
-#: self-test: :func:`repro.simt.compiled.plan_batches` resolves this name at
-#: call time, so replacing it swaps the extents the planner reasons from.
-_block_extents = block_extents
 
 
 def group_blocks(extents, nblocks: int, cap: int):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 from repro.simt.errors import BuildError
 from repro.simt.types import DType
@@ -390,3 +390,15 @@ def walk_stmts(stmts: List[Stmt]) -> Iterator[Stmt]:
     before any kernel exists.
     """
     yield from _walk(stmts)
+
+
+def assigned_regs(stmts: List[Stmt]) -> Set[str]:
+    """Names of the registers any statement in ``stmts`` (nested included)
+    writes."""
+    names: Set[str] = set()
+    for stmt in _walk(stmts):
+        if isinstance(stmt, (Instr, Load)):
+            names.add(stmt.dest.name)
+        elif isinstance(stmt, Atomic) and stmt.dest is not None:
+            names.add(stmt.dest.name)
+    return names

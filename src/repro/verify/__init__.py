@@ -10,6 +10,7 @@ resource dominance and subset-ranking fidelity.  Drive it with
 """
 
 from repro.verify.registry import (
+    CaseProperty,
     PlantResult,
     Property,
     PropertyResult,
@@ -28,6 +29,7 @@ from repro.verify.runner import (
 )
 
 __all__ = [
+    "CaseProperty",
     "PlantResult",
     "Property",
     "PropertyResult",

@@ -21,23 +21,17 @@ float *summation order*, which is allowed to move the last few ulps).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fuzz.generator import Case, build_kernel, generate_case, make_device
-from repro.simt import Executor, SimtError
+from repro.fuzz.generator import Case, build_kernel, make_device
+from repro.fuzz.oracle import LaunchOutcome, launch
 from repro.simt.builder import KernelBuilder
 from repro.simt.compiled import _batch_hazard, compile_kernel
 from repro.simt.ir import Kernel, MemSpace
 from repro.simt.memory import Device, DeviceBuffer
 from repro.simt.types import DType
-from repro.trace.collector import KernelTraceCollector
-from repro.trace.profile import WorkloadProfile
-from repro.trace.serialize import (
-    workload_header_bytes,
-    workload_section_bytes,
-)
 
 #: Passes whose sections accumulate commutatively across blocks; the
 #: reuse-distance passes ("reuse", "texture") share one sequential stack
@@ -57,7 +51,9 @@ FLOAT_ATOL = 1e-12
 # Fuzz-case plumbing
 
 
-def _case_has_kind(case: Case, kinds: Sequence[str]) -> bool:
+def case_has_kind(case: Case, kinds: Sequence[str]) -> bool:
+    """Whether any statement of ``case`` (nested included) is of one of ``kinds``."""
+
     def walk(stmts) -> bool:
         for s in stmts:
             if s["k"] in kinds:
@@ -79,7 +75,7 @@ def case_is_order_free(case: Case) -> bool:
     overlapping cross-block stores), belt-and-braces backed by the compiled
     engine's batching-hazard analysis on the lowered kernel.
     """
-    if _case_has_kind(case, ("atomic", "gstore_overlap")):
+    if case_has_kind(case, ("atomic", "gstore_overlap")):
         return False
     kernel = build_kernel(case)
     ck = compile_kernel(kernel)
@@ -88,71 +84,6 @@ def case_is_order_free(case: Case) -> bool:
     dev, bufs = make_device(case)
     params_by_name = {name: buf.base for name, buf in bufs.items()}
     return not _batch_hazard(ck, params_by_name)
-
-
-def order_free_cases(
-    seeds: Iterator[int], n: int, max_attempts: int = 2000
-) -> Iterator[Case]:
-    """Up to ``n`` order-free cases drawn from a seed stream."""
-    produced = 0
-    for attempt, seed in enumerate(seeds):
-        if produced >= n or attempt >= max_attempts:
-            return
-        case = generate_case(seed)
-        if case_is_order_free(case):
-            produced += 1
-            yield case
-
-
-class LaunchOutcome:
-    """One interpreted launch: memory, parsed profile sections, headers."""
-
-    __slots__ = ("status", "error_type", "buffers", "sections", "headers")
-
-    def __init__(
-        self,
-        status: str,
-        error_type: str = "",
-        buffers: Optional[Dict[str, bytes]] = None,
-        sections: Optional[Dict[str, Any]] = None,
-        headers: Optional[Any] = None,
-    ) -> None:
-        self.status = status
-        self.error_type = error_type
-        self.buffers = buffers or {}
-        self.sections = sections or {}
-        self.headers = headers
-
-
-def run_case_launch(
-    case: Case,
-    block_order: Optional[Sequence[int]] = None,
-    engine: str = "interpreted",
-) -> LaunchOutcome:
-    """Run one case on a fresh device, returning comparable artifacts."""
-    kernel = build_kernel(case)
-    dev, bufs = make_device(case)
-    collector = KernelTraceCollector()
-    executor = Executor(
-        dev,
-        sinks=[collector],
-        engine=engine,
-        block_order=block_order,
-    )
-    try:
-        executor.launch(kernel, case["grid"], tuple(case["block"]), bufs)
-    except SimtError as exc:
-        return LaunchOutcome("error", error_type=type(exc).__name__)
-    profile = WorkloadProfile(workload="fuzz", suite="fuzz", kernels=collector.profiles)
-    return LaunchOutcome(
-        "ok",
-        buffers={name: dev.download(b).tobytes() for name, b in bufs.items()},
-        sections={
-            name: json.loads(workload_section_bytes(profile, name))
-            for name in profile.passes
-        },
-        headers=json.loads(workload_header_bytes(profile)),
-    )
 
 
 def reversal_order(nblocks: int) -> List[int]:
@@ -200,12 +131,16 @@ def compare_json(a: Any, b: Any, path: str = "") -> List[str]:
 def compare_outcomes(
     base: LaunchOutcome,
     other: LaunchOutcome,
-    passes: Sequence[str],
     label: str,
+    passes: Optional[Sequence[str]] = None,
     compare_memory: bool = True,
     drop_header_keys: Sequence[str] = (),
 ) -> List[str]:
-    """Differences between two launches of (supposedly) equivalent work."""
+    """Differences between two launches of (supposedly) equivalent work.
+
+    Compares the launch headers and the sections of ``passes`` (every pass
+    of ``base`` when ``None``) numerically, see :func:`compare_json`.
+    """
     if base.status != other.status or base.error_type != other.error_type:
         return [
             f"{label}: status {other.status}({other.error_type}) != "
@@ -218,18 +153,18 @@ def compare_outcomes(
         for name in sorted(base.buffers):
             if base.buffers[name] != other.buffers[name]:
                 failures.append(f"{label}: device buffer {name!r} differs")
-    headers_a, headers_b = base.headers, other.headers
-    if drop_header_keys:
-        headers_a = [
-            {k: v for k, v in h.items() if k not in drop_header_keys} for h in headers_a
+    headers_a, headers_b = (
+        [
+            {k: v for k, v in h.items() if k not in drop_header_keys}
+            for h in json.loads(outcome.header_bytes)
         ]
-        headers_b = [
-            {k: v for k, v in h.items() if k not in drop_header_keys} for h in headers_b
-        ]
+        for outcome in (base, other)
+    )
     for diff in compare_json(headers_a, headers_b, "header"):
         failures.append(f"{label}: {diff}")
-    for name in passes:
-        for diff in compare_json(base.sections[name], other.sections[name], name):
+    for name in base.profile.passes if passes is None else passes:
+        a, b = (json.loads(outcome.section_bytes[name]) for outcome in (base, other))
+        for diff in compare_json(a, b, name):
             failures.append(f"{label}: {diff}")
     return failures
 
@@ -322,43 +257,9 @@ def make_reshard_device(variant: int) -> Tuple[Device, Dict[str, DeviceBuffer]]:
 
 def run_reshard(variant: int, grid: Tuple[int, int], raw_ctaid: bool = False) -> LaunchOutcome:
     """Launch one family member over one grid factorization."""
-    kernel = build_reshard_kernel(variant, raw_ctaid=raw_ctaid)
     dev, bufs = make_reshard_device(variant)
-    collector = KernelTraceCollector()
-    executor = Executor(dev, sinks=[collector])
-    try:
-        executor.launch(kernel, grid, (RESHARD_BLOCK, 1), bufs)
-    except SimtError as exc:
-        return LaunchOutcome("error", error_type=type(exc).__name__)
-    profile = WorkloadProfile(workload="reshard", suite="verify", kernels=collector.profiles)
-    return LaunchOutcome(
-        "ok",
-        buffers={name: dev.download(b).tobytes() for name, b in bufs.items()},
-        sections={
-            name: json.loads(workload_section_bytes(profile, name))
-            for name in profile.passes
-        },
-        headers=json.loads(workload_header_bytes(profile)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Profile collection for the uarch properties
-
-
-def collect_case_profile(case: Case) -> Optional[WorkloadProfile]:
-    """Full-fidelity profile of one fuzz case (``None`` if the case faults)."""
-    kernel = build_kernel(case)
-    dev, bufs = make_device(case)
-    collector = KernelTraceCollector()
-    executor = Executor(dev, sinks=[collector])
-    try:
-        executor.launch(kernel, case["grid"], tuple(case["block"]), bufs)
-    except SimtError:
-        return None
-    return WorkloadProfile(
-        workload=f"fuzz{case['seed']}", suite="fuzz", kernels=collector.profiles
-    )
+    kernel = build_reshard_kernel(variant, raw_ctaid=raw_ctaid)
+    return launch(kernel, dev, bufs, grid, (RESHARD_BLOCK, 1), "compiled")
 
 
 # ---------------------------------------------------------------------------

@@ -10,212 +10,102 @@ bounds, SIMD slot/lane sums), independent of which kernel produced it.
 
 from __future__ import annotations
 
-import dataclasses
-import time
+import json
 from itertools import combinations
 from typing import List, Optional, Sequence
+from unittest import mock
 
-from repro.fuzz.generator import Case, build_kernel, case_stmt_count, generate_case, make_device
-from repro.fuzz.shrink import shrink_case
-from repro.simt import Executor, SimtError
-from repro.trace.collector import CollectorConfig, KernelTraceCollector
-from repro.trace.profile import PASS_NAMES, WorkloadProfile
-from repro.trace.serialize import workload_header_bytes, workload_section_bytes
-from repro.verify.data import collect_case_profile
-from repro.verify.properties.simt import _PLANT_ATTEMPTS, _case_witness
-from repro.verify.registry import (
-    PlantResult,
-    Property,
-    PropertyResult,
-    VerifyContext,
-    register,
-)
+from repro.fuzz.generator import Case
+from repro.fuzz.oracle import LaunchOutcome, check_profile_invariants, launch_case
+from repro.trace.collector import CollectorConfig
+from repro.trace.passes.mix import MixPass
+from repro.trace.profile import PASS_NAMES
+from repro.verify.registry import CaseProperty, register
 
 
-def _profile_with_passes(
-    case: Case,
-    passes: Optional[Sequence[str]],
-    config: Optional[CollectorConfig] = None,
-) -> Optional[WorkloadProfile]:
-    """Profile one case with a chosen pass subset (``None`` if it faults)."""
-    kernel = build_kernel(case)
-    dev, bufs = make_device(case)
-    collector = KernelTraceCollector(config=config, passes=passes)
-    executor = Executor(dev, sinks=[collector])
-    try:
-        executor.launch(kernel, case["grid"], tuple(case["block"]), bufs)
-    except SimtError:
-        return None
-    return WorkloadProfile(workload="verify", suite="verify", kernels=collector.profiles)
-
-
-def _header_sans_passes(profile: WorkloadProfile) -> bytes:
-    import json
-
-    headers = json.loads(workload_header_bytes(profile))
+def _header_sans_passes(outcome: LaunchOutcome) -> bytes:
+    headers = json.loads(outcome.header_bytes)
     for h in headers:
         h.pop("passes", None)
     return json.dumps(headers, sort_keys=True).encode()
 
 
-def _subset_diffs(
-    case: Case, subsets: Sequence[Sequence[str]], config: Optional[CollectorConfig] = None
-) -> List[str]:
-    """Byte-compare each subset run's sections against the full basket's."""
-    full = _profile_with_passes(case, None)
-    if full is None:
-        return []
-    diffs: List[str] = []
-    for subset in subsets:
-        sub = _profile_with_passes(case, subset, config=config)
-        if sub is None:
-            diffs.append(f"{subset}: subset launch faulted but full launch did not")
-            continue
-        if _header_sans_passes(sub) != _header_sans_passes(full):
-            diffs.append(f"{subset}: header differs from full basket")
-        for name in subset:
-            a = workload_section_bytes(full, name)
-            b = workload_section_bytes(sub, name)
-            if a != b:
-                diffs.append(f"{subset}: section {name!r} not byte-equal to full run")
-    return diffs
-
-
 @register
-class SubsetSections(Property):
+class SubsetSections(CaseProperty):
     name = "trace.subset.sections"
     layer = "trace"
     invariant = (
         "a pass-subset collection's sections are byte-equal to the same "
         "sections of a full-basket collection"
     )
-    generator_backed = True
+    plant_base = 8000
+    #: Collector config of the subset runs (the full basket's is the default).
+    config: Optional[CollectorConfig] = None
 
-    def _subsets(self, case_index: int) -> List[Sequence[str]]:
-        # One singleton and one pair per case, rotating through the basket
-        # so every pass gets exercised alone and in company.
+    def subsets(self, case: Case) -> List[Sequence[str]]:
+        """One singleton and one pair, rotating through the basket with the
+        case's index in its seed stream (the seed's low 20 bits, see
+        :meth:`VerifyContext.case_seed`), so every pass gets exercised alone
+        and in company."""
+        i = case["seed"] & 0xFFFFF
         pairs = list(combinations(PASS_NAMES, 2))
-        return [
-            (PASS_NAMES[case_index % len(PASS_NAMES)],),
-            pairs[case_index % len(pairs)],
-        ]
+        return [(PASS_NAMES[i % len(PASS_NAMES)],), pairs[i % len(pairs)]]
 
-    def check(self, ctx: VerifyContext) -> PropertyResult:
-        n = ctx.cases(5, 24)
-        cases = 0
-        for i in range(n):
-            case = generate_case(ctx.case_seed(self.name, i))
-            subsets = self._subsets(i)
-            cases += 1
-            failures = _subset_diffs(case, subsets)
-            if failures:
-                shrunk = shrink_case(case, lambda c: bool(_subset_diffs(c, subsets)))
-                return self._result(
-                    cases, failures, _case_witness(shrunk, _subset_diffs(shrunk, subsets))
-                )
-        return self._result(cases, [])
+    def diffs(self, case: Case) -> List[str]:
+        """Byte-compare each subset run's sections against the full basket's."""
+        full = launch_case(case, "compiled")
+        if full.status == "error":
+            return []
+        diffs: List[str] = []
+        for subset in self.subsets(case):
+            sub = launch_case(case, "compiled", passes=subset, config=self.config)
+            if sub.status == "error":
+                diffs.append(f"{subset}: subset launch faulted but full launch did not")
+                continue
+            if _header_sans_passes(sub) != _header_sans_passes(full):
+                diffs.append(f"{subset}: header differs from full basket")
+            for name in subset:
+                if full.section_bytes[name] != sub.section_bytes[name]:
+                    diffs.append(f"{subset}: section {name!r} not byte-equal to full run")
+        return diffs
 
-    def plant(self, ctx: VerifyContext) -> PlantResult:
-        """Drift the subset collector's config and prove the bytes notice.
+    def mutant(self):
+        """Drift the subset collector's config.
 
         A subset collector constructed with ``line_bytes=256`` bins reuse
         distances on coarser lines than the full basket — exactly the kind
         of silent config divergence this property exists to catch.
         """
-        start = time.perf_counter()
-        drift = CollectorConfig(line_bytes=256)
-        subsets: List[Sequence[str]] = [("reuse", "coalescing")]
-        for attempt in range(_PLANT_ATTEMPTS):
-            case = generate_case(8000 + attempt)
-            failures = _subset_diffs(case, subsets, config=drift)
-            if failures:
-                before = case_stmt_count(case)
-                shrunk = shrink_case(
-                    case, lambda c: bool(_subset_diffs(c, subsets, config=drift))
-                )
-                return PlantResult(
-                    name=self.name,
-                    detected=True,
-                    seconds=time.perf_counter() - start,
-                    detail=f"seed {case['seed']}: {failures[0]}",
-                    shrunk_from=before,
-                    shrunk_to=case_stmt_count(shrunk),
-                )
-        return PlantResult(
-            name=self.name,
-            detected=False,
-            seconds=time.perf_counter() - start,
-            detail=f"line_bytes drift went unnoticed in {_PLANT_ATTEMPTS} seeds",
+        return mock.patch.multiple(
+            self,
+            config=CollectorConfig(line_bytes=256),
+            subsets=lambda case: [("reuse", "coalescing")],
         )
 
 
 @register
-class ProfileAccounting(Property):
+class ProfileAccounting(CaseProperty):
     name = "trace.profile.accounting"
     layer = "trace"
     invariant = (
         "every collected profile satisfies the accounting closure: fractions "
         "in [0,1], warp<=thread<=32*warp per category, SIMD slot/lane sums"
     )
-    generator_backed = True
+    budget = (6, 40)
+    plant_base = 9000
 
-    def _diffs(self, case: Case) -> List[str]:
-        from repro.fuzz.oracle import check_profile_invariants
-
-        profile = collect_case_profile(case)
-        if profile is None:
+    def diffs(self, case: Case) -> List[str]:
+        outcome = launch_case(case, "compiled")
+        if outcome.status == "error":
             return []
-        return check_profile_invariants(profile)
+        return check_profile_invariants(outcome.profile)
 
-    def check(self, ctx: VerifyContext) -> PropertyResult:
-        n = ctx.cases(6, 40)
-        cases = 0
-        for i in range(n):
-            case = generate_case(ctx.case_seed(self.name, i))
-            cases += 1
-            failures = self._diffs(case)
-            if failures:
-                shrunk = shrink_case(case, lambda c: bool(self._diffs(c)))
-                return self._result(
-                    cases, failures, _case_witness(shrunk, self._diffs(shrunk))
-                )
-        return self._result(cases, [])
+    def mutant(self):
+        """Count one SIMD lane too many per launch in the mix pass."""
+        end_kernel = MixPass.end_kernel
 
-    def plant(self, ctx: VerifyContext) -> PlantResult:
-        """Corrupt one SIMD lane count and prove the closure check trips."""
-        from repro.fuzz.oracle import check_profile_invariants
+        def miscounted(mix, profile):
+            end_kernel(mix, profile)
+            profile.simd_lane_sum += 1
 
-        start = time.perf_counter()
-
-        def corrupted(case: Case) -> List[str]:
-            profile = collect_case_profile(case)
-            if profile is None:
-                return []
-            kernels = [
-                dataclasses.replace(kp, simd_lane_sum=kp.simd_lane_sum + 1)
-                for kp in profile.kernels
-            ]
-            return check_profile_invariants(
-                dataclasses.replace(profile, kernels=kernels)
-            )
-
-        for attempt in range(_PLANT_ATTEMPTS):
-            case = generate_case(9000 + attempt)
-            failures = corrupted(case)
-            if failures:
-                before = case_stmt_count(case)
-                shrunk = shrink_case(case, lambda c: bool(corrupted(c)))
-                return PlantResult(
-                    name=self.name,
-                    detected=True,
-                    seconds=time.perf_counter() - start,
-                    detail=f"seed {case['seed']}: {failures[0]}",
-                    shrunk_from=before,
-                    shrunk_to=case_stmt_count(shrunk),
-                )
-        return PlantResult(
-            name=self.name,
-            detected=False,
-            seconds=time.perf_counter() - start,
-            detail="lane-sum corruption went unnoticed",
-        )
+        return mock.patch.object(MixPass, "end_kernel", miscounted)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
-from repro.fuzz.generator import Case, case_stmt_count, generate_case
-from repro.fuzz.shrink import shrink_case
+from repro.fuzz.generator import Case
+from repro.fuzz.oracle import launch_case
 from repro.uarch import BASELINE, get_model
-from repro.verify.data import collect_case_profile
-from repro.verify.properties.simt import _PLANT_ATTEMPTS, _case_witness
 from repro.verify.registry import (
+    CaseProperty,
     PlantResult,
     Property,
     PropertyResult,
@@ -41,73 +41,38 @@ _UPGRADES: Tuple[Tuple[str, Dict], ...] = (
 _REL_SLACK = 1e-12
 
 
-def _monotonic_diffs(case: Case, upgrades=_UPGRADES) -> List[str]:
-    profile = collect_case_profile(case)
-    if profile is None:
-        return []
-    roofline = get_model("roofline")
-    base = roofline.time_workload(profile, BASELINE)
-    bad: List[str] = []
-    for label, changes in upgrades:
-        upgraded = roofline.time_workload(profile, BASELINE.derive(label, **changes))
-        if upgraded > base * (1.0 + _REL_SLACK):
-            bad.append(
-                f"{label}: {upgraded:.1f} cycles > baseline {base:.1f} "
-                f"(+{(upgraded / base - 1) * 100:.2f}%)"
-            )
-    return bad
-
-
 @register
-class ModelMonotonic(Property):
+class ModelMonotonic(CaseProperty):
     name = "uarch.monotonic"
     layer = "uarch"
     invariant = (
         "adding any single resource (SMs, issue width, bandwidth, L2, "
         "warps; or halving latency) never increases modeled cycles"
     )
-    generator_backed = True
+    budget = (6, 40)
+    plant_base = 10_000
+    upgrades = _UPGRADES
 
-    def check(self, ctx: VerifyContext) -> PropertyResult:
-        n = ctx.cases(6, 40)
-        cases = 0
-        for i in range(n):
-            case = generate_case(ctx.case_seed(self.name, i))
-            cases += 1
-            failures = _monotonic_diffs(case)
-            if failures:
-                shrunk = shrink_case(case, lambda c: bool(_monotonic_diffs(c)))
-                return self._result(
-                    cases, failures, _case_witness(shrunk, _monotonic_diffs(shrunk))
+    def diffs(self, case: Case) -> List[str]:
+        outcome = launch_case(case, "compiled")
+        if outcome.status == "error":
+            return []
+        roofline = get_model("roofline")
+        base = roofline.time_workload(outcome.profile, BASELINE)
+        bad: List[str] = []
+        for label, changes in self.upgrades:
+            upgraded = roofline.time_workload(outcome.profile, BASELINE.derive(label, **changes))
+            if upgraded > base * (1.0 + _REL_SLACK):
+                bad.append(
+                    f"{label}: {upgraded:.1f} cycles > baseline {base:.1f} "
+                    f"(+{(upgraded / base - 1) * 100:.2f}%)"
                 )
-        return self._result(cases, [])
+        return bad
 
-    def plant(self, ctx: VerifyContext) -> PlantResult:
+    def mutant(self):
         """Sell a bandwidth *downgrade* as an upgrade; the check must balk."""
-        start = time.perf_counter()
         trap = (("dram_bandwidth 'upgrade'", {"dram_bandwidth": 1.0}),)
-        for attempt in range(_PLANT_ATTEMPTS):
-            case = generate_case(10_000 + attempt)
-            failures = _monotonic_diffs(case, upgrades=trap)
-            if failures:
-                before = case_stmt_count(case)
-                shrunk = shrink_case(
-                    case, lambda c: bool(_monotonic_diffs(c, upgrades=trap))
-                )
-                return PlantResult(
-                    name=self.name,
-                    detected=True,
-                    seconds=time.perf_counter() - start,
-                    detail=f"seed {case['seed']}: {failures[0]}",
-                    shrunk_from=before,
-                    shrunk_to=case_stmt_count(shrunk),
-                )
-        return PlantResult(
-            name=self.name,
-            detected=False,
-            seconds=time.perf_counter() - start,
-            detail="bandwidth downgrade never slowed a case down",
-        )
+        return mock.patch.object(self, "upgrades", trap)
 
 
 #: Quick-mode basket: 12 workloads spanning the suite's behavioural corners

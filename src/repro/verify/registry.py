@@ -10,6 +10,10 @@ property knows how to
   check detects it — the self-test that keeps a property from rotting into
   vacuity.
 
+Properties over generated fuzz cases derive from :class:`CaseProperty`,
+which owns both loops; they declare only a case filter, a comparison and a
+plant.
+
 Properties register themselves at import time via :func:`register`;
 :func:`all_properties` returns them in registration order.  The CLI
 (``python -m repro verify``) and the test suite both drive the registry
@@ -18,11 +22,20 @@ through :mod:`repro.verify.runner`.
 
 from __future__ import annotations
 
+import contextlib
+import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
+
+from repro.fuzz.generator import Case, case_stmt_count, generate_case
+from repro.fuzz.shrink import shrink_case
+
+#: Seed-search cap of every plant: it scans ``plant_base + attempt`` until a
+#: case fails under the planted violation.
+PLANT_ATTEMPTS = 600
 
 
 @dataclass
@@ -62,9 +75,8 @@ class Property:
     """Base class: one registered invariant check.
 
     Subclasses set the class attributes and implement :meth:`check` (and
-    :meth:`plant` for the self-test mode).  ``generator_backed`` marks
-    properties whose inputs come from :mod:`repro.fuzz.generator` — their
-    counterexamples are shrunk with :mod:`repro.fuzz.shrink`.
+    :meth:`plant` for the self-test mode).  ``generator_backed`` is true for
+    :class:`CaseProperty` subclasses only.
     """
 
     name: str = ""
@@ -94,6 +106,118 @@ class Property:
             failures=failures,
             counterexample=counterexample,
         )
+
+
+class CaseProperty(Property):
+    """A property checked on generated fuzz cases.
+
+    A subclass declares its case filter (:meth:`applies`), its comparison
+    (:meth:`diffs`, empty when a case holds the invariant) and its plant:
+    the seeds and filter of the plant's search (:attr:`plant_base`,
+    :meth:`plant_applies`) and the planted violation (:meth:`mutant`).
+
+    The check runs the ``budget`` first cases the filter accepts among the
+    first ``scan`` seeds of the property's stream, and shrinks the first
+    failing one to a witness.  The plant searches ``PLANT_ATTEMPTS`` seeds
+    from ``plant_base`` for a case that fails with the mutant installed and
+    shrinks it.  The plant counts as detected only if the shrunk case is
+    clean once the mutant is lifted: its diffs are empty — or, when the
+    plant is the filter itself being skipped, the filter rejects it.
+    Otherwise the property fails for a reason other than its plant.
+    """
+
+    generator_backed = True
+    #: Case count as ``(quick, deep)``, see :meth:`VerifyContext.cases`.
+    budget: Tuple[int, int] = (5, 24)
+    #: Seeds the check scans for cases its filter accepts.
+    scan: int = 10_000
+    plant_base: int = 0
+
+    def applies(self, case: Case) -> bool:
+        """Whether the check runs ``case``."""
+        return True
+
+    def diffs(self, case: Case) -> List[str]:
+        """The invariant's violations on ``case``."""
+        raise NotImplementedError
+
+    def plant_applies(self, case: Case) -> bool:
+        """Whether the plant's search tries ``case``."""
+        return self.applies(case)
+
+    def mutant(self) -> Optional[ContextManager]:
+        """A context manager installing the planted violation, or ``None``
+        when the plant is the filter being skipped: then ``plant_applies``
+        picks cases the filter must reject, and the diffs must flag them."""
+        return None
+
+    def check_cases(self, ctx: "VerifyContext") -> Iterator[Case]:
+        """The cases the check runs, in seed-stream order."""
+        n = ctx.cases(*self.budget)
+        produced = 0
+        for i in range(self.scan):
+            if produced >= n:
+                return
+            case = generate_case(ctx.case_seed(self.name, i))
+            if self.applies(case):
+                produced += 1
+                yield case
+
+    def check(self, ctx: "VerifyContext") -> PropertyResult:
+        cases = 0
+        for case in self.check_cases(ctx):
+            cases += 1
+            failures = self.diffs(case)
+            if failures:
+                shrunk = shrink_case(case, lambda c: self.applies(c) and bool(self.diffs(c)))
+                return self._result(cases, failures, case_witness(shrunk, self.diffs(shrunk)))
+        return self._result(cases, [])
+
+    def plant(self, ctx: "VerifyContext") -> PlantResult:
+        start = time.perf_counter()
+        mutant = self.mutant()
+        skips_filter = mutant is None
+        with mutant or contextlib.nullcontext():
+            for attempt in range(PLANT_ATTEMPTS):
+                case = generate_case(self.plant_base + attempt)
+                failures = self.diffs(case) if self.plant_applies(case) else []
+                if failures:
+                    break
+            else:
+                return PlantResult(
+                    name=self.name,
+                    detected=False,
+                    seconds=time.perf_counter() - start,
+                    detail=f"no failing case found in {PLANT_ATTEMPTS} seeds",
+                )
+            shrunk = shrink_case(
+                case, lambda c: (skips_filter or self.applies(c)) and bool(self.diffs(c))
+            )
+        if skips_filter:
+            detected = not self.applies(shrunk)
+            note = " (correctly rejected by the filter)" if detected else " (the filter accepts it)"
+        else:
+            detected = not self.diffs(shrunk)
+            note = "" if detected else " (the shrunk case still fails with the plant lifted)"
+        return PlantResult(
+            name=self.name,
+            detected=detected,
+            seconds=time.perf_counter() - start,
+            detail=f"seed {case['seed']}: {failures[0]}{note}",
+            shrunk_from=case_stmt_count(case),
+            shrunk_to=case_stmt_count(shrunk),
+        )
+
+
+def case_witness(case: Case, failures: List[str]) -> Dict:
+    """JSON-able counterexample of a generator-backed property."""
+    return {
+        "seed": case["seed"],
+        "grid": case["grid"],
+        "block": list(case["block"]),
+        "stmts": case_stmt_count(case),
+        "failures": failures[:8],
+    }
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fuzz import case_stmt_count, generate_case, run_case, shrink_case
 from repro.fuzz.campaign import case_seed
-from repro.fuzz.oracle import _run_engine, batch_plan, check_profile_invariants
+from repro.fuzz.oracle import SAMPLE_BLOCKS, batch_plan, check_profile_invariants, launch_case
 from repro.simt import compiled
 from repro.simt.events import CATEGORY_CODE
 from repro.simt.ir import Barrier
@@ -29,7 +29,7 @@ def test_batch_plan_covers_the_edges():
 
 def test_profile_invariants_reject_corrupted_accounting():
     case = generate_case(case_seed(0, 0))
-    outcome = _run_engine(case, "interpreted")
+    outcome = launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS)
     assert outcome.status == "ok"
     assert check_profile_invariants(outcome.profile) == []
 
