@@ -26,7 +26,8 @@ Summarize either with ``python -m repro telemetry PATH``.
 
 Exit codes are uniform across subcommands: 0 success, 1 operation failure
 (workload characterization failed, fuzz found a bug), 2 usage error
-(unknown workload/metric/pass, conflicting flags, bad ``REPRO_JOBS``).
+(unknown workload/metric/pass, conflicting flags, bad ``REPRO_JOBS``,
+``--sample-blocks`` below 1).
 
 ``--json`` on ``list``, ``characterize``, ``stress``, ``evaluate`` and the
 ``dse`` subcommands emits machine-readable output on stdout; each document
@@ -126,7 +127,8 @@ def _profiles(args: argparse.Namespace):
         progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
         result = characterize(config, progress, strict=False)
     except (KeyError, ValueError) as exc:
-        # Unknown workload abbrev, pass or metric name, or a bad REPRO_JOBS.
+        # Unknown workload abbrev, pass or metric name, a bad REPRO_JOBS or
+        # a --sample-blocks below 1.
         raise _usage_error(exc.args[0] if exc.args else exc)
     if result.failures:
         for failure in result.failures:
@@ -725,86 +727,6 @@ def _cmd_profile_cache(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core.bench import run_bench, write_bench_json
-    from repro.report import ascii_table
-
-    try:
-        result = run_bench(
-            quick=args.quick,
-            sample_blocks=args.sample_blocks,
-            progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
-            workloads=args.workloads.split(",") if args.workloads else None,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    rows = [
-        [
-            e.workload,
-            " ".join(f"{k}={v}" for k, v in e.scale.items()),
-            f"{e.interpreted_s:.2f}s",
-            f"{e.compiled_s:.2f}s",
-            f"{e.speedup:.2f}x",
-        ]
-        for e in result.entries
-    ]
-    rows.append(
-        [
-            "TOTAL",
-            "",
-            f"{result.total_interpreted_s:.2f}s",
-            f"{result.total_compiled_s:.2f}s",
-            f"{result.speedup:.2f}x",
-        ]
-    )
-    title = "engine benchmark" + (" (quick)" if args.quick else "")
-    if result.workload_filter:
-        title += f" [filtered: {','.join(result.workload_filter)}]"
-    print(
-        ascii_table(
-            ["workload", "scale", "interpreted", "compiled", "speedup"], rows, title=title
-        )
-    )
-    if result.pass_entries:
-        all_s = result.pass_seconds("all")
-        pass_rows = [
-            [
-                e.name,
-                ",".join(e.passes) if e.passes is not None else "(all)",
-                f"{e.seconds:.2f}s",
-                f"{all_s / e.seconds:.2f}x" if all_s and e.seconds else "-",
-            ]
-            for e in result.pass_entries
-        ]
-        print(
-            ascii_table(
-                ["pass set", "passes", "seconds", "vs all"],
-                pass_rows,
-                title="per-pass collection cost (compiled engine, all blocks profiled)",
-            )
-        )
-        demand = result.demand_speedup
-        if demand is not None:
-            print(f"demand-driven mix+branch run: {demand:.2f}x faster than all passes")
-    if result.dse_sweep is not None:
-        s = result.dse_sweep
-        print(
-            f"dse sweep (quick basket, both models, default space): "
-            f"cold {s.cold_s:.2f}s, warm {s.warm_s:.2f}s ({s.speedup:.2f}x, "
-            f"{s.warm_hits}/{s.cells} shard hits)"
-        )
-    if result.telemetry is not None:
-        t = result.telemetry
-        print(
-            f"telemetry overhead (quick basket, compiled): disabled {t.disabled_s:.2f}s, "
-            f"enabled {t.enabled_s:.2f}s ({t.overhead:+.1%})"
-        )
-    write_bench_json(result, args.output)
-    print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import default_corpus_dir, replay_corpus, run_campaign
 
@@ -1037,31 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p2.add_argument("--seed", type=int, default=0, help="k-means seed (default: 0)")
     p2.set_defaults(fn=_cmd_dse_fidelity)
-
-    p = sub.add_parser("bench", help="benchmark the compiled engine against the interpreter")
-    p.add_argument("--quick", action="store_true", help="reduced basket for CI smoke runs")
-    p.add_argument(
-        "--sample-blocks", type=int, default=48, help="profiled blocks per launch"
-    )
-    p.add_argument(
-        "-o", "--output", default="BENCH_simt.json", help="result JSON path"
-    )
-    p.add_argument(
-        "--workloads",
-        default=None,
-        metavar="ABBREVS",
-        help=(
-            "comma-separated workload abbrevs (e.g. TR,STEN): time only the "
-            "matching basket entries and skip the auxiliary stages"
-        ),
-    )
-    p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        help="record telemetry for the bench run and write the trace here",
-    )
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("fuzz", help="differential-fuzz the SIMT engines")
     p.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")

@@ -121,6 +121,12 @@ class CharacterizationConfig:
     #: and the cache serves/refreshes sections per pass.
     passes: Optional[Tuple[str, ...]] = None
 
+    def __post_init__(self) -> None:
+        # Caught here, not in the sampler: a worker's LaunchError would be
+        # reported as a workload crash and retried.
+        if self.sample_blocks is not None and self.sample_blocks < 1:
+            raise ValueError(f"sample_blocks must be >= 1 or None, got {self.sample_blocks}")
+
     def resolved_jobs(self) -> int:
         return resolve_jobs(self.jobs)
 

@@ -144,54 +144,16 @@ def test_profile_cache_inspection_and_purge(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.profile.json")) == []
 
 
-def test_bench_quick_writes_schema_json(capsys, tmp_path, monkeypatch):
-    import json
-
-    from repro.core import bench
-
-    # Keep the CLI path intact but shrink both baskets to seconds.
-    monkeypatch.setattr(bench, "QUICK_BASKET", (("VA", {"n": 1 << 10}),))
-    monkeypatch.setattr(bench, "PASS_BASKET", (("VA", {"n": 1 << 10}),))
-    out_path = tmp_path / "BENCH_simt.json"
-    assert main(["bench", "--quick", "--sample-blocks", "4", "-o", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "engine benchmark (quick)" in out
-    assert "per-pass collection cost" in out
-
-    doc = json.loads(out_path.read_text())
-    assert doc["benchmark"] == "simt-engine"
-    assert doc["quick"] is True
-    assert doc["sample_blocks"] == 4
-    for key in ("python", "machine", "workloads", "total_interpreted_s", "total_compiled_s", "speedup"):
-        assert key in doc
-    (entry,) = doc["workloads"]
-    assert entry["workload"] == "VA"
-    assert set(entry) == {"workload", "scale", "interpreted_s", "compiled_s", "speedup"}
-
-    # Per-pass-set timings: all, mix+branch, then each single pass.
-    names = [e["name"] for e in doc["pass_sets"]]
-    assert names[:2] == ["all", "mix+branch"]
-    assert set(names[2:]) == {"mix", "ilp", "branch", "coalescing", "shared", "reuse", "texture"}
-    for e in doc["pass_sets"]:
-        assert set(e) == {"name", "passes", "seconds"}
-    assert doc["demand_speedup"] is not None
-
-    # DSE sweep stage: cold vs warm timing-shard cache over the quick basket.
-    sweep = doc["dse_sweep"]
-    assert set(sweep) == {"cold_s", "warm_s", "speedup", "cells", "warm_hits", "hit_rate"}
-    assert sweep["cells"] > 0
-    assert sweep["warm_hits"] == sweep["cells"]  # warm rerun hits every shard
-    assert sweep["hit_rate"] == 1.0
-    assert "dse sweep" in out
-
-    # Telemetry-overhead stage: disabled vs enabled on the quick basket.
-    assert set(doc["telemetry"]) == {"disabled_s", "enabled_s", "overhead"}
-    assert doc["telemetry"]["disabled_s"] > 0
-    assert "telemetry overhead" in out
-    # The stage leaves the global registry the way it found it: off.
-    from repro.telemetry import get_telemetry
-
-    assert not get_telemetry().enabled
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_characterize_sample_blocks_below_one_is_usage_error(capsys, value):
+    # Rejected by the config before any workload runs, so it is neither
+    # reported as a workload crash nor retried.
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", "VA", "--no-cache", "--sample-blocks", value, "-v"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "sample_blocks must be >= 1" in err
+    assert "failed" not in err.lower() and "attempt" not in err
 
 
 def test_fuzz_smoke_and_corpus_replay(capsys, tmp_path):

@@ -214,6 +214,49 @@ def test_disabled_run_records_nothing(global_tele):
     assert global_tele.spans == [] and global_tele.counters == {}
 
 
+#: The recording entry points every instrumented layer calls.
+_ENTRY_POINTS = ("span", "count", "gauge", "observe", "start_span", "open_span", "finish_span")
+
+#: Disabled-path calls one launch may make besides one ``observe`` per
+#: batch: three spans, the launch-record counters and two counters per pass
+#: (24 in all with the seven passes).
+CALLS_PER_LAUNCH = 32
+
+
+def _disabled_calls(monkeypatch, abbrev, sample_blocks):
+    from repro.workloads.runner import run_workload
+
+    calls = dict.fromkeys(_ENTRY_POINTS, 0)
+
+    def counting(name, original):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in _ENTRY_POINTS:
+            m.setattr(Telemetry, name, counting(name, getattr(Telemetry, name)))
+        profile = run_workload(abbrev, verify=False, sample_blocks=sample_blocks)
+    return calls, profile.engine_stats
+
+
+@pytest.mark.parametrize("abbrev", ["BFS", "HG"])
+def test_disabled_path_call_budget(monkeypatch, abbrev):
+    """With telemetry off, the recording calls scale with launches and
+    batches only: never with blocks, profiled blocks or events."""
+    assert not get_telemetry().enabled
+    sampled, stats = _disabled_calls(monkeypatch, abbrev, sample_blocks=8)
+    full, full_stats = _disabled_calls(monkeypatch, abbrev, sample_blocks=None)
+    # Profiling every block records more events but makes no extra calls.
+    assert full_stats["event_counts"]["instr"] > stats["event_counts"]["instr"]
+    assert full == sampled
+    assert sampled["span"] > 0 and sampled["count"] > 0
+    budget = CALLS_PER_LAUNCH * stats["launches"] + stats["batches"]
+    assert sum(sampled.values()) <= budget, (sampled, stats["launches"], stats["batches"])
+
+
 # ----------------------------------------------------------------------
 # Exporters, loader, summary
 # ----------------------------------------------------------------------

@@ -89,7 +89,10 @@ def _profile(abbrev: str, engine: str, passes=None) -> WorkloadProfile:
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
 def test_subset_sections_match_full_run(engine):
-    subsets = [("mix",), ("branch",), ("mix", "branch"), ("coalescing", "reuse"), ("ilp", "shared", "texture")]
+    subsets = [
+        ("mix",), ("branch",), ("reuse",), ("mix", "branch"), ("coalescing", "reuse"),
+        ("ilp", "shared", "texture"),
+    ]
     for abbrev in SUBSET_WORKLOADS:
         full = _profile(abbrev, engine)
         assert full.passes == PASS_NAMES
@@ -106,6 +109,12 @@ def test_subset_sections_match_full_run(engine):
                 assert workload_section_bytes(partial, name) == workload_section_bytes(
                     full, name
                 ), f"{abbrev}/{engine}: pass {name!r} section differs from full run"
+            # Demand-driven collection: the engine records only the kinds
+            # the subset subscribes to, and all of each of those.
+            subscribed = KernelTraceCollector(passes=subset).subscriptions()
+            for kind, n in partial.engine_stats["event_counts"].items():
+                expected = full.engine_stats["event_counts"][kind] if kind in subscribed else 0
+                assert n == expected, f"{abbrev}/{engine}/{subset}: {kind} events {n} != {expected}"
         assert full_headers == workload_header_bytes(full)
 
 
