@@ -104,12 +104,16 @@ def analyze(
     ``source`` is a :class:`CharacterizationResult` (from
     :func:`characterize`) or a bare profile sequence.  Produces the feature
     matrix, PCA, dendrogram, K-means clusters, representatives and subspace
-    analyses — see :class:`AnalysisResult`.
+    analyses — see :class:`AnalysisResult`.  Raises ``ValueError`` for
+    fewer than two workloads.
     """
     from repro.core import pipeline
 
+    profiles = _as_profiles(source)
+    if len(profiles) < 2:
+        raise ValueError(f"analysis needs at least two workloads, got {len(profiles)}")
     return pipeline.analyze(
-        _as_profiles(source),
+        profiles,
         variance_target=variance_target,
         linkage_method=linkage_method,
         k_range=k_range,
@@ -165,7 +169,8 @@ def evaluate(
     content-addressed timing shards when available; ``model`` selects any
     registered timing model (``roofline``/``cycle``) and ``configs``
     overrides the default design space.  Pass ``analysis`` to reuse an
-    existing :func:`analyze` result instead of recomputing it.
+    existing :func:`analyze` result instead of recomputing it.  Raises
+    ``ValueError`` unless ``1 <= subset_k <=`` the number of workloads.
     """
     import numpy as np
 
@@ -175,6 +180,8 @@ def evaluate(
     from repro.uarch import default_space, run_sweep
 
     profiles = _as_profiles(source)
+    if not 1 <= subset_k <= len(profiles):
+        raise ValueError(f"subset_k must be in [1, {len(profiles)}], got {subset_k}")
     if analysis is None:
         analysis = analyze(profiles)
     config_list = list(configs) if configs is not None else default_space().configs()

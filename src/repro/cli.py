@@ -12,7 +12,7 @@ Surfaces the paper's workflows without writing Python::
     python -m repro dse compare                # roofline-vs-cycle rank agreement
     python -m repro dse fidelity               # subset fidelity across k
     python -m repro profile-cache              # inspect the profile cache
-    python -m repro fuzz --n 500 --seed 0      # differential-fuzz the engines
+    python -m repro verify --quick             # invariants + engine parity
     python -m repro telemetry run.json         # summarize a telemetry trace
 
 All commands share the sharded on-disk profile cache, so only the first
@@ -25,9 +25,10 @@ trace-event JSON for ``*.json``, a JSONL span log for ``*.jsonl``.
 Summarize either with ``python -m repro telemetry PATH``.
 
 Exit codes are uniform across subcommands: 0 success, 1 operation failure
-(workload characterization failed, fuzz found a bug), 2 usage error
-(unknown workload/metric/pass, conflicting flags, bad ``REPRO_JOBS``,
-``--sample-blocks`` below 1).
+(workload characterization failed, a verify property was violated), 2 usage
+error (unknown workload/metric/pass, conflicting flags, bad ``REPRO_JOBS``,
+``--sample-blocks`` or ``verify --budget`` below 1, ``--subset-k`` outside
+``[1, workloads]``, ``analyze`` of fewer than two workloads).
 
 ``--json`` on ``list``, ``characterize``, ``stress``, ``evaluate`` and the
 ``dse`` subcommands emits machine-readable output on stdout; each document
@@ -209,11 +210,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.analysis.diversity import outlier_ranking
     from repro.report import ascii_table, text_dendrogram, text_scatter
 
-    result = analyze(
-        _profiles(args),
-        variance_target=args.variance_target,
-        linkage_method=args.linkage,
-    )
+    profiles = _profiles(args)
+    try:
+        result = analyze(
+            profiles, variance_target=args.variance_target, linkage_method=args.linkage
+        )
+    except ValueError as exc:
+        raise _usage_error(exc)
     pca = result.pca
     print(
         f"{len(result.standardized.metric_names)} characteristics -> "
@@ -313,9 +316,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.report import ascii_table
 
     model = _check_model(args.model)
-    result = evaluate(
-        _profiles(args), subset_k=args.subset_k, model=model, jobs=args.jobs
-    )
+    profiles = _profiles(args)
+    try:
+        result = evaluate(profiles, subset_k=args.subset_k, model=model, jobs=args.jobs)
+    except ValueError as exc:
+        raise _usage_error(exc)
     ev = result.subset
     if args.json:
         doc = {
@@ -727,33 +732,9 @@ def _cmd_profile_cache(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import default_corpus_dir, replay_corpus, run_campaign
-
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    if args.replay:
-        directory = args.corpus_dir or default_corpus_dir()
-        stats = replay_corpus(directory, progress)
-        if stats.cases == 0:
-            print(f"no corpus entries under {directory}", file=sys.stderr)
-            return EXIT_FAILURE
-    else:
-        stats = run_campaign(
-            seed=args.seed,
-            n=args.n,
-            time_budget_s=args.time_budget,
-            shrink=args.shrink,
-            corpus_dir=args.corpus_dir,
-            progress=progress,
-        )
-        for path in stats.saved:
-            print(f"saved failing case: {path}", file=sys.stderr)
-    print(stats.summary())
-    return EXIT_OK if stats.ok else EXIT_FAILURE
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import (
+        VerifyContext,
         all_properties,
         format_report,
         run_selftest,
@@ -770,7 +751,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         select_properties(args.only or None)
-    except KeyError as exc:
+        VerifyContext(seed=args.seed, budget=args.budget)
+    except (KeyError, ValueError) as exc:
         raise _usage_error(exc.args[0])
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     if args.self_test:
@@ -959,28 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p2.add_argument("--seed", type=int, default=0, help="k-means seed (default: 0)")
     p2.set_defaults(fn=_cmd_dse_fidelity)
-
-    p = sub.add_parser("fuzz", help="differential-fuzz the SIMT engines")
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default: 0)")
-    p.add_argument("-n", "--n", type=int, default=200, help="number of kernels (default: 200)")
-    p.add_argument(
-        "--time-budget", type=float, default=None, help="stop after this many seconds"
-    )
-    p.add_argument(
-        "--shrink", action="store_true", help="greedily minimize failing cases before saving"
-    )
-    p.add_argument(
-        "--corpus-dir",
-        default=None,
-        help="save failing cases here (and replay from here with --replay)",
-    )
-    p.add_argument(
-        "--replay",
-        action="store_true",
-        help="replay the regression corpus instead of generating new cases",
-    )
-    p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
-    p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("verify", help="run the metamorphic invariant-verification suite")
     p.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")

@@ -18,10 +18,11 @@ This subsystem turns "the engines agree on the 37 in-repo workloads" into
   case to the smallest statement list that still fails.
 * :mod:`repro.fuzz.corpus` — the replayable regression corpus under
   ``tests/fuzz/corpus/``.
-* :mod:`repro.fuzz.campaign` — the ``python -m repro fuzz`` driver.
+
+The driver over generated cases is the ``sim.batch.parity`` property of
+:mod:`repro.verify` (``python -m repro verify --only sim.batch.parity``).
 """
 
-from repro.fuzz.campaign import FuzzStats, replay_corpus, run_campaign
 from repro.fuzz.corpus import case_path_name, default_corpus_dir, iter_corpus, load_case, save_case
 from repro.fuzz.generator import build_kernel, case_stmt_count, describe_case, generate_case
 from repro.fuzz.oracle import CaseReport, check_profile_invariants, run_case
@@ -29,7 +30,6 @@ from repro.fuzz.shrink import shrink_case
 
 __all__ = [
     "CaseReport",
-    "FuzzStats",
     "build_kernel",
     "case_path_name",
     "case_stmt_count",
@@ -39,9 +39,7 @@ __all__ = [
     "generate_case",
     "iter_corpus",
     "load_case",
-    "replay_corpus",
     "run_case",
-    "run_campaign",
     "save_case",
     "shrink_case",
 ]

@@ -3,9 +3,10 @@
 A corpus entry is one JSON file holding a fuzz case plus light metadata
 (the semantics tag at save time and a free-form note).  Entries under
 ``tests/fuzz/corpus/`` are committed and replayed deterministically by the
-tier-1 suite; the ``repro fuzz`` CLI writes shrunk failing cases (plus an
-IR dump for human triage) into a corpus directory for committing once the
-underlying bug is fixed.
+tier-1 suite.  A failing case found by ``repro verify`` (its witness names
+the seed and carries the shrunk case) becomes an entry through
+:func:`save_case` with ``with_ir=True``, which adds an IR dump for human
+triage; commit it once the underlying bug is fixed.
 """
 
 from __future__ import annotations

@@ -92,7 +92,6 @@ class CaseReport:
 
     case: Case
     tag: str  # "lane-disjoint" | "communicating"
-    baseline_status: str = "ok"
     failures: List[str] = field(default_factory=list)
     engines_run: List[str] = field(default_factory=list)
     #: The interpreted engine's outcome, which every other leg is checked
@@ -107,14 +106,7 @@ class CaseReport:
 def batch_plan(grid: int) -> List[Optional[int]]:
     """The ``batch_blocks`` sweep for the compiled engine: the automatic
     sizing, no batching, an odd mid value, and past-the-grid."""
-    plan: List[Optional[int]] = [None, 1, 3, grid + 1]
-    seen = set()
-    out: List[Optional[int]] = []
-    for p in plan:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys([None, 1, 3, grid + 1]))
 
 
 def launch(
@@ -208,7 +200,6 @@ def run_case(case: Case) -> CaseReport:
     base = launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS)
     report.baseline = base
     report.engines_run.append(base.engine)
-    report.baseline_status = base.status
 
     if base.status == "ok":
         report.failures.extend(check_profile_invariants(base.profile))

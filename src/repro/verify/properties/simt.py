@@ -10,8 +10,8 @@ happened to schedule it.  These properties pin that down:
 * re-factoring the grid shape of a linear-indexed kernel family is
   bit-invisible, including to the reuse sections;
 * the compiled engine's hazard-driven batch pinning agrees with the
-  interpreted baseline on generated kernels (the PR-3 oracle, run as a
-  standing invariant);
+  interpreted baseline on generated kernels from both grammar bands (the
+  whole tri-engine oracle of :func:`repro.fuzz.oracle.run_case`);
 * the interpreted engine agrees with the lane-serial reference engine
   (the fuzz oracle's reference leg), the only check that sees a fault in
   the vectorized atomics both batched engines share;
@@ -25,8 +25,9 @@ happened to schedule it.  These properties pin that down:
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -174,8 +175,27 @@ class BatchParity(CaseProperty):
     budget = (4, 20)
     plant_base = 7000
 
+    def case_seeds(self, ctx: VerifyContext) -> Iterator[int]:
+        """Alternate the base grammar (seeds below ``ALIAS_SEED_BASE``, drawn
+        from the property's generator) with the aliasing grammar."""
+        base = ctx.rng(self.name)
+        for i in itertools.count():
+            yield int(base.integers(ALIAS_SEED_BASE))
+            yield ctx.case_seed(self.name, i)
+
     def diffs(self, case: Case) -> List[str]:
         return run_case(case).failures
+
+    def verdict(self, case: Case) -> Tuple[List[str], Dict[str, bool]]:
+        """One oracle run, tallied by semantics tag, agreed fault and
+        whether the reference leg ran."""
+        report = run_case(case)
+        return report.failures, {
+            "lane-disjoint": report.tag == "lane-disjoint",
+            "communicating": report.tag == "communicating",
+            "agreed-fault": report.baseline.status == "error",
+            "reference-leg": "reference" in report.engines_run,
+        }
 
     def plant_applies(self, case: Case) -> bool:
         return case_has_kind(case, ("gstore_overlap",))
@@ -238,11 +258,11 @@ class FootprintGrouping(CaseProperty):
         "baseline bit-for-bit in memory and every profile section"
     )
     budget = (3, 12)
-    #: Every check seed is at least 2^40, above ``ALIAS_SEED_BASE``, so the
-    #: cases come from the aliasing grammar whose oload / bandstore
-    #: statements reach the grouped tier.  Grouped-tier cases make up roughly
-    #: a fifth of that seed space, so this cap comfortably covers the deep
-    #: basket while bounding a degenerate scan.
+    #: The default seed stream draws only the aliasing grammar, whose oload
+    #: / bandstore statements reach the grouped tier.  Grouped-tier cases
+    #: make up roughly a fifth of that seed space, so this cap on rejected
+    #: seeds comfortably covers the deep basket while bounding a degenerate
+    #: scan.
     scan = 2000
     plant_base = ALIAS_SEED_BASE + 770_000
 

@@ -23,14 +23,16 @@ through :mod:`repro.verify.runner`.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.fuzz.generator import Case, case_stmt_count, generate_case
+from repro.fuzz.generator import ALIAS_SEED_BASE, Case, case_stmt_count, generate_case
 from repro.fuzz.shrink import shrink_case
 
 #: Seed-search cap of every plant: it scans ``plant_base + attempt`` until a
@@ -51,6 +53,9 @@ class PropertyResult:
     #: JSON-able witness of the violation (a shrunk fuzz case, a doctored
     #: matrix description, ...) — ``None`` when the property passed.
     counterexample: Optional[Dict] = None
+    #: Checked cases per label (grammar band, oracle tag, ...), so a leg
+    #: that silently ran no case shows up as a zero.
+    tallies: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -97,6 +102,7 @@ class Property:
         cases: int,
         failures: List[str],
         counterexample: Optional[Dict] = None,
+        tallies: Optional[Dict[str, int]] = None,
     ) -> PropertyResult:
         return PropertyResult(
             name=self.name,
@@ -105,6 +111,7 @@ class Property:
             cases=cases,
             failures=failures,
             counterexample=counterexample,
+            tallies={k: int(n) for k, n in sorted((tallies or {}).items())},
         )
 
 
@@ -116,9 +123,11 @@ class CaseProperty(Property):
     the seeds and filter of the plant's search (:attr:`plant_base`,
     :meth:`plant_applies`) and the planted violation (:meth:`mutant`).
 
-    The check runs the ``budget`` first cases the filter accepts among the
-    first ``scan`` seeds of the property's stream, and shrinks the first
-    failing one to a witness.  The plant searches ``PLANT_ATTEMPTS`` seeds
+    The check runs the ``budget`` first cases the filter accepts from the
+    property's seed stream (:meth:`case_seeds`), giving up once the filter
+    has rejected ``scan`` seeds, and shrinks the first failing case to a
+    witness.  It tallies the cases by grammar band and by the labels
+    :meth:`verdict` returns.  The plant searches ``PLANT_ATTEMPTS`` seeds
     from ``plant_base`` for a case that fails with the mutant installed and
     shrinks it.  The plant counts as detected only if the shrunk case is
     clean once the mutant is lifted: its diffs are empty — or, when the
@@ -129,7 +138,7 @@ class CaseProperty(Property):
     generator_backed = True
     #: Case count as ``(quick, deep)``, see :meth:`VerifyContext.cases`.
     budget: Tuple[int, int] = (5, 24)
-    #: Seeds the check scans for cases its filter accepts.
+    #: Seeds the filter may reject before the check gives up.
     scan: int = 10_000
     plant_base: int = 0
 
@@ -141,6 +150,11 @@ class CaseProperty(Property):
         """The invariant's violations on ``case``."""
         raise NotImplementedError
 
+    def verdict(self, case: Case) -> Tuple[List[str], Dict[str, bool]]:
+        """The check's view of ``case``: its diffs, and for each tally label
+        whether the case counts under it."""
+        return self.diffs(case), {}
+
     def plant_applies(self, case: Case) -> bool:
         """Whether the plant's search tries ``case``."""
         return self.applies(case)
@@ -151,27 +165,39 @@ class CaseProperty(Property):
         picks cases the filter must reject, and the diffs must flag them."""
         return None
 
+    def case_seeds(self, ctx: "VerifyContext") -> Iterator[int]:
+        """The property's seed stream.  Every :meth:`VerifyContext.case_seed`
+        is at least 2^40, so by default the stream draws only the aliasing
+        grammar."""
+        return (ctx.case_seed(self.name, i) for i in itertools.count())
+
     def check_cases(self, ctx: "VerifyContext") -> Iterator[Case]:
         """The cases the check runs, in seed-stream order."""
         n = ctx.cases(*self.budget)
-        produced = 0
-        for i in range(self.scan):
-            if produced >= n:
+        produced = rejected = 0
+        for seed in self.case_seeds(ctx):
+            if produced >= n or rejected >= self.scan:
                 return
-            case = generate_case(ctx.case_seed(self.name, i))
+            case = generate_case(seed)
             if self.applies(case):
                 produced += 1
                 yield case
+            else:
+                rejected += 1
 
     def check(self, ctx: "VerifyContext") -> PropertyResult:
         cases = 0
+        tallies: Counter = Counter()
         for case in self.check_cases(ctx):
             cases += 1
-            failures = self.diffs(case)
+            failures, labels = self.verdict(case)
+            base = case["seed"] < ALIAS_SEED_BASE
+            tallies.update({"base-grammar": base, "alias-grammar": not base, **labels})
             if failures:
                 shrunk = shrink_case(case, lambda c: self.applies(c) and bool(self.diffs(c)))
-                return self._result(cases, failures, case_witness(shrunk, self.diffs(shrunk)))
-        return self._result(cases, [])
+                witness = case_witness(shrunk, self.diffs(shrunk))
+                return self._result(cases, failures, witness, tallies)
+        return self._result(cases, [], tallies=tallies)
 
     def plant(self, ctx: "VerifyContext") -> PlantResult:
         start = time.perf_counter()
@@ -210,13 +236,14 @@ class CaseProperty(Property):
 
 
 def case_witness(case: Case, failures: List[str]) -> Dict:
-    """JSON-able counterexample of a generator-backed property."""
+    """JSON-able counterexample of a generator-backed property.  ``case`` is
+    the shrunk case itself (grid, block and statements), replayable without
+    regenerating its seed."""
     return {
         "seed": case["seed"],
-        "grid": case["grid"],
-        "block": list(case["block"]),
         "stmts": case_stmt_count(case),
         "failures": failures[:8],
+        "case": case,
     }
 
 
@@ -234,22 +261,26 @@ class VerifyContext:
     #: shared so several properties can reuse one characterization.
     _profile_cache: Dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+
     def cases(self, quick_default: int, deep_default: int) -> int:
         """Input-count budget for one generator/trial-driven property."""
         if self.budget is not None:
-            return max(int(self.budget), 1)
+            return self.budget
         return quick_default if self.quick else deep_default
 
     def rng(self, name: str) -> np.random.Generator:
         """Per-property numpy generator, decorrelated across properties."""
-        return np.random.default_rng(
-            ((self.seed & 0xFFFFFFFF) << 32) ^ zlib.crc32(name.encode())
-        )
+        return np.random.default_rng((self.seed << 32) ^ zlib.crc32(name.encode()))
 
     def case_seed(self, name: str, index: int) -> int:
         """Per-property fuzz-case seed stream (stable across runs)."""
         tag = zlib.crc32(name.encode()) & 0xFFFF
-        return (tag << 40) ^ ((self.seed & 0xFFFFF) << 20) ^ index
+        return (tag << 40) ^ (self.seed << 20) ^ index
 
     def suite_profiles(self, abbrevs: Optional[tuple] = None):
         """Characterize (and cache) a workload basket for this run."""

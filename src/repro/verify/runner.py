@@ -61,6 +61,7 @@ class VerifyReport:
                     "seconds": round(r.seconds, 3),
                     "failures": r.failures,
                     "counterexample": r.counterexample,
+                    "tallies": r.tallies,
                 }
                 for r in self.results
             ],
@@ -130,6 +131,7 @@ def _drive(
                     ctx.note(
                         f"{'PASS' if result.ok else 'FAIL'}  {prop.name} "
                         f"({result.cases} cases, {result.seconds:.1f}s)"
+                        f"{_tally_text(result)}"
                     )
                 else:
                     planted = prop.plant(ctx)
@@ -169,6 +171,13 @@ def run_selftest(
     return _drive("selftest", seed, quick, None, only, progress)
 
 
+def _tally_text(result: PropertyResult) -> str:
+    """The result's tallies as a line suffix: ``"  [label n, ...]"``."""
+    if not result.tallies:
+        return ""
+    return "  [" + ", ".join(f"{k} {n}" for k, n in result.tallies.items()) + "]"
+
+
 def format_report(report: VerifyReport) -> str:
     """Human-readable summary table."""
     lines: List[str] = []
@@ -178,6 +187,7 @@ def format_report(report: VerifyReport) -> str:
             mark = "PASS" if r.ok else "FAIL"
             lines.append(
                 f"  {mark}  {r.name:<{width}}  {r.cases:>3} cases  {r.seconds:6.1f}s"
+                f"{_tally_text(r)}"
             )
             for f in r.failures[:4]:
                 lines.append(f"        - {f}")

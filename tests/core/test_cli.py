@@ -156,21 +156,24 @@ def test_characterize_sample_blocks_below_one_is_usage_error(capsys, value):
     assert "failed" not in err.lower() and "attempt" not in err
 
 
-def test_fuzz_smoke_and_corpus_replay(capsys, tmp_path):
-    assert main(["fuzz", "--n", "5", "--seed", "1"]) == 0
-    assert "5 cases" in capsys.readouterr().out
-
-    # A saved case replays through the CLI's --replay path.
-    from repro.fuzz import generate_case, save_case
-
-    save_case(generate_case(1 << 20), str(tmp_path), tag="t")
-    assert main(["fuzz", "--replay", "--corpus-dir", str(tmp_path)]) == 0
-    assert "1 cases" in capsys.readouterr().out
-
-
-def test_fuzz_replay_empty_corpus_fails(capsys, tmp_path):
-    assert main(["fuzz", "--replay", "--corpus-dir", str(tmp_path / "nope")]) == 1
-    assert "no corpus entries" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--budget", "0"], "budget must be >= 1"),
+        (["verify", "--budget", "-5"], "budget must be >= 1"),
+        (["verify", "--seed", "-1"], "seed must be >= 0"),
+        (["evaluate", "--subset-k", "0"], "subset_k must be in [1, "),
+        (["evaluate", "--subset-k", "100"], "subset_k must be in [1, "),
+        (["analyze", "VA"], "at least two workloads"),
+    ],
+)
+def test_misuse_is_a_one_line_usage_error(capsys, suite_profiles, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def test_list_json_schema(capsys):

@@ -69,3 +69,27 @@ def test_footprint_grouping_cases_follow_the_run_seed():
     for stream in streams:
         assert len(stream) == 4
         assert all(case["seed"] >= ALIAS_SEED_BASE for case in stream)
+
+
+def test_batch_parity_stream_draws_both_bands_and_honours_the_budget():
+    # Counts the generated cases only; the oracle never runs.
+    prop = get_property("sim.batch.parity")
+    for seed in (0, 20261017):
+        seeds = [c["seed"] for c in prop.check_cases(VerifyContext(seed=seed, budget=8))]
+        assert len(seeds) == 8
+        assert any(s < ALIAS_SEED_BASE for s in seeds)
+        assert any(s >= ALIAS_SEED_BASE for s in seeds)
+    # Past the filter's ``scan`` cap: a filter-free property runs every case.
+    ctx = VerifyContext(seed=0, budget=10_001)
+    assert sum(1 for _ in prop.check_cases(ctx)) == 10_001
+
+
+def test_batch_parity_tallies_sum_to_the_case_count():
+    result = get_property("sim.batch.parity").check(VerifyContext(seed=0, budget=4))
+    assert result.ok, result.failures
+    t = result.tallies
+    assert result.cases == 4
+    assert t["base-grammar"] + t["alias-grammar"] == 4
+    assert t["lane-disjoint"] + t["communicating"] == 4
+    assert 0 <= t["agreed-fault"] <= 4
+    assert 0 < t["reference-leg"] <= t["lane-disjoint"]

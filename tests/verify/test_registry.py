@@ -82,6 +82,7 @@ def test_context_budget_and_seed_streams():
     assert a == [ctx.case_seed("p.one", i) for i in range(4)]
     assert a != [ctx.case_seed("p.two", i) for i in range(4)]
     assert a != [VerifyContext(seed=1).case_seed("p.one", i) for i in range(4)]
+    assert a != [VerifyContext(seed=1 << 20).case_seed("p.one", i) for i in range(4)]
 
     ra = ctx.rng("p.one").integers(0, 1 << 30, 4)
     rb = ctx.rng("p.two").integers(0, 1 << 30, 4)
