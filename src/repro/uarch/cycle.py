@@ -17,13 +17,17 @@ emerge from the schedule instead of being asserted.
 
 The model is event-driven over warp "bursts" (runs of compute instructions
 between memory operations), so its cost is proportional to the number of
-memory operations, not cycles.
+memory operations, not cycles.  A wave's schedule is a pure function of a
+few scalars, and many (kernel, design) pairs share them, so a caller timing
+many pairs passes one ``schedules`` dict: the cost then counts the memory
+operations of *distinct* wave schedules only.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +52,6 @@ class CycleEstimate:
     stall_fraction: float
 
 
-@dataclass
-class _Warp:
-    """Synthetic replay state for one resident warp."""
-
-    remaining_instrs: int
-    remaining_mems: int
-    ready_at: float = 0.0
-
-
 def _synth_params(profile: KernelProfile, config: GpuConfig):
     """Derive the per-warp synthetic stream shape from profile aggregates."""
     total_warps = max(int(np.ceil(profile.threads_total / 32.0)), 1)
@@ -79,8 +74,17 @@ def _synth_params(profile: KernelProfile, config: GpuConfig):
     return total_warps, instrs_per_warp, mems_per_warp, hit_rate, trans_per_mem
 
 
-def simulate_kernel(profile: KernelProfile, config: GpuConfig) -> CycleEstimate:
-    """Schedule one kernel launch; returns device-level cycle estimate."""
+def simulate_kernel(
+    profile: KernelProfile,
+    config: GpuConfig,
+    schedules: Optional[Dict[tuple, tuple]] = None,
+) -> CycleEstimate:
+    """Schedule one kernel launch; returns device-level cycle estimate.
+
+    ``schedules`` optionally memoizes wave schedules by their full argument
+    tuple; a caller that times many (kernel, config) pairs passes one dict
+    so that each distinct wave is scheduled once.
+    """
     total_warps, instrs_per_warp, mems_per_warp, hit_rate, trans_per_mem = _synth_params(
         profile, config
     )
@@ -107,14 +111,22 @@ def simulate_kernel(profile: KernelProfile, config: GpuConfig) -> CycleEstimate:
         nwarps = min(resident, warps_here - _wave * resident)
         if nwarps <= 0:
             break
-        cycles, wave_issued, wave_mems, wave_misses, wave_stall = _schedule_wave(
+        args = (
             nwarps,
             instrs_per_warp,
             mems_per_warp,
             miss_rate,
             service,
-            config,
+            config.issue_width,
+            config.mem_latency,
         )
+        if schedules is None:
+            wave = _schedule_wave(*args)
+        else:
+            wave = schedules.get(args)
+            if wave is None:
+                wave = schedules[args] = _schedule_wave(*args)
+        cycles, wave_issued, wave_mems, wave_misses, wave_stall = wave
         total_cycles += cycles
         issued += wave_issued
         mem_ops_done += wave_mems
@@ -131,63 +143,95 @@ def simulate_kernel(profile: KernelProfile, config: GpuConfig) -> CycleEstimate:
     )
 
 
+def _burst_shape(instrs_per_warp: int, mems_per_warp: int) -> Tuple[int, int, int, int]:
+    """Closed form of the compute-run lengths every warp replays.
+
+    A warp with ``remaining`` instructions and ``mems`` memory ops left runs
+    ``min(burst, remaining - mems)`` compute instructions, then one memory
+    op.  For non-negative counts that is ``k0`` full runs of ``burst``,
+    then (if ``k0 < mems_per_warp``) one ``partial`` run, then empty runs;
+    ``tail`` compute instructions remain after the last memory op.
+    Returns ``(burst, k0, partial, tail)``.
+    """
+    burst = instrs_per_warp // (mems_per_warp + 1)
+    slack = instrs_per_warp - mems_per_warp
+    if burst == 0:
+        k0 = mems_per_warp if slack >= 0 else 0
+    else:
+        k0 = min(mems_per_warp, max(slack // burst, 0))
+    partial = slack - k0 * burst
+    tail = max(partial, 0) if k0 == mems_per_warp else 0
+    return burst, k0, partial, tail
+
+
 def _schedule_wave(
     nwarps: int,
     instrs_per_warp: int,
     mems_per_warp: int,
     miss_rate: float,
     service: float,
-    config: GpuConfig,
-):
-    """Event-driven schedule of one wave of resident warps on one SM."""
-    burst = instrs_per_warp // (mems_per_warp + 1)
-    warps = [
-        _Warp(remaining_instrs=instrs_per_warp, remaining_mems=mems_per_warp)
-        for _ in range(nwarps)
-    ]
-    # Ready queue keyed by ready time (FIFO tie-break via sequence number).
+    issue_width: int,
+    mem_latency: int,
+) -> Tuple[float, int, int, int, float]:
+    """Event-driven schedule of one wave of resident warps on one SM.
+
+    Returns ``(cycles, issued, memory ops, misses, stall cycles)``.
+    """
+    issue = max(issue_width, 1)
+    # Every warp replays the same burst sequence, so each kind of burst's
+    # clock step and issued count is computed once.
+    burst, k0, partial, tail = _burst_shape(instrs_per_warp, mems_per_warp)
+    full_step, full_count = burst / issue + 1.0, burst + 1
+    partial_step, partial_count = partial / issue + 1.0, partial + 1
+    tail_step = tail / issue
+
+    # Ready queue keyed by ready time (FIFO tie-break via the issue count);
+    # each warp has exactly one entry, so the keys are totally ordered.
     heap = [(0.0, i, i) for i in range(nwarps)]
-    heapq.heapify(heap)
+    bursts_done = [0] * nwarps
+    heapreplace = heapq.heapreplace
     clock = 0.0
     dram_free = 0.0
     issued = 0
-    mems = 0
     misses = 0
     stall = 0.0
     miss_accum = 0.0
-    issue = max(config.issue_width, 1)
 
     while heap:
-        ready, _seq, idx = heapq.heappop(heap)
+        ready, _seq, idx = heap[0]
         if ready > clock:
             stall += ready - clock
             clock = ready
-        warp = warps[idx]
-        if warp.remaining_mems > 0:
+        k = bursts_done[idx]
+        if k < mems_per_warp:
             # Burst of compute, then one memory op.
-            run = min(burst, warp.remaining_instrs - warp.remaining_mems)
-            clock += run / issue + 1.0
-            issued += run + 1
-            warp.remaining_instrs -= run + 1
-            warp.remaining_mems -= 1
-            mems += 1
+            if k < k0:
+                clock += full_step
+                issued += full_count
+            elif k == k0:
+                clock += partial_step
+                issued += partial_count
+            else:
+                clock += 1.0
+                issued += 1
+            bursts_done[idx] = k + 1
             miss_accum += miss_rate
             if miss_accum >= 1.0:
                 miss_accum -= 1.0
                 misses += 1
-                start = max(clock, dram_free)
+                start = clock if clock >= dram_free else dram_free
                 dram_free = start + service
-                warp.ready_at = start + config.mem_latency
+                heapreplace(heap, (start + mem_latency, issued, idx))
             else:
-                warp.ready_at = clock + HIT_LATENCY
-            heapq.heappush(heap, (warp.ready_at, issued, idx))
-        elif warp.remaining_instrs > 0:
-            # Tail of pure compute.
-            clock += warp.remaining_instrs / issue
-            issued += warp.remaining_instrs
-            warp.remaining_instrs = 0
-        # else: warp retired.
-    # Outstanding memory must drain before the wave completes.
-    last_ready = max((w.ready_at for w in warps), default=0.0)
-    clock = max(clock, last_ready, dram_free)
-    return clock, issued, mems, misses, stall
+                heapreplace(heap, (clock + HIT_LATENCY, issued, idx))
+        else:
+            if tail:
+                # Tail of pure compute; the warp then retires.
+                clock += tail_step
+                issued += tail
+            heapq.heappop(heap)
+    # Outstanding memory must drain before the wave completes.  Every ready
+    # time was popped, so the clock already covers the warps themselves.
+    if dram_free > clock:
+        clock = dram_free
+    return clock, issued, nwarps * mems_per_warp, misses, stall

@@ -11,6 +11,10 @@ uniform interface —
 * ``time_workload(workload_profile, config)`` → total cycles (sum over
   kernel launches by default).
 
+Both take an optional ``memo`` dict that a caller shares across calls for
+one model (the sweep worker shares one per workload), so a model can compute
+each distinct intermediate once.
+
 Two models ship registered as peers:
 
 * ``roofline`` — the first-order bottleneck model
@@ -61,12 +65,22 @@ class TimingModel:
     #: Modules implementing this model's math (cache-invalidation unit).
     sources: ClassVar[Tuple] = ()
 
-    def estimate(self, profile: KernelProfile, config: GpuConfig) -> KernelEstimate:
+    def estimate(
+        self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
+    ) -> KernelEstimate:
+        """One kernel's estimate.
+
+        ``memo`` is a dict a caller shares across the calls it makes for one
+        model; a model may cache pure intermediate results in it, keyed by
+        their full inputs.  Estimates must not depend on what it holds.
+        """
         raise NotImplementedError
 
-    def time_workload(self, profile: WorkloadProfile, config: GpuConfig) -> float:
+    def time_workload(
+        self, profile: WorkloadProfile, config: GpuConfig, memo: Optional[Dict] = None
+    ) -> float:
         """Total estimated cycles of a workload (sum over kernel launches)."""
-        return sum(self.estimate(k, config).cycles for k in profile.kernels)
+        return sum(self.estimate(k, config, memo).cycles for k in profile.kernels)
 
 
 #: Registration order defines the canonical model order everywhere.
@@ -134,7 +148,9 @@ class RooflineModel(TimingModel):
     )
     sources = (_roofline_mod,)
 
-    def estimate(self, profile: KernelProfile, config: GpuConfig) -> KernelEstimate:
+    def estimate(
+        self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
+    ) -> KernelEstimate:
         t = _roofline_mod.time_kernel(profile, config)
         return KernelEstimate(
             kernel_name=t.kernel_name,
@@ -156,7 +172,8 @@ class CycleModel(TimingModel):
 
     ``sources`` includes the roofline module because the scheduler reuses
     its cache-hit and occupancy estimators — editing either file must
-    invalidate cycle-model timing shards.
+    invalidate cycle-model timing shards.  ``memo`` holds the wave schedules
+    already computed, keyed by their full argument tuple.
     """
 
     name = "cycle"
@@ -166,8 +183,10 @@ class CycleModel(TimingModel):
     )
     sources = (_cycle_mod, _roofline_mod)
 
-    def estimate(self, profile: KernelProfile, config: GpuConfig) -> KernelEstimate:
-        est = _cycle_mod.simulate_kernel(profile, config)
+    def estimate(
+        self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
+    ) -> KernelEstimate:
+        est = _cycle_mod.simulate_kernel(profile, config, memo)
         return KernelEstimate(
             kernel_name=est.kernel_name,
             cycles=est.cycles,

@@ -13,7 +13,12 @@ content-addressed *timing shards* so reruns are free:
 * inside a shard, entries are keyed by a value-addressed config digest
   (every ``GpuConfig`` field except the display name), so adding design
   points to a space tops up only the missing cells (the partial-hit merge
-  the profile cache introduced).
+  the profile cache introduced); a malformed entry is a miss, recomputed
+  and overwritten.
+
+Each profile digest and config key is computed once per sweep, and each
+worker call shares one ``memo`` dict across its configs, so a model
+computes each distinct intermediate once per (workload, model).
 
 Every cell is a pure function of (profile, config, model source), computed
 in double precision and round-tripped through canonical JSON — which is
@@ -31,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,15 +65,31 @@ def profile_digest(profile: WorkloadProfile) -> str:
     return hashlib.sha256(workload_profile_bytes(profile)).hexdigest()[:16]
 
 
-def config_key(config: GpuConfig) -> str:
-    """Value-addressed digest of a design point (display name excluded)."""
-    fields = {
+def _config_fields(config: GpuConfig) -> Dict[str, object]:
+    """Every ``GpuConfig`` field except the display name."""
+    return {
         f.name: getattr(config, f.name)
         for f in dataclasses.fields(GpuConfig)
         if f.name != "name"
     }
-    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+def config_key(config: GpuConfig) -> str:
+    """Value-addressed digest of a design point (display name excluded)."""
+    blob = json.dumps(_config_fields(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def _served_cycles(entry: object) -> Optional[float]:
+    """Cycles of a well-formed shard entry; ``None`` makes the cell a miss.
+
+    Only a finite, non-negative real number (not a bool) is served: a torn
+    or hand-edited entry is recomputed, never returned as a number.
+    """
+    cycles = entry.get("cycles") if isinstance(entry, dict) else None
+    if type(cycles) in (int, float) and 0 <= cycles <= sys.float_info.max:
+        return float(cycles)
+    return None
 
 
 class SweepCache:
@@ -112,43 +134,37 @@ class SweepCache:
         return doc if isinstance(entries, dict) else None
 
     def lookup(
-        self,
-        profile: WorkloadProfile,
-        model: str,
-        configs: Sequence[GpuConfig],
-    ) -> Tuple[Dict[str, float], List[GpuConfig]]:
-        """Served cycles by config key, plus the configs still missing."""
-        doc = self._read_shard(profile.workload, profile_digest(profile), model)
-        served: Dict[str, float] = {}
-        missing: List[GpuConfig] = []
+        self, workload: str, prof_digest: str, model: str, keys: Sequence[str]
+    ) -> Dict[str, float]:
+        """Served cycles by config key; keys left out are misses."""
+        doc = self._read_shard(workload, prof_digest, model)
         entries = doc["entries"] if doc else {}
-        for config in configs:
-            key = config_key(config)
-            entry = entries.get(key)
-            if entry is not None:
-                served[key] = float(entry["cycles"])
-            else:
-                missing.append(config)
-        return served, missing
+        served: Dict[str, float] = {}
+        for key in keys:
+            cycles = _served_cycles(entries.get(key))
+            if cycles is not None:
+                served[key] = cycles
+        return served
 
     def store(
         self,
-        profile: WorkloadProfile,
+        workload: str,
+        prof_digest: str,
         model: str,
         results: Dict[str, Dict],
     ) -> None:
         """Merge ``results`` (config key → entry) into the shard, atomically.
 
         Entries already present under matching profile/model digests are
-        kept — the partial-hit top-up path only appends new design points.
+        kept — the partial-hit top-up path only appends new design points
+        (and overwrites the malformed entries it recomputed).
         """
-        prof_digest = profile_digest(profile)
-        existing = self._read_shard(profile.workload, prof_digest, model)
+        existing = self._read_shard(workload, prof_digest, model)
         entries = dict(existing["entries"]) if existing else {}
         entries.update(results)
         doc = {
             "schema": SHARD_SCHEMA,
-            "workload": profile.workload,
+            "workload": workload,
             "model": model,
             "profile_digest": prof_digest,
             "model_digest": self.model_digest(model),
@@ -156,7 +172,7 @@ class SweepCache:
             "entries": entries,
         }
         os.makedirs(self.cache_dir, exist_ok=True)
-        path = self.shard_path(profile.workload, prof_digest, model)
+        path = self.shard_path(workload, prof_digest, model)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as f:
             json.dump(doc, f)
@@ -169,10 +185,13 @@ def _sweep_worker(
     """Cycle estimates for one (workload, model) over ``configs``.
 
     Top-level so the process pool can pickle it; pure, so serial and
-    parallel execution produce identical bits.
+    parallel execution produce identical bits.  One ``memo`` dict is shared
+    by the configs of this call only, so each distinct intermediate (the
+    cycle model's wave schedules) is computed once per call.
     """
     model = get_model(model_name)
-    return [model.time_workload(profile, config) for config in configs]
+    memo: Dict = {}
+    return [model.time_workload(profile, config, memo) for config in configs]
 
 
 @dataclass
@@ -221,13 +240,17 @@ def run_sweep(
 
     # The baseline rides along as an extra sweep column when absent so its
     # cycles share the same cache/compute path as every other design.
+    # Config keys and profile digests are computed once per sweep.
     keys = [config_key(c) for c in config_list]
     base_key = config_key(baseline)
     sweep_configs = list(config_list)
+    sweep_keys = list(keys)
     if base_key not in keys:
         sweep_configs.append(baseline)
+        sweep_keys.append(base_key)
 
     cache = SweepCache(cache_dir) if use_cache else None
+    digests = [profile_digest(p) for p in profiles] if cache is not None else []
     n_cells = len(profiles) * len(sweep_configs) * len(model_names_)
 
     with tele.span(
@@ -238,18 +261,25 @@ def run_sweep(
     ):
         # (profile index, model) → {config key: cycles}
         served: Dict[Tuple[int, str], Dict[str, float]] = {}
-        tasks: List[Tuple[int, str, Tuple[GpuConfig, ...]]] = []
+        # (profile index, model, missing configs, their keys)
+        tasks: List[Tuple[int, str, Tuple[GpuConfig, ...], List[str]]] = []
         hits = 0
         for i, profile in enumerate(profiles):
             for model in model_names_:
                 if cache is not None:
-                    got, missing = cache.lookup(profile, model, sweep_configs)
+                    got = cache.lookup(profile.workload, digests[i], model, sweep_keys)
                 else:
-                    got, missing = {}, list(sweep_configs)
+                    got = {}
                 served[(i, model)] = got
                 hits += len(got)
+                missing = [j for j, key in enumerate(sweep_keys) if key not in got]
                 if missing:
-                    tasks.append((i, model, tuple(missing)))
+                    tasks.append((
+                        i,
+                        model,
+                        tuple(sweep_configs[j] for j in missing),
+                        [sweep_keys[j] for j in missing],
+                    ))
 
         misses = sum(len(t[2]) for t in tasks)
         if progress is not None and tasks:
@@ -266,31 +296,27 @@ def run_sweep(
                 computed = list(
                     pool.map(
                         _sweep_worker,
-                        [profiles[i] for i, _, _ in tasks],
-                        [m for _, m, _ in tasks],
-                        [cfgs for _, _, cfgs in tasks],
+                        [profiles[t[0]] for t in tasks],
+                        [t[1] for t in tasks],
+                        [t[2] for t in tasks],
                     )
                 )
         else:
             computed = [
-                _sweep_worker(profiles[i], m, cfgs) for i, m, cfgs in tasks
+                _sweep_worker(profiles[i], m, cfgs) for i, m, cfgs, _ in tasks
             ]
 
-        for (i, model, cfgs), cycles_list in zip(tasks, computed):
+        for (i, model, cfgs, cfg_keys), cycles_list in zip(tasks, computed):
             fresh = {
-                config_key(c): {
+                key: {
                     "name": c.name,
-                    "config": {
-                        f.name: getattr(c, f.name)
-                        for f in dataclasses.fields(GpuConfig)
-                        if f.name != "name"
-                    },
+                    "config": _config_fields(c),
                     "cycles": cycles,
                 }
-                for c, cycles in zip(cfgs, cycles_list)
+                for key, c, cycles in zip(cfg_keys, cfgs, cycles_list)
             }
             if cache is not None:
-                cache.store(profiles[i], model, fresh)
+                cache.store(profiles[i].workload, digests[i], model, fresh)
             served[(i, model)].update(
                 {key: float(entry["cycles"]) for key, entry in fresh.items()}
             )

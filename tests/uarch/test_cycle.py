@@ -1,10 +1,14 @@
 """Event-driven cycle model: directional behaviour and scheduling invariants."""
 
+import heapq
+import random
+
 import numpy as np
 import pytest
 
 from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, WorkloadProfile
-from repro.uarch import BASELINE, get_model, run_sweep, simulate_kernel
+from repro.uarch import BASELINE, default_space, get_model, run_sweep, simulate_kernel
+from repro.uarch import cycle
 
 
 def _profile(warp_instrs_total=100_000, mem_warp=0, blocks=64, reuse_frac=0.0):
@@ -117,3 +121,92 @@ def test_agreement_with_roofline_on_real_suite(suite_profiles):
     cfull = [geomean(cm[:, j]) for j in range(cm.shape[1])]
     rfull = [geomean(rm[:, j]) for j in range(rm.shape[1])]
     assert kendall_tau(cfull, rfull) > 0.8
+
+
+def _oracle_wave(nwarps, instrs_per_warp, mems_per_warp, miss_rate, service, issue_width, mem_latency):
+    """The straightforward per-warp heap schedule the fast scheduler must match."""
+    burst = instrs_per_warp // (mems_per_warp + 1)
+    remaining_instrs = [instrs_per_warp] * nwarps
+    remaining_mems = [mems_per_warp] * nwarps
+    ready_at = [0.0] * nwarps
+    heap = [(0.0, i, i) for i in range(nwarps)]
+    heapq.heapify(heap)
+    clock = 0.0
+    dram_free = 0.0
+    issued = 0
+    mems = 0
+    misses = 0
+    stall = 0.0
+    miss_accum = 0.0
+    issue = max(issue_width, 1)
+    while heap:
+        ready, _seq, idx = heapq.heappop(heap)
+        if ready > clock:
+            stall += ready - clock
+            clock = ready
+        if remaining_mems[idx] > 0:
+            run = min(burst, remaining_instrs[idx] - remaining_mems[idx])
+            clock += run / issue + 1.0
+            issued += run + 1
+            remaining_instrs[idx] -= run + 1
+            remaining_mems[idx] -= 1
+            mems += 1
+            miss_accum += miss_rate
+            if miss_accum >= 1.0:
+                miss_accum -= 1.0
+                misses += 1
+                start = max(clock, dram_free)
+                dram_free = start + service
+                ready_at[idx] = start + mem_latency
+            else:
+                ready_at[idx] = clock + cycle.HIT_LATENCY
+            heapq.heappush(heap, (ready_at[idx], issued, idx))
+        elif remaining_instrs[idx] > 0:
+            clock += remaining_instrs[idx] / issue
+            issued += remaining_instrs[idx]
+            remaining_instrs[idx] = 0
+    clock = max(clock, max(ready_at, default=0.0), dram_free)
+    return clock, issued, mems, misses, stall
+
+
+def test_schedule_wave_matches_oracle_on_random_scalars():
+    rng = random.Random(2010)
+    cases = [
+        (1, 500, 40, 0.5, 3.0, 1, 400),
+        (4, 300, 0, 0.3, 2.0, 1, 400),
+        (8, 1000, 30, 0.0, 5.0, 1, 400),
+        (8, 1000, 30, 1.0, 5.0, 1, 400),
+        (6, 800, 25, 0.7, 0.0, 1, 400),
+        (6, 800, 25, 0.7, 4.0, 2, 400),
+    ]
+    for _ in range(300):
+        cases.append((
+            rng.randint(1, 48),
+            rng.randint(1, 3000),
+            rng.choice([0, rng.randint(0, 200)]),
+            rng.choice([0.0, 1.0, rng.random()]),
+            rng.choice([0.0, rng.uniform(0.0, 60.0)]),
+            rng.choice([1, 2, 4]),
+            rng.choice([200, 400, 800]),
+        ))
+    # Every burst shape: full runs only, a partial run, runs shorter than
+    # the memory ops, empty bursts.
+    for instrs in range(1, 40):
+        for mems in range(0, 40):
+            cases.append((2, instrs, mems, 0.5, 3.0, 1, 400))
+    for args in cases:
+        assert cycle._schedule_wave(*args) == _oracle_wave(*args), args
+
+
+def test_simulate_kernel_matches_oracle_on_suite(suite_profiles, monkeypatch):
+    pairs = [
+        (kernel, config)
+        for profile in suite_profiles
+        for kernel in profile.kernels
+        for config in default_space().configs()
+    ]
+    fast = [simulate_kernel(k, c) for k, c in pairs]
+    schedules = {}
+    shared = [simulate_kernel(k, c, schedules) for k, c in pairs]
+    monkeypatch.setattr(cycle, "_schedule_wave", _oracle_wave)
+    assert [simulate_kernel(k, c) for k, c in pairs] == fast == shared

@@ -1,5 +1,7 @@
 """Sweep engine: parity, shard caching, invalidation, derived views."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.uarch import (
     profile_digest,
     run_sweep,
 )
+from repro.uarch import cycle
 from repro.uarch.sweep import SweepCache
 
 
@@ -89,6 +92,58 @@ def test_model_edit_invalidates_only_that_models_shards(workloads, tmp_path, mon
     # Roofline shards still hit; every cycle cell is recomputed.
     assert rerun.cache_hits == len(workloads) * n_designs
     assert rerun.cache_misses == len(workloads) * n_designs
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"cycles": None}, "x", {}, {"cycles": "nan"}, {"cycles": -5}],
+    ids=["null", "string", "empty", "nan-string", "negative"],
+)
+def test_malformed_entry_is_a_miss_and_is_rewritten(workloads, tmp_path, entry):
+    cold = run_sweep(workloads, models=("cycle",), cache_dir=str(tmp_path))
+    cache = SweepCache(str(tmp_path))
+    path = cache.shard_path(
+        workloads[1].workload, profile_digest(workloads[1]), "cycle"
+    )
+    with open(path) as f:
+        doc = json.load(f)
+    doc["entries"][config_key(BASELINE)] = entry
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+    rerun = run_sweep(workloads, models=("cycle",), cache_dir=str(tmp_path))
+    assert rerun.cache_misses == 1
+    assert np.array_equal(rerun.cycles["cycle"], cold.cycles["cycle"])
+    assert np.array_equal(rerun.baseline_cycles["cycle"], cold.baseline_cycles["cycle"])
+    # The recomputed cell overwrote the malformed entry.
+    assert run_sweep(workloads, models=("cycle",), cache_dir=str(tmp_path)).cache_misses == 0
+
+
+def test_wave_schedules_are_shared_within_one_worker_call(suite_profiles, tmp_path, monkeypatch):
+    """Each distinct wave runs once per workload per sweep, never across sweeps."""
+    calls = []
+    schedule = cycle._schedule_wave
+
+    def counted(*args):
+        calls.append(args)
+        return schedule(*args)
+
+    monkeypatch.setattr(cycle, "_schedule_wave", counted)
+    configs = default_space().configs()
+    expected = 0
+    for profile in suite_profiles:
+        del calls[:]
+        for config in configs:
+            for kernel in profile.kernels:
+                cycle.simulate_kernel(kernel, config)
+        expected += len(set(calls))
+
+    for sweep in ("first", "second"):
+        del calls[:]
+        run_sweep(
+            suite_profiles, models=("cycle",), jobs=1, cache_dir=str(tmp_path / sweep)
+        )
+        assert len(calls) == expected
 
 
 def test_numeric_environment_changes_model_digest(tmp_path, monkeypatch):
