@@ -112,15 +112,16 @@ def analyze(
     profiles = _as_profiles(source)
     if len(profiles) < 2:
         raise ValueError(f"analysis needs at least two workloads, got {len(profiles)}")
-    return pipeline.analyze(
-        profiles,
-        variance_target=variance_target,
-        linkage_method=linkage_method,
-        k_range=k_range,
-        seed=seed,
-        subspaces=subspaces,
-        metric_names=metric_names,
-    )
+    with get_telemetry().span("analyze", workloads=len(profiles)):
+        return pipeline.analyze(
+            profiles,
+            variance_target=variance_target,
+            linkage_method=linkage_method,
+            k_range=k_range,
+            seed=seed,
+            subspaces=subspaces,
+            metric_names=metric_names,
+        )
 
 
 @dataclass
@@ -172,10 +173,7 @@ def evaluate(
     existing :func:`analyze` result instead of recomputing it.  Raises
     ``ValueError`` unless ``1 <= subset_k <=`` the number of workloads.
     """
-    import numpy as np
-
     from repro.core.analysis.diversity import representatives as pick_reps
-    from repro.core.analysis.kmeans import kmeans
     from repro.core.evaluation import evaluate_subset
     from repro.uarch import default_space, run_sweep
 
@@ -185,22 +183,24 @@ def evaluate(
     if analysis is None:
         analysis = analyze(profiles)
     config_list = list(configs) if configs is not None else default_space().configs()
-    sweep = run_sweep(
-        profiles,
-        configs=config_list,
-        models=(model,),
-        jobs=jobs,
-        use_cache=use_cache,
-    )
-    perf = sweep.speedups(model)
-    km = kmeans(analysis.pca.scores, subset_k, np.random.default_rng(seed), n_init=50)
-    reps = pick_reps(km, analysis.pca.scores, analysis.workloads)
-    subset = evaluate_subset(
-        perf,
-        [r.index for r in reps],
-        [r.weight for r in reps],
-        [c.name for c in config_list],
-    )
+    with get_telemetry().span("evaluate", model=model, subset_k=subset_k) as span:
+        sweep = run_sweep(
+            profiles,
+            configs=config_list,
+            models=(model,),
+            jobs=jobs,
+            use_cache=use_cache,
+        )
+        perf = sweep.speedups(model)
+        km, fitted = analysis.subset_clustering(subset_k, seed)
+        span.set(clustering="fitted" if fitted else "reused")
+        reps = pick_reps(km, analysis.pca.scores, analysis.workloads)
+        subset = evaluate_subset(
+            perf,
+            [r.index for r in reps],
+            [r.weight for r in reps],
+            [c.name for c in config_list],
+        )
     return EvaluationResult(
         representatives=[r.workload for r in reps],
         weights=[r.weight for r in reps],

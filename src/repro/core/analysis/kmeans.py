@@ -45,26 +45,70 @@ def _init_plusplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return np.array(centers)
 
 
-def _lloyd(
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances ``(R, n, k)`` of every point to every restart's centers.
+
+    Built one cluster at a time from ``(R, n, d)`` slabs: each entry is the
+    same sum over ``d`` as in a single restart's ``(n, k, d)`` broadcast.
+    """
+    n_restarts, k, _d = centers.shape
+    d2 = np.empty((n_restarts, points.shape[0], k))
+    for j in range(k):
+        d2[:, :, j] = ((points[None, :, :] - centers[:, j, None, :]) ** 2).sum(axis=2)
+    return d2
+
+
+def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each restart's cluster means; empty clusters keep their center.
+
+    A bin sum adds a cluster's members in row order, which is how numpy's
+    ``mean(axis=0)`` sums ``d > 1`` columns, so the means are bit-identical.
+    A single column (``d == 1``) numpy sums pairwise, so there each mean is
+    taken directly.
+    """
+    n_restarts, k, d = centers.shape
+    bins = (labels + k * np.arange(n_restarts)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=n_restarts * k)
+    out = centers.reshape(n_restarts * k, d).copy()
+    filled = np.flatnonzero(counts)
+    if d == 1:
+        for b in filled:
+            r, j = divmod(int(b), k)
+            out[b] = points[labels[r] == j].mean(axis=0)
+    else:
+        sums = np.bincount(
+            (bins[:, None] * d + np.arange(d)).ravel(),
+            weights=np.broadcast_to(points, (n_restarts,) + points.shape).ravel(),
+            minlength=n_restarts * k * d,
+        ).reshape(n_restarts * k, d)
+        out[filled] = sums[filled] / counts[filled, None]
+    return out.reshape(n_restarts, k, d)
+
+
+def _lloyd_restarts(
     points: np.ndarray, centers: np.ndarray, max_iter: int
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    k = centers.shape[0]
-    labels = np.zeros(points.shape[0], dtype=int)
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
-            break
-        labels = new_labels
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-            # Empty clusters keep their center; BIC will penalise them away.
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, centers, inertia
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart at once.
+
+    ``centers`` is ``(R, k, d)``, one seeding per restart, and is updated in
+    place.  A restart stops
+    once its labels no longer change; the rest keep iterating.  Returns the
+    ``(R, n)`` labels, ``(R, k, d)`` centers and ``(R,)`` inertias.
+    """
+    n_restarts = centers.shape[0]
+    labels = np.zeros((n_restarts, points.shape[0]), dtype=int)
+    active = np.arange(n_restarts)
+    for it in range(max_iter):
+        new_labels = _sq_dists(points, centers[active]).argmin(axis=2)
+        if it > 0:
+            moved = (new_labels != labels[active]).any(axis=1)
+            active, new_labels = active[moved], new_labels[moved]
+            if not active.size:
+                break
+        labels[active] = new_labels
+        centers[active] = _cluster_means(points, new_labels, centers[active])
+    d2 = _sq_dists(points, centers)
+    return d2.argmin(axis=2), centers, d2.min(axis=2).sum(axis=1)
 
 
 def kmeans(
@@ -74,20 +118,24 @@ def kmeans(
     n_init: int = 8,
     max_iter: int = 200,
 ) -> KMeansResult:
-    """Best-of-``n_init`` K-means (k-means++ seeding, Lloyd iterations)."""
+    """Best-of-``n_init`` K-means (k-means++ seeding, Lloyd iterations).
+
+    Every restart is seeded first, in order from ``rng``; the restarts then
+    iterate together and the first one with the least inertia wins.
+    """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be at least 1, got {n_init}")
     rng = rng or np.random.default_rng(0)
-    best: Optional[KMeansResult] = None
-    for _ in range(n_init):
-        centers = _init_plusplus(points, k, rng)
-        labels, centers, inertia = _lloyd(points, centers.copy(), max_iter)
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(k=k, labels=labels, centers=centers, inertia=inertia)
-    assert best is not None
-    return best
+    seeds = np.array([_init_plusplus(points, k, rng) for _ in range(n_init)])
+    labels, centers, inertia = _lloyd_restarts(points, seeds, max_iter)
+    best = int(inertia.argmin())
+    return KMeansResult(
+        k=k, labels=labels[best].copy(), centers=centers[best].copy(), inertia=float(inertia[best])
+    )
 
 
 def bic_score(points: np.ndarray, result: KMeansResult) -> float:

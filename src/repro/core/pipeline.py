@@ -20,7 +20,7 @@ on whatever metrics those passes support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,30 @@ class AnalysisResult:
     kmeans_bics: Dict[int, float]
     representatives: List[Representative]
     subspaces: Dict[str, SubspaceAnalysis] = field(default_factory=dict)
+    #: Subset clusterings fitted so far, by ``(subset_k, seed)``.
+    _subset_fits: Dict[Tuple[int, int], KMeansResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def subset_clustering(self, subset_k: int, seed: int) -> Tuple[KMeansResult, bool]:
+        """K-means of the PCA scores into ``subset_k`` clusters, and whether
+        this call fitted it.
+
+        The fit depends only on the scores, ``subset_k`` and ``seed``, so it
+        is made once per analysis and reused, whichever timing model a
+        design-space evaluation uses.
+        """
+        # Looked up at call time, as ``choose_k``'s own fits are, so a
+        # wrapper installed on the kmeans module sees this fit too.
+        from repro.core.analysis.kmeans import kmeans
+
+        key = (subset_k, seed)
+        fitted = key not in self._subset_fits
+        if fitted:
+            self._subset_fits[key] = kmeans(
+                self.pca.scores, subset_k, np.random.default_rng(seed), n_init=50
+            )
+        return self._subset_fits[key], fitted
 
     @property
     def workloads(self) -> List[str]:

@@ -175,7 +175,7 @@ class SweepCache:
         path = self.shard_path(workload, prof_digest, model)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as f:
-            json.dump(doc, f)
+            f.write(json.dumps(doc))
         os.replace(tmp, path)
 
 

@@ -1,5 +1,7 @@
 """The stable ``repro.api`` facade and the legacy-entrypoint shims."""
 
+import importlib
+
 import pytest
 
 from repro.api import (
@@ -13,6 +15,7 @@ from repro.api import (
 )
 
 SMALL = ["VA", "BS", "KM", "SS", "HG"]
+MODELS = ("roofline", "cycle")
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,59 @@ def test_evaluate_reuses_provided_analysis(small_result):
     a = evaluate(small_result, subset_k=2, analysis=analysis)
     b = evaluate(small_result, subset_k=2)
     assert a.representatives == b.representatives
+
+
+def _evaluation_record(ev):
+    sub = ev.subset
+    return (
+        ev.model, ev.representatives, ev.weights, sub.design_names, sub.kendall_tau,
+        sub.full_speedups.tolist(), sub.subset_speedups.tolist(), sub.relative_errors.tolist(),
+    )
+
+
+def test_evaluate_fits_subset_clustering_once_per_analysis(small_result, monkeypatch):
+    kmeans_module = importlib.import_module("repro.core.analysis.kmeans")
+    analysis = analyze(small_result)
+    original = kmeans_module.kmeans
+    fits = []
+
+    def counting(points, k, rng=None, **kwargs):
+        fits.append(k)
+        return original(points, k, rng, **kwargs)
+
+    monkeypatch.setattr(kmeans_module, "kmeans", counting)
+    got = [
+        evaluate(small_result, subset_k=2, analysis=analysis, model=model)
+        for model in MODELS
+        for _leg in ("cold", "warm")
+    ]
+    assert fits == [2]
+    evaluate(small_result, subset_k=3, analysis=analysis)
+    evaluate(small_result, subset_k=2, analysis=analysis, seed=1)
+    assert fits == [2, 3, 2]
+    monkeypatch.undo()
+    fresh = {
+        model: evaluate(small_result, subset_k=2, analysis=analyze(small_result), model=model)
+        for model in MODELS
+    }
+    assert [_evaluation_record(ev) for ev in got] == [
+        _evaluation_record(fresh[model]) for model in MODELS for _leg in ("cold", "warm")
+    ]
+
+
+def test_evaluate_spans_show_fitted_then_reused_clustering(small_result):
+    analysis = analyze(small_result)
+    with trace_session() as tele:
+        for model in MODELS:
+            evaluate(small_result, subset_k=2, analysis=analysis, model=model)
+        analyze(small_result)
+    spans = tele.spans_by_name("evaluate")
+    assert [(sp.attrs["model"], sp.attrs["subset_k"], sp.attrs["clustering"]) for sp in spans] == [
+        ("roofline", 2, "fitted"),
+        ("cycle", 2, "reused"),
+    ]
+    (span,) = tele.spans_by_name("analyze")
+    assert span.attrs["workloads"] == len(SMALL)
 
 
 def test_trace_session_enables_and_exports(tmp_path):

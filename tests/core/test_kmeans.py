@@ -124,3 +124,80 @@ def test_rand_index_single_item():
     from repro.core.analysis.kmeans import rand_index
 
     assert rand_index([0], [5]) == 1.0
+
+
+# ----------------------------------------------------------------------
+# Batched restarts against the one-restart-at-a-time loop
+# ----------------------------------------------------------------------
+
+
+def _oracle_lloyd(points, centers, max_iter):
+    """One restart's Lloyd loop, as ``kmeans`` ran each restart before
+    the restarts were batched."""
+    k = centers.shape[0]
+    labels = np.zeros(points.shape[0], dtype=int)
+    for it in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if np.array_equal(new_labels, labels) and it > 0:
+            break
+        labels = new_labels
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels, centers, inertia
+
+
+def _oracle_kmeans(points, k, rng, n_init, max_iter=200):
+    from repro.core.analysis.kmeans import _init_plusplus
+
+    points = np.asarray(points, dtype=float)
+    best = None
+    for _ in range(n_init):
+        centers = _init_plusplus(points, k, rng)
+        labels, centers, inertia = _oracle_lloyd(points, centers.copy(), max_iter)
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia)
+    return best
+
+
+def _oracle_cases():
+    gen = np.random.default_rng(2024)
+    for case in range(160):
+        n = int(gen.integers(1, 40))
+        d = int(gen.choice([1, 1, 2, 3, 6]))
+        pts = gen.standard_normal((n, d)) * float(gen.choice([0.1, 1.0, 50.0]))
+        if case % 2:  # duplicated and rounded rows: ties and empty clusters
+            pts = np.round(pts[gen.integers(0, max(n // 3, 1), size=n)], 1)
+        k = int(gen.choice([1, n, gen.integers(1, n + 1)]))
+        n_init = int(gen.choice([1, 8, 50]))
+        max_iter = 200 if case % 7 else int(gen.integers(1, 4))
+        yield pts, k, n_init, max_iter, case
+
+
+def test_batched_restarts_match_one_at_a_time_exactly():
+    seen_d1 = seen_k1 = seen_kn = seen_single = 0
+    for pts, k, n_init, max_iter, seed in _oracle_cases():
+        ours_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kmeans(pts, k, ours_rng, n_init=n_init, max_iter=max_iter)
+        labels, centers, inertia = _oracle_kmeans(pts, k, oracle_rng, n_init, max_iter)
+        where = f"n={len(pts)} d={pts.shape[1]} k={k} n_init={n_init} seed={seed}"
+        assert np.array_equal(got.labels, labels), where
+        assert np.array_equal(got.centers, centers), where
+        assert got.inertia == inertia, where
+        # The restarts drew exactly the oracle's random numbers.
+        assert ours_rng.random() == oracle_rng.random(), where
+        seen_d1 += pts.shape[1] == 1
+        seen_k1 += k == 1
+        seen_kn += k == len(pts)
+        seen_single += n_init == 1
+    assert min(seen_d1, seen_k1, seen_kn, seen_single) > 0
+
+
+def test_rejects_nonpositive_n_init():
+    with pytest.raises(ValueError, match="n_init"):
+        kmeans(_blobs(2, 3), 2, n_init=0)

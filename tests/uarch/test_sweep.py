@@ -119,6 +119,17 @@ def test_malformed_entry_is_a_miss_and_is_rewritten(workloads, tmp_path, entry):
     assert run_sweep(workloads, models=("cycle",), cache_dir=str(tmp_path)).cache_misses == 0
 
 
+def test_stored_shard_is_the_compact_json_of_its_document(workloads, tmp_path):
+    run_sweep(workloads, models=("roofline",), cache_dir=str(tmp_path))
+    cache = SweepCache(str(tmp_path))
+    for profile in workloads:
+        path = cache.shard_path(profile.workload, profile_digest(profile), "roofline")
+        with open(path) as f:
+            text = f.read()
+        doc = json.loads(text)
+        assert doc["entries"] and text == json.dumps(doc)
+
+
 def test_wave_schedules_are_shared_within_one_worker_call(suite_profiles, tmp_path, monkeypatch):
     """Each distinct wave runs once per workload per sweep, never across sweeps."""
     calls = []
