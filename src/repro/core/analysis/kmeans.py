@@ -28,6 +28,14 @@ class KMeansResult:
         return [np.flatnonzero(self.labels == j) for j in range(self.k)]
 
 
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)`` without its argument checks: the
+    same inverse-CDF draw, so the same index and the same RNG state."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _init_plusplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding."""
     n = points.shape[0]
@@ -38,9 +46,7 @@ def _init_plusplus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0:
             centers.append(points[rng.integers(n)])
             continue
-        probs = d2 / total
-        idx = rng.choice(n, p=probs)
-        centers.append(points[idx])
+        centers.append(points[_draw(d2 / total, rng)])
         d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
     return np.array(centers)
 

@@ -29,7 +29,11 @@ interpreter in :mod:`repro.simt.executor`:
   dataflow resolved against the bound buffers, see :func:`_batch_hazard`)
   — cannot batch blindly.  Instead of pinning every such launch to one
   block per batch, :func:`plan_batches` refines the boolean hazard into
-  three tiers backed by :mod:`repro.simt.footprint`:
+  three tiers backed by :mod:`repro.simt.footprint`.  The footprint
+  analysis sees every store site but only the load sites that can read a
+  stored buffer (:func:`_colliding_loads`); both it and the hazard test
+  rest on one rule: a loaded value never carries a buffer's base, and an
+  address derived from a buffer's base stays in that buffer.
 
   ========================  ==================================================
   tier                      meaning
@@ -42,8 +46,9 @@ interpreter in :mod:`repro.simt.executor`:
                             greedily grouped into contiguous runs whose
                             concrete per-block write footprints stay disjoint
                             from each other and from the runs' reads
-  ``pinned``                atomics, a non-affine address, or genuinely
-                            overlapping footprints — one block per batch
+  ``pinned``                atomics, a non-affine store or colliding load
+                            address, or genuinely overlapping footprints —
+                            one block per batch
   ========================  ==================================================
 
 Blocks are stacked in ascending linear order and batches always cover
@@ -798,8 +803,7 @@ class CompiledKernel:
         "shared_decls",
         "shared_offsets",
         "has_atomics",
-        "load_params",
-        "store_params",
+        "load_sites",
         "store_sites",
         "run_silent",
         "_observed",
@@ -818,9 +822,7 @@ class CompiledKernel:
             if isinstance(stmt, Atomic):
                 self.has_atomics = True
         self.nslots = len(self.slot_of)
-        self.load_params, self.store_params, self.store_sites = _buffer_param_flow(
-            kernel
-        )
+        self.load_sites, self.store_sites = _buffer_param_flow(kernel)
         self.sreg_slots: Tuple[Tuple[str, int], ...] = tuple(
             (name, slot) for name, slot in self.slot_of.items() if name in _SREG_NAMES
         )
@@ -880,19 +882,24 @@ def _stmt_regs(stmt: Stmt):
 
 
 def _buffer_param_flow(kernel: Kernel):
-    """Which buffer params can reach global-load vs store/atomic addresses.
+    """Which buffer params each global load and store/atomic site can reach.
 
     A forward dataflow over register definitions: a register *derives from*
     a buffer param when the param's base pointer appears anywhere in the
     arithmetic producing it (the builder always forms addresses as
     ``ParamRef(buf) + offset``).  Loaded *values* never carry base-ness —
-    buffers hold data, and the builder offers no way to use one as a base.
-    Iterated to a fixpoint so loop-carried address registers converge.
-    Returns ``(load_params, store_params, store_sites)``: the first two are
-    frozensets of param names, the third one ``(params, in_loop)`` entry per
-    static store/atomic site.  The launch driver resolves all three through
-    the actual buffer bindings to decide whether batching this launch's
-    blocks could reorder memory operations (see :func:`_batch_hazard`).
+    buffers hold data, and the builder offers no way to use one as a base —
+    so an address derived from a buffer's base stays in that buffer.  The
+    ``deriv`` map is iterated to a fixpoint so loop-carried address
+    registers converge; the sites are read off it afterwards.
+
+    Returns ``(load_sites, store_sites)``: ``load_sites`` maps each global
+    load's ``sid`` to the frozenset of param names its address derives
+    from, and ``store_sites`` holds one ``(params, in_loop)`` entry per
+    static store/atomic site.  The launch driver resolves both through the
+    actual buffer bindings, to decide whether batching this launch's blocks
+    could reorder memory operations (see :func:`_batch_hazard`) and which
+    load sites the footprint analysis must see (see :func:`plan_batches`).
     """
     bufs = {p.name for p in kernel.params if p.is_buffer}
     deriv: Dict[str, set] = {}
@@ -904,47 +911,32 @@ def _buffer_param_flow(kernel: Kernel):
             return deriv.get(op.name, set())
         return set()
 
-    loads: set = set()
-    stores: set = set()
+    instrs = [stmt for stmt in kernel.walk() if isinstance(stmt, Instr)]
     changed = True
     while changed:
         changed = False
-        for stmt in kernel.walk():
-            if isinstance(stmt, Instr):
-                s: set = set()
-                for src in stmt.srcs:
-                    s |= of(src)
-                cur = deriv.setdefault(stmt.dest.name, set())
-                if not s <= cur:
-                    cur |= s
-                    changed = True
-            elif isinstance(stmt, Load):
-                if stmt.space is MemSpace.GLOBAL:
-                    new = of(stmt.addr) - loads
-                    if new:
-                        loads |= new
-                        changed = True
-            elif isinstance(stmt, Store):
-                if stmt.space is not MemSpace.SHARED:
-                    new = of(stmt.addr) - stores
-                    if new:
-                        stores |= new
-                        changed = True
-            elif isinstance(stmt, Atomic):
-                new = of(stmt.addr) - stores
-                if new:
-                    stores |= new
-                    changed = True
+        for stmt in instrs:
+            s: set = set()
+            for src in stmt.srcs:
+                s |= of(src)
+            cur = deriv.setdefault(stmt.dest.name, set())
+            if not s <= cur:
+                cur |= s
+                changed = True
 
-    sites: List[Tuple[frozenset, bool]] = []
+    load_sites: Dict[int, frozenset] = {}
+    store_sites: List[Tuple[frozenset, bool]] = []
 
     def collect(stmts, in_loop: bool) -> None:
         for stmt in stmts:
-            if isinstance(stmt, Store):
+            if isinstance(stmt, Load):
+                if stmt.space is MemSpace.GLOBAL:
+                    load_sites[stmt.sid] = frozenset(of(stmt.addr))
+            elif isinstance(stmt, Store):
                 if stmt.space is not MemSpace.SHARED:
-                    sites.append((frozenset(of(stmt.addr)), in_loop))
+                    store_sites.append((frozenset(of(stmt.addr)), in_loop))
             elif isinstance(stmt, Atomic):
-                sites.append((frozenset(of(stmt.addr)), in_loop))
+                store_sites.append((frozenset(of(stmt.addr)), in_loop))
             elif isinstance(stmt, If):
                 collect(stmt.then_body, in_loop)
                 collect(stmt.else_body, in_loop)
@@ -953,7 +945,7 @@ def _buffer_param_flow(kernel: Kernel):
                 collect(stmt.body, True)
 
     collect(kernel.body, False)
-    return frozenset(loads), frozenset(stores), tuple(sites)
+    return load_sites, tuple(store_sites)
 
 
 def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
@@ -983,8 +975,7 @@ def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
         if bases and in_loop:
             return True
         base_sites.append(bases)
-    load_bases = {params_by_name[n] for n in ck.load_params}
-    if load_bases & {b for bases in base_sites for b in bases}:
+    if _colliding_loads(ck, params_by_name):
         return True
     seen: set = set()
     for bases in base_sites:
@@ -992,6 +983,20 @@ def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
             return True
         seen |= bases
     return False
+
+
+def _colliding_loads(ck: "CompiledKernel", params_by_name: Dict) -> frozenset:
+    """The ``sid`` of every global load that may read a buffer this launch
+    stores to: its base params, resolved through the bound buffers, meet a
+    store site's.  Any other load reads a buffer no block writes, so no
+    batching order can change what it sees.
+    """
+    store_bases = {params_by_name[n] for names, _ in ck.store_sites for n in names}
+    return frozenset(
+        sid
+        for sid, names in ck.load_sites.items()
+        if any(params_by_name[n] in store_bases for n in names)
+    )
 
 
 class BatchPlan:
@@ -1032,8 +1037,9 @@ def plan_batches(
     greedily into contiguous runs with non-overlapping write footprints
     (tier ``footprint_grouped``).  Only launches with atomics, a
     non-affine address, or genuinely colliding footprints stay pinned at
-    one block per batch.  Loads are dropped from the analysis when the
-    launch's resolved load bases cannot alias its store bases.
+    one block per batch.  The analysis sees only the load sites whose
+    bases, resolved through the bound buffers, meet the launch's store
+    bases: any other load reads a buffer no block of this launch writes.
 
     Plans are cached on ``ck.plan_cache`` per (grid, block, cap, bound
     params) — an explicit ``batch_blocks`` override adjusts the cap but
@@ -1058,16 +1064,8 @@ def plan_batches(
         if cached is not None:
             return cached
     nblocks = grid[0] * grid[1]
-    store_bases = {
-        params_by_name[n] for names, _ in ck.store_sites for n in names
-    }
-    load_bases = {params_by_name[n] for n in ck.load_params}
     fp = footprint.analyze(
-        ck.kernel,
-        grid,
-        block,
-        params_by_name,
-        include_loads=bool(load_bases & store_bases),
+        ck.kernel, grid, block, params_by_name, _colliding_loads(ck, params_by_name)
     )
     if not fp.complete:
         plan = BatchPlan("pinned", 1, pin_reason="opaque-address")

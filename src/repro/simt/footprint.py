@@ -16,12 +16,22 @@ single symbolic pass over the lowered IR:
   ``const + Σ coeff·sym`` over *bounded symbols*: ``%tid.x``/``%tid.y``
   (domain ``[0, ntid)``), ``%ctaid.x``/``%ctaid.y`` (domain ``[0, nctaid)``,
   flagged as *block* symbols), one fresh symbol per recognised counted loop
-  (domain ``[0, trips)``), and anonymous bounded symbols for values forced
-  into a range by ``imod``.  Parameters are bound to their concrete values
+  (domain ``[0, trips)``; the step may be any launch constant — an
+  immediate, an int param, ``%ntid.*`` or a register the loop never
+  assigns), and anonymous bounded symbols for values forced into a range
+  by ``imod``.  Parameters are bound to their concrete values
   (buffer bases are plain ints at launch time), so an address form is an
   absolute byte expression.  Anything non-affine is ``None`` (unknown); the
   analysis never guesses.  All forms are range-limited to ``±2**62`` so the
   Python-int model can never diverge from the engine's int64 arithmetic.
+
+* **Relevant sites** — every global store and atomic, and only the global
+  loads the caller names: :func:`repro.simt.compiled.plan_batches` passes
+  the loads whose base buffers meet a store's.  Any other load reads a
+  buffer no block of the launch writes, so its address, however opaque,
+  cannot observe batching.  This rests on the rule the whole-launch
+  hazard test already trusts: loaded values never carry a buffer's base,
+  and an address derived from a buffer's base stays in that buffer.
 
 * **Symbolic disjointness** — with every relevant site affine, cross-block
   disjointness is decided structurally.  A looped store site is
@@ -54,7 +64,7 @@ holds no launch state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,12 +191,12 @@ class _Pass:
         grid: Tuple[int, int],
         block: Tuple[int, int],
         params_by_name: Dict,
-        include_loads: bool,
+        loads: Optional[AbstractSet[int]],
     ) -> None:
         self.grid = grid
         self.block = block
         self.params = params_by_name
-        self.include_loads = include_loads
+        self.loads = loads
         self.syms: List[FootSym] = []
         self._sreg_aff: Dict[str, Optional[Aff]] = {}
         self.env: Dict[str, Optional[Aff]] = {}
@@ -329,7 +339,9 @@ class _Pass:
         if isinstance(stmt, Instr):
             self.env[stmt.dest.name] = _checked(self._eval_instr(stmt), self.syms)
         elif isinstance(stmt, Load):
-            if stmt.space is MemSpace.GLOBAL and self.include_loads:
+            if stmt.space is MemSpace.GLOBAL and (
+                self.loads is None or stmt.sid in self.loads
+            ):
                 self._site("load", stmt.addr, stmt.dtype.element_size, stmt.sid)
             self.env[stmt.dest.name] = None
         elif isinstance(stmt, Store):
@@ -361,11 +373,12 @@ class _Pass:
         induction = None
         counted = _match_counted(stmt, assigned)
         if counted is not None:
-            ivar, step, stop_op, cmp_op = counted
+            ivar, step_op, stop_op, cmp_op = counted
             start = self.env.get(ivar)
             stop = self._value(stop_op)
             diff = _add(stop, start, sign=-1)
-            if diff is not None:
+            step = _const_of(self._value(step_op))
+            if diff is not None and step and (cmp_op is Op.ILT) == (step > 0):
                 dlo, dhi = _range(diff, self.syms)
                 # Worst-case trip count over all lanes; the loop symbol's
                 # domain only needs to *cover* the iterate set to be sound.
@@ -395,8 +408,11 @@ def _match_counted(stmt: While, assigned: set):
 
     Matches ``while (ivar < stop)``/``(ivar > stop)`` whose body ends with
     the canonical ``t = ivar + step; ivar = t`` increment, with ``ivar``
-    assigned nowhere else and ``stop`` stable across iterations.  Returns
-    ``(ivar_name, step, stop_operand, cmp_op)``.
+    assigned nowhere else and ``stop`` and ``step`` stable across
+    iterations: an immediate, a param, a special register or a register
+    the loop never assigns.  Returns ``(ivar_name, step_operand,
+    stop_operand, cmp_op)``; the caller resolves ``step`` to a launch
+    constant (and its sign to the comparison) or gives the loop up.
     """
     cb = stmt.cond_body
     if len(cb) != 1 or not isinstance(cb[0], Instr):
@@ -429,14 +445,11 @@ def _match_counted(stmt: While, assigned: set):
     ):
         return None
     a, b = inc.srcs
-    step = None
-    if isinstance(a, Reg) and a.name == ivar_op.name and isinstance(b, Imm):
-        step = b.value
-    elif isinstance(b, Reg) and b.name == ivar_op.name and isinstance(a, Imm):
-        step = a.value
-    if not isinstance(step, int) or isinstance(step, bool) or step == 0:
-        return None
-    if (cmp.op is Op.ILT) != (step > 0):
+    if isinstance(a, Reg) and a.name == ivar_op.name:
+        step_op = b
+    elif isinstance(b, Reg) and b.name == ivar_op.name:
+        step_op = a
+    else:
         return None
     for inner in walk_stmts(list(stmt.cond_body) + list(body[:-1])):
         if isinstance(inner, (Instr, Load)) and inner.dest.name == ivar_op.name:
@@ -447,9 +460,10 @@ def _match_counted(stmt: While, assigned: set):
             and inner.dest.name == ivar_op.name
         ):
             return None
-    if isinstance(stop_op, Reg) and stop_op.name in assigned:
-        return None
-    return ivar_op.name, step, stop_op, cmp.op
+    for op in (stop_op, step_op):
+        if isinstance(op, Reg) and op.name in assigned:
+            return None
+    return ivar_op.name, step_op, stop_op, cmp.op
 
 
 def analyze(
@@ -457,16 +471,19 @@ def analyze(
     grid: Tuple[int, int],
     block: Tuple[int, int],
     params_by_name: Dict,
-    include_loads: bool = True,
+    loads: Optional[AbstractSet[int]] = None,
 ) -> Footprints:
     """Collect affine byte-address forms for every relevant memory site.
 
-    ``include_loads=False`` drops global loads from the site list — correct
-    exactly when the launch's resolved load bases are disjoint from its
-    store bases (the caller checks via the base-pointer dataflow), so no
-    load can observe a same-launch store regardless of addressing.
+    Every global store and atomic is a site; of the global loads, those
+    whose ``sid`` is in ``loads`` (``None``: every one).
+    :func:`~repro.simt.compiled.plan_batches` passes the load sites
+    whose base buffers (from the base-pointer dataflow, resolved through
+    the bound buffers) meet the launch's store bases: any other load reads
+    a buffer no block of this launch writes, so it cannot observe a
+    neighbour's store however it is addressed.
     """
-    return _Pass(grid, block, params_by_name, include_loads).run(kernel)
+    return _Pass(grid, block, params_by_name, loads).run(kernel)
 
 
 # ---------------------------------------------------------------------------

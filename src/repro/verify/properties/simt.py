@@ -19,6 +19,9 @@ happened to schedule it.  These properties pin that down:
   write footprints were proven disjoint by the concrete extent analysis)
   matches the interpreted baseline bit-for-bit, and a falsified extent
   computation is caught;
+* batching widened by the per-site load filter (only loads that can read
+  a stored buffer enter the footprint analysis) matches the interpreted
+  baseline bit-for-bit, and a filter that keeps no load is caught;
 * device accesses resolved by one bounds test name the same buffer,
   elements or fault as the per-lane resolution.
 """
@@ -295,6 +298,57 @@ class FootprintGrouping(CaseProperty):
             return [(kind, in_loop, fake, fake) for kind, in_loop, _lo, _hi in extents]
 
         return mock.patch.object(footprint, "block_extents", collapsed)
+
+
+def _every_load_site(ck, params_by_name) -> frozenset:
+    return frozenset(ck.load_sites)
+
+
+@register
+class FootprintLoadSites(CaseProperty):
+    name = "simt.footprint.load_sites"
+    layer = "simt"
+    invariant = (
+        "batching widened by keeping from the footprint analysis only the "
+        "load sites that can read a stored buffer matches the interpreted "
+        "baseline bit-for-bit in memory and every profile section"
+    )
+    budget = (3, 12)
+    #: About one aliasing-band case in forty that reads an output buffer
+    #: (``oload``) also plans wider than with every load site kept; this cap
+    #: on rejected seeds covers the deep basket with room to spare.
+    scan = 5000
+    plant_base = ALIAS_SEED_BASE + 880_000
+
+    def applies(self, case: Case) -> bool:
+        """Cases that read a stored buffer, planned wider than they would be
+        with every load site in the footprint analysis."""
+        if not case_has_kind(case, ("oload",)):
+            return False
+        plan = _case_plan(case)
+        with mock.patch.object(compiled, "_colliding_loads", _every_load_site):
+            every = _case_plan(case)
+        return (plan.tier, plan.groups) != (every.tier, every.groups)
+
+    def diffs(self, case: Case) -> List[str]:
+        """Interpreted vs compiled differences (memory + every profile section)."""
+        return compare_outcomes(
+            launch_case(case, "interpreted"),
+            launch_case(case, "compiled"),
+            label="footprint-load-sites",
+        )
+
+    def mutant(self):
+        """Keep no load site at all.
+
+        Neither the hazard test nor the footprint analysis then sees the
+        ``oload`` reads of ``out``/``fout``, so a block batched with its
+        neighbours reads an element before, not after, a lower block's
+        store to it.
+        """
+        return mock.patch.object(
+            compiled, "_colliding_loads", lambda ck, params_by_name: frozenset()
+        )
 
 
 def _random_device(rng: np.random.Generator) -> Device:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.kmeans import KMeansResult, bic_score, choose_k, kmeans
+from repro.core.analysis.kmeans import KMeansResult, _draw, bic_score, choose_k, kmeans
 
 
 def _blobs(k, per, d=4, spread=8.0, seed=5):
@@ -201,3 +201,21 @@ def test_batched_restarts_match_one_at_a_time_exactly():
 def test_rejects_nonpositive_n_init():
     with pytest.raises(ValueError, match="n_init"):
         kmeans(_blobs(2, 3), 2, n_init=0)
+
+
+def test_seeding_draw_matches_rng_choice():
+    # The k-means++ draw must pick what ``rng.choice(n, p=probs)`` picks and
+    # leave the generator in the same state, so seeds and every fit built on
+    # them stay bit-identical.  Weights are squared distances: skewed, with
+    # zeros (points that are already centers) and single survivors.
+    gen = np.random.default_rng(11)
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    for trial in range(12_000):
+        n = int(gen.integers(1, 48))
+        d2 = gen.exponential(size=n) ** int(gen.integers(1, 4))
+        d2[gen.random(n) < 0.3] = 0.0
+        if not d2.any():
+            d2[int(gen.integers(n))] = gen.random() + 1e-12
+        probs = d2 / d2.sum()
+        assert _draw(probs, ours) == theirs.choice(n, p=probs), trial
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -148,6 +148,91 @@ def test_indirect_address_is_opaque():
     assert plan.pin_reason == "opaque-address"
 
 
+# ---------------------------------------------------------------------------
+# Per-site load relevance and launch-constant loop steps
+
+#: ``o`` is updated in place; ``c`` and ``idx`` are only read.
+SRAD2_PARAMS = {"o": 1 << 16, "c": 1 << 18, "idx": 1 << 20}
+
+
+def _srad2_like(opaque_src="c"):
+    """``o[i] = o[i] + src[idx[i / 32] * 32 + i % 32]``, shaped like SRAD's
+    ``srad2``: the neighbour load's address goes through a loaded index,
+    so it is opaque to the affine analysis."""
+    b = KernelBuilder("k")
+    o = b.param_buf("o", DType.F32)
+    c = b.param_buf("c", DType.F32)
+    idx = b.param_buf("idx", DType.I32)
+    i = b.global_thread_id()
+    row = b.idiv(i, 32)
+    col = b.imod(i, 32)
+    src = o if opaque_src == "o" else c
+    near = b.ld(src, b.iadd(b.imul(b.ld(idx, row), 32), col))
+    b.st(o, i, b.fadd(b.ld(o, i), near))
+    return b.finalize()
+
+
+def test_opaque_loads_of_unstored_buffers_leave_the_analysis():
+    plan = _plan(_srad2_like(), params=SRAD2_PARAMS)
+    assert plan.tier == "symbolic_clear"
+    assert plan.limit > 1
+
+
+def test_opaque_load_of_the_stored_buffer_pins():
+    plan = _plan(_srad2_like(opaque_src="o"), params=SRAD2_PARAMS)
+    assert plan.tier == "pinned"
+    assert plan.pin_reason == "opaque-address"
+
+
+def test_opaque_load_through_an_aliasing_param_pins():
+    # ``c`` bound to ``o``'s buffer: the load reads what the launch stores.
+    aliased = dict(SRAD2_PARAMS, c=SRAD2_PARAMS["o"])
+    plan = _plan(_srad2_like(), params=aliased)
+    assert plan.tier == "pinned"
+    assert plan.pin_reason == "opaque-address"
+
+
+def _strided_stage(step_assigned_in_loop=False):
+    """Block-tiled staging loop ``for (j = tid; j < 64; j += step)``, where
+    ``step`` is ``%ntid.x`` (HYS ``oddeven_sort``) or a register the loop
+    body grows."""
+    b = KernelBuilder("k")
+    o = b.param_buf("o", DType.I32)
+    step = b.let_i32(b.ntid_x)
+    j = b.let_i32(b.tid_x)
+    loop = b.while_loop()
+    with loop.cond():
+        loop.set_cond(b.ilt(j, 64))
+    with loop.body():
+        b.st(o, b.iadd(b.imul(b.ctaid_x, 64), j), j)
+        if step_assigned_in_loop:
+            b.assign(step, b.iadd(step, 1))
+            b.assign(j, b.iadd(j, step))
+        else:
+            b.assign(j, b.iadd(j, b.ntid_x))
+    return b.finalize()
+
+
+def test_ntid_step_loop_is_counted():
+    kernel = _strided_stage()
+    fp = analyze(kernel, GRID, BLOCK, PARAMS)
+    assert fp.complete
+    (store,) = fp.sites
+    loops = [fp.syms[i] for i, _c in store.aff.terms if fp.syms[i].name == "loop"]
+    assert [sym.count for sym in loops] == [64 // BLOCK[0]]
+    assert symbolically_disjoint(fp, GRID)
+    assert _plan(kernel).tier == "symbolic_clear"
+
+
+def test_step_register_assigned_in_the_loop_is_not_counted():
+    kernel = _strided_stage(step_assigned_in_loop=True)
+    fp = analyze(kernel, GRID, BLOCK, PARAMS)
+    assert not fp.complete
+    plan = _plan(kernel)
+    assert plan.tier == "pinned"
+    assert plan.pin_reason == "opaque-address"
+
+
 def test_atomics_pin_before_any_analysis():
     b = KernelBuilder("k")
     o = b.param_buf("o", DType.I32)
@@ -271,3 +356,29 @@ def test_transpose_workload_unpins_via_symbolic_tier():
     totals = ex.launch_stats_totals
     assert totals["hazard_tiers"].get("symbolic_clear", 0) >= 1
     assert ex.last_launch_stats["largest_batch"] > 1
+
+
+def _kernel_plans(abbrev):
+    """``kernel name -> (hazard tier, pin reason)`` of one workload's
+    launches at default scale on the compiled engine."""
+    dev = Device()
+    ex = Executor(dev, engine="compiled")
+    plans = {}
+    launch = ex.launch
+
+    def spy(kernel, *args):
+        launch(kernel, *args)
+        stats = ex.last_launch_stats
+        plans[kernel.name] = (stats["hazard_tier"], stats["pin_reason"])
+
+    ex.launch = spy
+    registry.get(abbrev)().run(RunContext(dev, ex, seed=7))
+    return plans
+
+
+def test_suite_launches_unpinned_by_load_sites_and_loop_steps():
+    assert _kernel_plans("SRAD")["srad2"] == ("symbolic_clear", None)
+    assert _kernel_plans("SS")["similarity_score"] == ("symbolic_clear", None)
+    assert _kernel_plans("HYS")["oddeven_sort"] == ("symbolic_clear", None)
+    # BFS stores through data-dependent addresses: it must stay pinned.
+    assert _kernel_plans("BFS")["bfs_level"] == ("pinned", "opaque-address")
