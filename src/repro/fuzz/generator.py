@@ -25,9 +25,13 @@ The grammar is *seed-gated*: seeds at or above :data:`ALIAS_SEED_BASE` draw
 from an extended kind set that additionally reads the writable ``out`` /
 ``fout`` buffers (``oload``) and stores into fixed low-index bands of them
 (``bandstore``), exercising the batch planner's footprint analysis with
-genuine load/store and store/store aliasing.  Seeds below the base keep the
-original grammar bit-for-bit, so every previously committed corpus entry
-still regenerates from its seed unchanged.
+genuine load/store and store/store aliasing.  Seeds at or above
+:data:`TILE_SEED_BASE` further draw ``tilestore``: a counted loop storing a
+block-strided tile into a buffer of its own, ``tout``, whose tiles overlap
+their neighbours' for half the draws — the shape that exercises the
+planner's looped-site self-disjointness proof.  Seeds below each base keep
+the grammar below it bit-for-bit, so every previously committed corpus
+entry still regenerates from its seed unchanged.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ SHARED_ELEMS = 64
 ATOMIC_ELEMS = 16
 FATOMIC_ELEMS = 8
 OVERLAP_WINDOWS = (4, 8)
+#: ``tilestore`` tile widths and its most loop trips; ``tout`` holds that
+#: many rows of up to ``max(TILE_WIDTHS)`` elements per block.
+TILE_WIDTHS = (8, 16, 32)
+TILE_MAX_REPS = 3
 
 _INT_OPS = ("iadd", "isub", "imul", "imin", "imax", "iand", "ior", "ixor")
 _INT_UNARY = ("ineg", "iabs")
@@ -70,7 +78,12 @@ _ATOMIC_OPS = ("add", "min", "max", "exch", "cas")
 def generate_case(seed: int) -> Case:
     """Generate one fuzz case deterministically from ``seed``."""
     rng = random.Random(seed)
-    kinds = ALIAS_STMT_KINDS if seed >= ALIAS_SEED_BASE else STMT_KINDS
+    if seed >= TILE_SEED_BASE:
+        kinds = TILE_STMT_KINDS
+    elif seed >= ALIAS_SEED_BASE:
+        kinds = ALIAS_STMT_KINDS
+    else:
+        kinds = STMT_KINDS
     block_x = rng.choice((32, 48, 64))
     block_y = 2 if rng.random() < 0.12 else 1
     grid = rng.randint(2, 6)
@@ -132,6 +145,14 @@ ALIAS_STMT_KINDS: Tuple[Tuple[str, float], ...] = STMT_KINDS + (
     ("oload", 2.5),
     ("bandstore", 2.0),
 )
+
+#: Seeds at or above this value draw the tile grammar; it sits above every
+#: seed the aliasing band's streams use (``repro.verify`` seeds stay below
+#: 2**57).
+TILE_SEED_BASE = 1 << 60
+
+#: The tile grammar: the aliasing grammar plus block-strided tile stores.
+TILE_STMT_KINDS: Tuple[Tuple[str, float], ...] = ALIAS_STMT_KINDS + (("tilestore", 3.0),)
 
 
 def _gen_stmt(
@@ -254,6 +275,19 @@ class _CaseGen:
         }
 
     @staticmethod
+    def tilestore(rng, depth):
+        # Block b stores tout[j*pitch + b*stride + tid.x % w] for j < reps:
+        # tiles of width w, ``stride`` = w (disjoint) or w/2 (each tile
+        # overlaps its neighbours').
+        return {
+            "k": "tilestore",
+            "src": rng.randrange(4),
+            "w": rng.choice(TILE_WIDTHS),
+            "half": rng.random() < 0.5,
+            "reps": rng.randint(1, TILE_MAX_REPS),
+        }
+
+    @staticmethod
     def sstore(rng, depth):
         return {"k": "sstore", "mode": rng.choice(("tid", "xlane", "rand")), "src": rng.randrange(4), "r": rng.randrange(4)}
 
@@ -345,6 +379,8 @@ class _Emitter:
         self.tbuf = b.param_buf("tbuf", DType.F32, space=MemSpace.TEXTURE)
         self.abuf = b.param_buf("abuf", DType.I32)
         self.fabuf = b.param_buf("fabuf", DType.F32)
+        if "tilestore" in case_kind_counts(case):
+            self.tout = b.param_buf("tout", DType.I32)
         self.shared = b.shared("s", SHARED_ELEMS, DType.I32)
 
         gid = b.global_thread_id()
@@ -521,6 +557,15 @@ class _Emitter:
         else:
             b.st(self.fout, idx, self.f[s["src"]])
 
+    def _s_tilestore(self, s):
+        b = self.b
+        w = s["w"]
+        stride = w // 2 if s["half"] else w
+        pitch = (self.case["grid"] - 1) * stride + w
+        tile = b.iadd(b.imul(b.ctaid_x, stride), b.imod(b.tid_x, w))
+        with b.for_range(0, s["reps"]) as j:
+            b.st(self.tout, b.iadd(b.imul(j, pitch), tile), self.i[s["src"]])
+
     def _shared_index(self, mode: str, r: int) -> Any:
         b = self.b
         if mode == "tid":
@@ -611,6 +656,9 @@ def make_device(case: Case) -> Tuple[Device, Dict[str, DeviceBuffer]]:
         "abuf": dev.from_array("abuf", rng.integers(-10, 10, ATOMIC_ELEMS).astype(np.int64), DType.I32),
         "fabuf": dev.from_array("fabuf", rng.standard_normal(FATOMIC_ELEMS), DType.F32),
     }
+    if "tilestore" in case_kind_counts(case):
+        tile_elems = TILE_MAX_REPS * max(TILE_WIDTHS) * case["grid"]
+        bufs["tout"] = dev.alloc("tout", tile_elems, DType.I32)
     return dev, bufs
 
 
@@ -620,22 +668,11 @@ def make_device(case: Case) -> Tuple[Device, Dict[str, DeviceBuffer]]:
 
 def case_stmt_count(case: Case) -> int:
     """Number of case statements, counting nested bodies."""
-    return _count(case["stmts"])
+    return sum(case_kind_counts(case).values())
 
 
-def _count(stmts: List[Dict[str, Any]]) -> int:
-    total = 0
-    for s in stmts:
-        total += 1
-        if s["k"] == "if":
-            total += _count(s["then"]) + _count(s["else"])
-        elif s["k"] == "while":
-            total += _count(s["body"])
-    return total
-
-
-def describe_case(case: Case) -> str:
-    """One-line human summary of a case."""
+def case_kind_counts(case: Case) -> Dict[str, int]:
+    """Statements of ``case`` per kind, nested bodies included."""
     kinds: Dict[str, int] = {}
 
     def walk(stmts):
@@ -648,6 +685,12 @@ def describe_case(case: Case) -> str:
                 walk(s["body"])
 
     walk(case["stmts"])
+    return kinds
+
+
+def describe_case(case: Case) -> str:
+    """One-line human summary of a case."""
+    kinds = case_kind_counts(case)
     mix = " ".join(f"{k}x{v}" for k, v in sorted(kinds.items()))
     bx, by = case["block"]
     return f"seed={case['seed']} grid={case['grid']} block={bx}x{by} stmts={case_stmt_count(case)} [{mix}]"

@@ -44,12 +44,12 @@ from repro.simt.ir import (
     Op,
     Operand,
     ParamRef,
-    Reg,
     Return,
     Stmt,
     Store,
     While,
     assigned_regs,
+    read_regs,
 )
 from repro.simt.types import DType
 
@@ -59,10 +59,14 @@ _UNIFORM_SREGS = frozenset(
 )
 _SREGS = _UNIFORM_SREGS | {"%tid.x", "%tid.y"}
 
-#: Integer atomics whose effect on a location is order-independent
-#: (commutative and associative, no rounding), so any interleaving of a
-#: homogeneous set of them yields the same final memory.
-_COMMUTING_ATOMICS = frozenset({AtomicOp.ADD, AtomicOp.MIN, AtomicOp.MAX})
+#: ``(op, dtype)`` of the atomics whose effect on a location is
+#: order-independent (commutative and associative, no rounding: integer
+#: registers and I32 buffers are int64, whose wrapping add still is), so
+#: any interleaving of a homogeneous set of them yields the same final
+#: memory.
+COMMUTING_ATOMICS = frozenset(
+    (op, DType.I32) for op in (AtomicOp.ADD, AtomicOp.MIN, AtomicOp.MAX)
+)
 
 
 @dataclass(frozen=True)
@@ -208,35 +212,6 @@ class _Analyzer:
                 self.env[name] = self._fresh()
 
 
-def _read_regs(kernel: Kernel) -> Set[str]:
-    """Names of registers whose value is consumed anywhere in the kernel."""
-
-    names: Set[str] = set()
-
-    def see(operand: Optional[Operand]) -> None:
-        if isinstance(operand, Reg):
-            names.add(operand.name)
-
-    for stmt in kernel.walk():
-        if isinstance(stmt, Instr):
-            for s in stmt.srcs:
-                see(s)
-        elif isinstance(stmt, Load):
-            see(stmt.addr)
-        elif isinstance(stmt, Store):
-            see(stmt.addr)
-            see(stmt.value)
-        elif isinstance(stmt, Atomic):
-            see(stmt.addr)
-            see(stmt.value)
-            see(stmt.compare)
-        elif isinstance(stmt, If):
-            see(stmt.cond)
-        elif isinstance(stmt, While):
-            see(stmt.cond)
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Affine analysis
 
@@ -361,7 +336,7 @@ def _atomic_reasons(an: _Analyzer, kernel: Kernel) -> List[str]:
         return []
     reasons: List[str] = []
 
-    read = _read_regs(kernel)
+    read = read_regs(kernel.body)
     if any(a.dest_name is not None and a.dest_name in read for a in an.atomics):
         reasons.append("an atomic's old value is consumed by later instructions")
 
@@ -371,8 +346,7 @@ def _atomic_reasons(an: _Analyzer, kernel: Kernel) -> List[str]:
     single_site = len(an.atomics) == 1 and not an.atomics[0].in_loop
     commuting = (
         len({a.op for a in an.atomics}) == 1
-        and an.atomics[0].op in _COMMUTING_ATOMICS
-        and all(a.dtype is DType.I32 for a in an.atomics)
+        and all((a.op, a.dtype) in COMMUTING_ATOMICS for a in an.atomics)
     )
     if not single_site and not commuting:
         reasons.append("atomic interleaving differs across engines (non-commuting or repeated sites)")

@@ -17,9 +17,12 @@ interpreter in :mod:`repro.simt.executor`:
   blocks.  Profiled blocks batch exactly like silent ones: a batch
   containing profiled blocks runs the observed program with an
   :class:`~repro.simt.events.EventRecorder` capturing per-kind columnar
-  buffers, delivered to sinks as one ``on_batch`` call.  Kernels
-  containing atomics are never batched: atomic lane serialisation is
-  defined in launch order, which stacking would reorder.
+  buffers, delivered to sinks as one ``on_batch`` call.  Atomic lane
+  serialisation is defined in launch order, which stacking reorders, so
+  atomics pin their launch unless they commute: integer ADD/MIN/MAX whose
+  old values nobody reads, on buffers nothing else in the launch touches
+  (:func:`_atomics_commute`).  Those give the same final memory in any
+  lane order and leave the hazard test and the footprint analysis.
 
 * **Batch planning** — lockstep program order lets an earlier block's
   later memory operation land after a later block's earlier one, so
@@ -44,11 +47,12 @@ interpreter in :mod:`repro.simt.executor`:
                             batch to the cap (the TR/STEN tile shape)
   ``footprint_grouped``     affine but not provably disjoint; blocks are
                             greedily grouped into contiguous runs whose
-                            concrete per-block write footprints stay disjoint
-                            from each other and from the runs' reads
-  ``pinned``                atomics, a non-affine store or colliding load
-                            address, or genuinely overlapping footprints —
-                            one block per batch
+                            concrete per-block write footprints (exact byte
+                            sets where enumerable, else intervals) stay
+                            disjoint from each other and from the runs' reads
+  ``pinned``                non-commuting atomics, a non-affine store or
+                            colliding load address, or genuinely overlapping
+                            footprints — one block per batch
   ========================  ==================================================
 
 Blocks are stacked in ascending linear order and batches always cover
@@ -61,11 +65,12 @@ in sequential block order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simt import footprint
+from repro.simt.classify import COMMUTING_ATOMICS
 from repro.simt.errors import ExecutionError
 from repro.simt.events import (
     BRANCH_KIND_CODE,
@@ -76,6 +81,7 @@ from repro.simt.events import (
 )
 from repro.simt.ir import (
     Atomic,
+    AtomicOp,
     Barrier,
     If,
     Imm,
@@ -92,8 +98,9 @@ from repro.simt.ir import (
     Store,
     While,
     op_category,
+    read_regs,
 )
-from repro.simt.types import WARP_SIZE
+from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
 
 #: Lane budget per silent batch: K is chosen so ``K * npad`` stays near this.
@@ -101,6 +108,11 @@ TARGET_BATCH_LANES = 8192
 
 #: Hard cap on blocks per batch regardless of block size.
 MAX_BATCH_BLOCKS = 256
+
+#: ``(op, dtype)`` of the atomics that may batch (integer ADD/MIN/MAX),
+#: the classifier's commuting set; its own name so a verify plant can widen
+#: the planner's copy alone.
+_COMMUTING_ATOMICS = COMMUTING_ATOMICS
 
 _SREG_NAMES = frozenset(
     (
@@ -514,7 +526,10 @@ def _compile_atomic(ck, stmt: Atomic, hooks: frozenset):
     val = _make_vec(ck, stmt.value, np_dt)
     cmp = _make_vec(ck, stmt.compare, np_dt) if stmt.compare is not None else None
     esize = stmt.dtype.element_size
-    write = _make_write(ck, stmt.dest) if stmt.dest is not None else None
+    # An old value no statement reads is never materialised: the device
+    # then applies ADD/MIN/MAX in one index-ordered ufunc pass.
+    keep_old = stmt.dest is not None and stmt.dest.name in ck.reads
+    write = _make_write(ck, stmt.dest) if keep_old else None
     aop = stmt.op
 
     def core(st, act):
@@ -802,9 +817,10 @@ class CompiledKernel:
         "ctaid_slots",
         "shared_decls",
         "shared_offsets",
-        "has_atomics",
+        "reads",
         "load_sites",
         "store_sites",
+        "atomic_sites",
         "run_silent",
         "_observed",
         "plan_cache",
@@ -814,15 +830,15 @@ class CompiledKernel:
         self.kernel = kernel
         self.param_index: Dict[str, int] = {p.name: i for i, p in enumerate(kernel.params)}
         self.slot_of: Dict[str, int] = {}
-        self.has_atomics = False
         for stmt in kernel.walk():
             for reg in _stmt_regs(stmt):
                 if reg.name not in self.slot_of:
                     self.slot_of[reg.name] = len(self.slot_of)
-            if isinstance(stmt, Atomic):
-                self.has_atomics = True
         self.nslots = len(self.slot_of)
-        self.load_sites, self.store_sites = _buffer_param_flow(kernel)
+        self.reads = read_regs(kernel.body)
+        self.load_sites, self.store_sites, self.atomic_sites = _buffer_param_flow(
+            kernel, self.reads
+        )
         self.sreg_slots: Tuple[Tuple[str, int], ...] = tuple(
             (name, slot) for name, slot in self.slot_of.items() if name in _SREG_NAMES
         )
@@ -881,8 +897,8 @@ def _stmt_regs(stmt: Stmt):
         yield stmt.cond
 
 
-def _buffer_param_flow(kernel: Kernel):
-    """Which buffer params each global load and store/atomic site can reach.
+def _buffer_param_flow(kernel: Kernel, reads: AbstractSet[str]):
+    """Which buffer params each global load, store and atomic site can reach.
 
     A forward dataflow over register definitions: a register *derives from*
     a buffer param when the param's base pointer appears anywhere in the
@@ -893,13 +909,18 @@ def _buffer_param_flow(kernel: Kernel):
     ``deriv`` map is iterated to a fixpoint so loop-carried address
     registers converge; the sites are read off it afterwards.
 
-    Returns ``(load_sites, store_sites)``: ``load_sites`` maps each global
-    load's ``sid`` to the frozenset of param names its address derives
-    from, and ``store_sites`` holds one ``(params, in_loop)`` entry per
-    static store/atomic site.  The launch driver resolves both through the
-    actual buffer bindings, to decide whether batching this launch's blocks
-    could reorder memory operations (see :func:`_batch_hazard`) and which
-    load sites the footprint analysis must see (see :func:`plan_batches`).
+    Returns ``(load_sites, store_sites, atomic_sites)``: ``load_sites``
+    maps each global load's ``sid`` to the frozenset of param names its
+    address derives from, ``store_sites`` holds one ``(params, in_loop)``
+    entry per static global store site, and ``atomic_sites`` one
+    ``(params, kind)`` entry per atomic site, ``kind`` being its
+    ``(op, dtype)`` when that is in :data:`_COMMUTING_ATOMICS` and no
+    statement reads its old value (``reads`` names every register read),
+    else ``None``.  The launch driver resolves the param names through the
+    actual buffer bindings, to decide whether batching this launch's
+    blocks could reorder memory operations (see :func:`_atomics_commute`
+    and :func:`_batch_hazard`) and which load sites the footprint analysis
+    must see (see :func:`plan_batches`).
     """
     bufs = {p.name for p in kernel.params if p.is_buffer}
     deriv: Dict[str, set] = {}
@@ -926,6 +947,7 @@ def _buffer_param_flow(kernel: Kernel):
 
     load_sites: Dict[int, frozenset] = {}
     store_sites: List[Tuple[frozenset, bool]] = []
+    atomic_sites: List[Tuple[frozenset, Optional[Tuple[AtomicOp, DType]]]] = []
 
     def collect(stmts, in_loop: bool) -> None:
         for stmt in stmts:
@@ -936,7 +958,12 @@ def _buffer_param_flow(kernel: Kernel):
                 if stmt.space is not MemSpace.SHARED:
                     store_sites.append((frozenset(of(stmt.addr)), in_loop))
             elif isinstance(stmt, Atomic):
-                store_sites.append((frozenset(of(stmt.addr)), in_loop))
+                kind = (stmt.op, stmt.dtype)
+                if kind not in _COMMUTING_ATOMICS or (
+                    stmt.dest is not None and stmt.dest.name in reads
+                ):
+                    kind = None
+                atomic_sites.append((frozenset(of(stmt.addr)), kind))
             elif isinstance(stmt, If):
                 collect(stmt.then_body, in_loop)
                 collect(stmt.else_body, in_loop)
@@ -945,7 +972,35 @@ def _buffer_param_flow(kernel: Kernel):
                 collect(stmt.body, True)
 
     collect(kernel.body, False)
-    return load_sites, tuple(store_sites)
+    return load_sites, tuple(store_sites), tuple(atomic_sites)
+
+
+def _atomics_commute(ck: "CompiledKernel", params_by_name: Dict, device=None) -> bool:
+    """Whether no batching order can change what this launch's atomics do.
+
+    Every atomic site must be a commuting op (see :func:`_buffer_param_flow`)
+    on buffers that nothing else in the launch touches: no load or plain
+    store site, and no atomic of another op or dtype, may reach them.  Then
+    the final contents of those buffers are the same in any lane order, and
+    no other site can observe them part-way.  ``device``, when given, must
+    hold a buffer of the atomic's own dtype at each base (an integer atomic
+    on float data rounds in lane order); without it the binding is trusted
+    to match the param's declared dtype.
+    """
+    claimed: Dict[int, Tuple[AtomicOp, DType]] = {}
+    for names, kind in ck.atomic_sites:
+        if kind is None or not names:
+            return False
+        for name in names:
+            if claimed.setdefault(params_by_name[name], kind) != kind:
+                return False
+    if device is not None:
+        dtype_at = {buf.base: buf.dtype for buf in device.buffers}
+        if any(dtype_at.get(base) is not kind[1] for base, kind in claimed.items()):
+            return False
+    touched = {params_by_name[n] for names, _ in ck.store_sites for n in names}
+    touched.update(params_by_name[n] for names in ck.load_sites.values() for n in names)
+    return not touched.intersection(claimed)
 
 
 def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
@@ -958,7 +1013,7 @@ def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
 
     - a global load's possible base buffers intersect any store's (a block
       could see, or miss, a same-launch neighbour's store), or
-    - two distinct store/atomic sites can hit the same buffer (cross-site
+    - two distinct store sites can hit the same buffer (cross-site
       write-write collisions resolve in program-point order, not block
       order), or
     - a store site sits inside a loop (iteration *k* of a later block must
@@ -967,7 +1022,9 @@ def _batch_hazard(ck: "CompiledKernel", params_by_name: Dict) -> bool:
     Base sets are resolved against the actual bound buffer bases, so two
     params bound to one buffer alias correctly.  Single straight-line store
     sites are always safe: the scatter's highest-lane-wins tie-break makes
-    the last block win, same as sequential order.
+    the last block win, same as sequential order.  Atomic sites are not
+    considered: :func:`plan_batches` pins every launch whose atomics do not
+    commute on buffers of their own (:func:`_atomics_commute`).
     """
     base_sites = []
     for names, in_loop in ck.store_sites:
@@ -1026,6 +1083,7 @@ def plan_batches(
     block: Tuple[int, int],
     params_by_name: Dict,
     batch_blocks: Optional[int] = None,
+    device=None,
 ) -> BatchPlan:
     """Decide how wide this launch may batch, refining the hazard pin.
 
@@ -1033,17 +1091,20 @@ def plan_batches(
     hazard-flagged launches the footprint analysis runs in two layers:
     the symbolic pass first tries to prove every cross-block store-store
     and store-load pair disjoint structurally (tier ``symbolic_clear``);
-    failing that, each block's concrete per-site byte extents are grouped
-    greedily into contiguous runs with non-overlapping write footprints
-    (tier ``footprint_grouped``).  Only launches with atomics, a
-    non-affine address, or genuinely colliding footprints stay pinned at
-    one block per batch.  The analysis sees only the load sites whose
-    bases, resolved through the bound buffers, meet the launch's store
-    bases: any other load reads a buffer no block of this launch writes.
+    failing that, each block's concrete per-site byte footprints are
+    grouped greedily into contiguous runs that no cross-block collision
+    crosses (tier ``footprint_grouped``).  Only launches with
+    non-commuting atomics, a non-affine address, or genuinely colliding
+    footprints stay pinned at one block per batch.  Commuting atomics
+    (:func:`_atomics_commute`) leave both the hazard test and the
+    analysis.  The analysis sees only the load sites whose bases,
+    resolved through the bound buffers, meet the launch's store bases:
+    any other load reads a buffer no block of this launch writes.
 
     Plans are cached on ``ck.plan_cache`` per (grid, block, cap, bound
     params) — an explicit ``batch_blocks`` override adjusts the cap but
-    never widens what the analysis allows.
+    never widens what the analysis allows.  ``device`` is the launch's
+    device, used only to check the dtype of atomic target buffers.
     """
     nthreads = block[0] * block[1]
     npad = -(-nthreads // WARP_SIZE) * WARP_SIZE
@@ -1051,7 +1112,7 @@ def plan_batches(
         cap = max(1, int(batch_blocks))
     else:
         cap = max(1, min(MAX_BATCH_BLOCKS, TARGET_BATCH_LANES // npad))
-    if ck.has_atomics:
+    if ck.atomic_sites and not _atomics_commute(ck, params_by_name, device):
         return BatchPlan("pinned", 1, pin_reason="atomics")
     if not _batch_hazard(ck, params_by_name):
         return BatchPlan("clear", cap)
@@ -1221,7 +1282,9 @@ def run_compiled_launch(
     # The plan beats an explicit batch_blocks override: the override is a
     # sizing knob, not a correctness waiver — a pinned launch stays pinned
     # and a grouped launch never batches across a group boundary.
-    plan = plan_batches(ck, grid, block, params_by_name, executor.batch_blocks)
+    plan = plan_batches(
+        ck, grid, block, params_by_name, executor.batch_blocks, executor.device
+    )
     limit = plan.limit
     group_of = plan.group_of
 

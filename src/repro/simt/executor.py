@@ -167,8 +167,9 @@ class Executor:
         IR per block.  Both produce bit-identical memory and profiles.
     batch_blocks:
         Override the number of blocks stacked per batch (compiled engine
-        only).  ``None`` auto-sizes from the block's lane count; kernels
-        containing atomics always run one block at a time.
+        only).  ``None`` auto-sizes from the block's lane count; the batch
+        planner caps it (a launch whose atomics do not commute runs one
+        block at a time).
     block_order:
         Optional permutation of linear block indices for the interpreted
         engine: blocks are *visited* in this order while keeping their

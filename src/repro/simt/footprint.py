@@ -19,19 +19,22 @@ single symbolic pass over the lowered IR:
   (domain ``[0, trips)``; the step may be any launch constant — an
   immediate, an int param, ``%ntid.*`` or a register the loop never
   assigns), and anonymous bounded symbols for values forced into a range
-  by ``imod``.  Parameters are bound to their concrete values
+  by ``imod`` or, as quotients of a non-negative dividend by a positive
+  constant, by ``idiv``.  Parameters are bound to their concrete values
   (buffer bases are plain ints at launch time), so an address form is an
   absolute byte expression.  Anything non-affine is ``None`` (unknown); the
   analysis never guesses.  All forms are range-limited to ``±2**62`` so the
   Python-int model can never diverge from the engine's int64 arithmetic.
 
-* **Relevant sites** — every global store and atomic, and only the global
-  loads the caller names: :func:`repro.simt.compiled.plan_batches` passes
-  the loads whose base buffers meet a store's.  Any other load reads a
-  buffer no block of the launch writes, so its address, however opaque,
-  cannot observe batching.  This rests on the rule the whole-launch
-  hazard test already trusts: loaded values never carry a buffer's base,
-  and an address derived from a buffer's base stays in that buffer.
+* **Relevant sites** — every global store, and only the global loads the
+  caller names: :func:`repro.simt.compiled.plan_batches` passes the loads
+  whose base buffers meet a store's.  Any other load reads a buffer no
+  block of the launch writes, so its address, however opaque, cannot
+  observe batching.  This rests on the rule the whole-launch hazard test
+  already trusts: loaded values never carry a buffer's base, and an
+  address derived from a buffer's base stays in that buffer.  Atomics are
+  never sites: a launch reaches the analysis only when its atomics
+  commute on buffers no other site touches.
 
 * **Symbolic disjointness** — with every relevant site affine, cross-block
   disjointness is decided structurally.  A looped store site is
@@ -46,15 +49,22 @@ single symbolic pass over the lowered IR:
   treated as independent even when shared — the hazard compares *different
   blocks*, whose threads and loop trips are unrelated.
 
-* **Concrete extents** — when the symbolic proof fails but every site is
-  still affine, :func:`block_extents` evaluates each site's per-block byte
-  interval exactly (block symbols take their per-block values; everything
-  else contributes its range), and :func:`group_blocks` greedily grows
-  contiguous runs of blocks whose write footprints stay disjoint from each
-  other and from the run's read footprints.  A single straight-line store
-  site may self-overlap inside a run — the scatter's highest-lane-wins
-  tie-break already reproduces sequential last-block-wins for one site —
-  but looped sites and cross-site overlaps end the run.
+* **Concrete footprints** — when the symbolic proof fails but every site
+  is still affine, :func:`block_extents` evaluates each site's per-block
+  footprint (block symbols take their per-block values; everything else
+  ranges over its domain): its exact byte set when that can be enumerated
+  (non-block symbol counts times element size within
+  :data:`_ENUM_BUDGET`), else its byte interval.  :func:`group_blocks`
+  greedily grows contiguous runs of blocks whose write footprints stay
+  disjoint from each other and from the run's read footprints; NW's tiles
+  on one anti-diagonal share matrix rows, so their intervals meet while
+  their byte sets never do.  Both forms cover every byte a block can
+  touch, because every symbol's domain covers the values it stands for
+  and the byte set treats distinct symbols as independent.  A single
+  straight-line store site may self-overlap inside a run — the scatter's
+  highest-lane-wins tie-break already reproduces sequential
+  last-block-wins for one site — but looped sites and cross-site overlaps
+  end the run.
 
 The orchestration (which tier applies, batch limits, caching) lives in
 :func:`repro.simt.compiled.plan_batches`; this module is pure analysis and
@@ -64,6 +74,7 @@ holds no launch state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,6 +107,18 @@ _VALUE_LIMIT = 1 << 62
 #: Largest block-delta lattice enumerated exactly; bigger grids fall back to
 #: "assume a hit" (conservative: the symbolic proof fails, concrete runs).
 _LATTICE_ENUM_CAP = 1 << 20
+
+#: Largest per-block byte set (non-block symbol counts times element size)
+#: the concrete tier compares exactly; bigger sites compare as intervals.
+_ENUM_BUDGET = 1 << 14
+
+#: Largest sum-set enumerated for one site pair's exact comparison; a pair
+#: beyond it compares as intervals.
+_PAIR_BUDGET = 1 << 16
+
+#: Element bound on the (site pair, block, predecessor) delta arrays
+#: :func:`group_blocks` builds at once.
+_GROUP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -298,6 +321,12 @@ class _Pass:
             if a is not None and b is not None and b != 0:
                 q = abs(a) // abs(b)
                 return _aff(-q if (a < 0) != (b < 0) else q)
+            if vals[0] is not None and b is not None and b > 0:
+                lo, hi = _range(vals[0], self.syms)
+                if lo >= 0:
+                    # Non-negative dividend: the quotient lands in
+                    # [lo//b, hi//b], the bounded-symbol analogue of imod.
+                    return _add(_aff(lo // b), self._new_sym("div", hi // b - lo // b + 1))
             return None
         if op is Op.IABS:
             a = _const_of(vals[0])
@@ -348,7 +377,8 @@ class _Pass:
             if stmt.space is not MemSpace.SHARED:
                 self._site("store", stmt.addr, stmt.dtype.element_size, stmt.sid)
         elif isinstance(stmt, Atomic):
-            self._site("store", stmt.addr, stmt.dtype.element_size, stmt.sid)
+            # Only commuting atomics on buffers of their own reach the
+            # analysis (see plan_batches): no order of them is observable.
             if stmt.dest is not None:
                 self.env[stmt.dest.name] = None
         elif isinstance(stmt, (Barrier, Return)):
@@ -613,16 +643,22 @@ def symbolically_disjoint(fp: Footprints, grid: Tuple[int, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Concrete per-block extents and greedy grouping
+# Concrete per-block footprints and greedy grouping
 
 
 def block_extents(fp: Footprints, grid: Tuple[int, int], nblocks: int):
-    """Exact per-block byte intervals for every site, or ``None``.
+    """Per-block byte footprints for every site, or ``None``.
 
-    Returns a list of ``(kind, in_loop, lo, hi)`` with ``lo``/``hi`` int64
-    arrays of length ``nblocks`` (inclusive byte bounds): block symbols are
-    evaluated at each block's coordinates, every other symbol contributes
-    its full range.  ``None`` when any site's address is not affine.
+    Returns a list of ``(kind, in_loop, lo, hi, digits)``.  ``lo``/``hi``
+    are int64 arrays of length ``nblocks`` (inclusive byte bounds): block
+    symbols are evaluated at each block's coordinates, every other symbol
+    contributes its full range.  ``digits`` describes the exact byte set
+    when it can be enumerated — the product of the site's non-block symbol
+    counts and its element size is at most :data:`_ENUM_BUDGET` — as
+    ``(stride, count)`` progressions whose sum-set is the set of byte
+    offsets from ``lo`` (the element bytes are the digit ``(1, esize)``);
+    otherwise ``digits`` is ``None`` and the footprint is the whole
+    interval.  ``None`` when any site's address is not affine.
     """
     if not fp.complete:
         return None
@@ -633,6 +669,8 @@ def block_extents(fp: Footprints, grid: Tuple[int, int], nblocks: int):
     for site in fp.sites:
         lo = hi = site.aff.const
         blk = np.zeros(nblocks, dtype=np.int64)
+        digits = [(1, site.esize)]
+        size = site.esize
         for i, c in site.aff.terms:
             sym = fp.syms[i]
             if sym.is_block:
@@ -641,73 +679,119 @@ def block_extents(fp: Footprints, grid: Tuple[int, int], nblocks: int):
                 extent = c * (sym.count - 1)
                 lo += min(extent, 0)
                 hi += max(extent, 0)
-        out.append((site.kind, site.in_loop, blk + lo, blk + hi + site.esize - 1))
+                digits.append((abs(c), sym.count))
+                size *= sym.count
+        exact = tuple(digits) if size <= _ENUM_BUDGET else None
+        out.append((site.kind, site.in_loop, blk + lo, blk + hi + site.esize - 1, exact))
     return out
+
+
+@lru_cache(maxsize=32)
+def _sum_set(digits: Tuple[Tuple[int, int], ...]) -> Optional[np.ndarray]:
+    """Sorted ``{Σ k·stride : 0 <= k < count}`` over ``digits``, or ``None``
+    when it would exceed :data:`_PAIR_BUDGET` elements.  Cached: launches
+    of one kernel repeat their digit lists.
+
+    Progressions are merged in ascending stride order wherever the smaller
+    one bridges the larger one's step (``count·stride >= next stride``,
+    which leaves a contiguous progression), so dense tiles stay small.
+    """
+    merged: List[List[int]] = []
+    for stride, count in sorted(digits):
+        if count <= 1:
+            continue
+        if merged and stride % merged[-1][0] == 0 and merged[-1][1] * merged[-1][0] >= stride:
+            merged[-1][1] += (count - 1) * (stride // merged[-1][0])
+        else:
+            merged.append([stride, count])
+    if int(np.prod([count for _, count in merged])) > _PAIR_BUDGET:
+        return None
+    values = np.zeros(1, dtype=np.int64)
+    for stride, count in merged:
+        spread = int(values[-1])
+        values = (stride * np.arange(count, dtype=np.int64)[:, None] + values).ravel()
+        if stride <= spread:  # digits overlap: restore sorted, unique order
+            values = np.unique(values)
+    return values
 
 
 def group_blocks(extents, nblocks: int, cap: int):
     """Greedily grow contiguous runs of footprint-compatible blocks.
 
-    A block joins the current run unless one of its write intervals meets
-    the run's write hull at a *different* site (or the same site when that
-    site is looped — iteration reordering breaks scatter parity), one of
-    its writes meets the run's read hull, or one of its reads meets the
-    run's write hull.  Returns ``(group_of, groups, largest)``: a
-    non-decreasing int array mapping linear block id to group id, the group
-    count, and the widest group.
+    A block joins the current run unless one of its write footprints meets
+    a write of a block already in the run at a *different* site (or the
+    same site when that site is looped — iteration reordering breaks
+    scatter parity), one of its writes meets a run block's read, or one of
+    its reads meets a run block's write.  Returns ``(group_of, groups,
+    largest)``: a non-decreasing int array mapping linear block id to group
+    id, the group count, and the widest group.
+
+    With ``O_s`` the byte offsets of site ``s`` from its ``lo`` and
+    ``span_s`` their extent, block ``b``'s ``s`` meets block ``b'``'s ``t``
+    exactly when ``x = lo_s[b] - lo_t[b'] + span_s`` lies in
+    ``O_t - O_s + span_s``.  When both sites carry ``digits`` (see
+    :func:`block_extents`) that set is the sum-set of both digit lists;
+    otherwise it is taken to be the whole interval ``[0, span_s +
+    span_t]``.  One test serves both: every site pair's deltas to the
+    ``cap - 1`` preceding blocks are held to the interval bounds at once,
+    then those of exact pairs are looked up in their sorted sum-set.
     """
-    stores = [(in_loop, lo, hi) for kind, in_loop, lo, hi in extents if kind == "store"]
-    loads = [(lo, hi) for kind, _, lo, hi in extents if kind == "load"]
+    hull = [(int(e[2].min()), int(e[2].max()), int(e[3][0] - e[2][0])) for e in extents]
+    tests = []
+    for si, s in enumerate(extents):
+        for ti, t in enumerate(extents):
+            if s[0] == "load" and t[0] == "load":
+                continue
+            if si == ti and not s[1]:
+                continue  # single-shot same-site: scatter order parity
+            (smin, smax, span_s), (tmin, tmax, span_t) = hull[si], hull[ti]
+            width = span_s + span_t
+            if smin + span_s - tmax > width or smax + span_s - tmin < 0:
+                continue  # no two blocks' footprints meet at all
+            exact = None
+            if s[4] is not None and t[4] is not None:
+                exact = tuple(sorted(s[4] + t[4]))
+            tests.append((si, ti, span_s, width, exact))
+    # near[b]: distance back to the closest block b collides with.
+    look = min(cap, nblocks) - 1
+    near = np.full(nblocks, nblocks, dtype=np.int64)
+    if tests and look > 0:
+        lo_s = np.stack([extents[test[0]][2] for test in tests])
+        lo_t = np.stack([extents[test[1]][2] for test in tests])
+        span = np.array([test[2] for test in tests], dtype=np.int64)[:, None, None]
+        width = np.array([test[3] for test in tests], dtype=np.int64)[:, None, None]
+        exact_rows: Dict[tuple, List[int]] = {}
+        for r, test in enumerate(tests):
+            if test[4] is not None:
+                exact_rows.setdefault(test[4], []).append(r)
+        back = np.arange(1, look + 1, dtype=np.int64)
+        rows = max(1, _GROUP_CHUNK // (len(tests) * look))
+        for first in range(1, nblocks, rows):
+            blocks = np.arange(first, min(first + rows, nblocks), dtype=np.int64)
+            prev = blocks[:, None] - back
+            x = lo_s[:, blocks, None] + span - lo_t[:, np.maximum(prev, 0)]
+            hit = (prev >= 0) & (x >= 0) & (x <= width)
+            for digits, idx in exact_rows.items():
+                sub = hit[idx]
+                if not sub.any():
+                    continue
+                values = _sum_set(digits)
+                if values is not None:
+                    # values[-1] is the largest sum, the pair's width: every
+                    # position found indexes an element.
+                    xs = x[idx][sub]
+                    sub[sub] = values[np.searchsorted(values, xs)] == xs
+                    hit[idx] = sub
+            collide = hit.any(axis=0)
+            near[blocks] = np.where(collide.any(axis=1), collide.argmax(axis=1) + 1, nblocks)
     group_of = np.zeros(nblocks, dtype=np.int64)
-    whull = [[int(lo[0]), int(hi[0])] for _, lo, hi in stores]
-    lhull = [[int(lo[0]), int(hi[0])] for lo, hi in loads]
     group = 0
-    run_len = 1
+    start = 0
     largest = 1
-    for b in range(1, nblocks):
-        conflict = run_len >= cap
-        if not conflict:
-            for si, (s_loop, slo, shi) in enumerate(stores):
-                hlo, hhi = whull[si]
-                for ti, (_, tlo, thi) in enumerate(stores):
-                    if ti == si and not s_loop:
-                        continue  # single-shot same-site: scatter order parity
-                    if tlo[b] <= hhi and hlo <= thi[b]:
-                        conflict = True
-                        break
-                if conflict:
-                    break
-                for llo, lhi_ in loads:
-                    if llo[b] <= hhi and hlo <= lhi_[b]:
-                        conflict = True
-                        break
-                if conflict:
-                    break
-            if not conflict:
-                for li, (llo, lhi_) in enumerate(loads):
-                    hlo, hhi = lhull[li]
-                    for _, slo, shi in stores:
-                        if slo[b] <= hhi and hlo <= shi[b]:
-                            conflict = True
-                            break
-                    if conflict:
-                        break
-        if conflict:
+    for b, dist in enumerate(near.tolist()):
+        if b and (b - start >= cap or dist <= b - start):
             group += 1
-            run_len = 1
-            for si, (_, slo, shi) in enumerate(stores):
-                whull[si] = [int(slo[b]), int(shi[b])]
-            for li, (llo, lhi_) in enumerate(loads):
-                lhull[li] = [int(llo[b]), int(lhi_[b])]
-        else:
-            run_len += 1
-            if run_len > largest:
-                largest = run_len
-            for si, (_, slo, shi) in enumerate(stores):
-                whull[si][0] = min(whull[si][0], int(slo[b]))
-                whull[si][1] = max(whull[si][1], int(shi[b]))
-            for li, (llo, lhi_) in enumerate(loads):
-                lhull[li][0] = min(lhull[li][0], int(llo[b]))
-                lhull[li][1] = max(lhull[li][1], int(lhi_[b]))
+            start = b
+        largest = max(largest, b - start + 1)
         group_of[b] = group
     return group_of, group + 1, largest

@@ -402,3 +402,24 @@ def assigned_regs(stmts: List[Stmt]) -> Set[str]:
         elif isinstance(stmt, Atomic) and stmt.dest is not None:
             names.add(stmt.dest.name)
     return names
+
+
+def read_regs(stmts: List[Stmt]) -> Set[str]:
+    """Names of the registers whose value any statement in ``stmts``
+    (nested included) consumes."""
+    names: Set[str] = set()
+    for stmt in _walk(stmts):
+        if isinstance(stmt, Instr):
+            operands = stmt.srcs
+        elif isinstance(stmt, Load):
+            operands = (stmt.addr,)
+        elif isinstance(stmt, Store):
+            operands = (stmt.addr, stmt.value)
+        elif isinstance(stmt, Atomic):
+            operands = (stmt.addr, stmt.value, stmt.compare)
+        elif isinstance(stmt, (If, While)):
+            operands = (stmt.cond,)
+        else:
+            continue
+        names.update(op.name for op in operands if isinstance(op, Reg))
+    return names

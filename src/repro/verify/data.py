@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fuzz.generator import Case, build_kernel, make_device
+from repro.fuzz.generator import Case, build_kernel, case_kind_counts, make_device
 from repro.fuzz.oracle import LaunchOutcome, launch
 from repro.simt.builder import KernelBuilder
 from repro.simt.compiled import _batch_hazard, compile_kernel
@@ -53,18 +53,7 @@ FLOAT_ATOL = 1e-12
 
 def case_has_kind(case: Case, kinds: Sequence[str]) -> bool:
     """Whether any statement of ``case`` (nested included) is of one of ``kinds``."""
-
-    def walk(stmts) -> bool:
-        for s in stmts:
-            if s["k"] in kinds:
-                return True
-            if s["k"] == "if" and (walk(s["then"]) or walk(s["else"])):
-                return True
-            if s["k"] == "while" and walk(s["body"]):
-                return True
-        return False
-
-    return walk(case["stmts"])
+    return not case_kind_counts(case).keys().isdisjoint(kinds)
 
 
 def case_is_order_free(case: Case) -> bool:
@@ -79,7 +68,7 @@ def case_is_order_free(case: Case) -> bool:
         return False
     kernel = build_kernel(case)
     ck = compile_kernel(kernel)
-    if ck.has_atomics:
+    if ck.atomic_sites:
         return False
     dev, bufs = make_device(case)
     params_by_name = {name: buf.base for name, buf in bufs.items()}

@@ -22,6 +22,12 @@ happened to schedule it.  These properties pin that down:
 * batching widened by the per-site load filter (only loads that can read
   a stored buffer enter the footprint analysis) matches the interpreted
   baseline bit-for-bit, and a filter that keeps no load is caught;
+* the planner's disjointness claims hold on what actually runs: inside
+  every batch a plan allows, no two blocks' recorded byte sets collide
+  where the plan says they cannot — through the symbolic and concrete
+  footprint tiers (plant: an injectivity test that always succeeds) and
+  through batched commuting atomics (plant: float ADD counted as
+  commuting);
 * device accesses resolved by one bounds test name the same buffer,
   elements or fault as the per-lane resolution.
 """
@@ -35,10 +41,29 @@ from unittest import mock
 
 import numpy as np
 
-from repro.fuzz.generator import ALIAS_SEED_BASE, Case, build_kernel, make_device
+from repro.fuzz.generator import (
+    ALIAS_SEED_BASE,
+    TILE_SEED_BASE,
+    Case,
+    build_kernel,
+    make_device,
+)
 from repro.fuzz.oracle import launch_case, reference_applies, reference_leg, run_case
-from repro.simt import Device, DType, MemoryFault, compiled, footprint, memory
-from repro.simt.ir import AtomicOp
+from repro.simt import (
+    Device,
+    DType,
+    Executor,
+    MemoryFault,
+    SimtError,
+    TraceSink,
+    compiled,
+    footprint,
+    memory,
+    profile_all_blocks,
+)
+from repro.simt.classify import COMMUTING_ATOMICS
+from repro.simt.events import MEM_KINDS, SPACE_CODE
+from repro.simt.ir import Atomic, AtomicOp, MemSpace, Store, While, read_regs, walk_stmts
 from repro.verify.data import (
     ORDER_FREE_PASSES,
     RESHARD_NBLOCKS,
@@ -246,9 +271,9 @@ class ReferenceParity(CaseProperty):
 def _case_plan(case: Case):
     """Batch plan the compiled engine would use for *case* at auto settings."""
     ck = compiled.compile_kernel(build_kernel(case))
-    _dev, bufs = make_device(case)
+    dev, bufs = make_device(case)
     params = {name: buf.base for name, buf in bufs.items()}
-    return compiled.plan_batches(ck, (case["grid"], 1), tuple(case["block"]), params)
+    return compiled.plan_batches(ck, (case["grid"], 1), tuple(case["block"]), params, device=dev)
 
 
 @register
@@ -295,7 +320,7 @@ class FootprintGrouping(CaseProperty):
             if extents is None:
                 return None
             fake = np.arange(nblocks, dtype=np.int64)
-            return [(kind, in_loop, fake, fake) for kind, in_loop, _lo, _hi in extents]
+            return [(kind, in_loop, fake, fake, None) for kind, in_loop, *_ in extents]
 
         return mock.patch.object(footprint, "block_extents", collapsed)
 
@@ -349,6 +374,181 @@ class FootprintLoadSites(CaseProperty):
         return mock.patch.object(
             compiled, "_colliding_loads", lambda ck, params_by_name: frozenset()
         )
+
+
+class _ByteRecorder(TraceSink):
+    """Every delivered batch's block ids, and every global access of every
+    block as ``(block, sid, kind, bytes)``."""
+
+    def __init__(self) -> None:
+        self.batches: List[Tuple[int, ...]] = []
+        self.accesses: List[Tuple[int, int, str, np.ndarray]] = []
+
+    def subscriptions(self):
+        return frozenset({"mem"})
+
+    def on_batch(self, batch) -> None:
+        self.batches.append(tuple(batch.block_ids))
+        mem = batch.mem
+        for e in np.flatnonzero(mem.space == SPACE_CODE[MemSpace.GLOBAL]).tolist():
+            esize = int(mem.elem_size[e])
+            for row, block in enumerate(batch.block_ids):
+                addrs = mem.addrs[e, row][mem.act[e, row]]
+                nbytes = (addrs[:, None] + np.arange(esize)).ravel()
+                self.accesses.append(
+                    (block, int(mem.sid[e]), MEM_KINDS[mem.kind[e]], np.unique(nbytes))
+                )
+
+
+def _record(case: Case, engine: str) -> _ByteRecorder:
+    """One launch of ``case`` with every block profiled into a recorder; a
+    faulting launch stops where it stops, and the record keeps what ran."""
+    dev, bufs = make_device(case)
+    recorder = _ByteRecorder()
+    ex = Executor(dev, sinks=[recorder], profile_filter=profile_all_blocks, engine=engine)
+    try:
+        ex.launch(build_kernel(case), case["grid"], tuple(case["block"]), bufs)
+    except SimtError:
+        pass
+    return recorder
+
+
+def _collisions(case: Case) -> List[str]:
+    """Cross-block collisions inside the batches the compiled engine runs.
+
+    The batches are the ones the compiled engine delivers with every block
+    profiled; the byte sets are the interpreter's, whose sequential run is
+    the reference.  The blocks of each batch are compared pairwise: a write
+    (store or atomic) must not meet another block's write or load.  Exempt
+    are a straight-line store site meeting itself (the scatter's
+    highest-lane-wins order is the sequential one) and commuting atomics of
+    one op whose old values no statement reads, judged by the classifier's
+    table, not by the planner's copy a plant may widen.
+    """
+    batches = [b for b in _record(case, "compiled").batches if len(b) > 1]
+    if not batches:
+        return []
+    kernel = build_kernel(case)
+    reads = read_regs(kernel.body)
+    looped = {
+        s.sid
+        for w in kernel.walk()
+        if isinstance(w, While)
+        for s in walk_stmts(list(w.cond_body) + list(w.body))
+    }
+    straight_stores = {
+        s.sid for s in kernel.walk() if isinstance(s, Store) and s.sid not in looped
+    }
+    commuting = {
+        s.sid: s.op
+        for s in kernel.walk()
+        if isinstance(s, Atomic)
+        and (s.op, s.dtype) in COMMUTING_ATOMICS
+        and (s.dest is None or s.dest.name not in reads)
+    }
+    by_block: Dict[int, List[Tuple[int, str, np.ndarray]]] = {}
+    for block, sid, kind, nbytes in _record(case, "interpreted").accesses:
+        by_block.setdefault(block, []).append((sid, kind, nbytes))
+
+    def benign(a, b) -> bool:
+        (sa, ka, _), (sb, kb, _) = a, b
+        if ka == "load" and kb == "load":
+            return True
+        if ka == kb == "store" and sa == sb and sa in straight_stores:
+            return True
+        return ka == kb == "atomic" and sa in commuting and commuting.get(sb) is commuting[sa]
+
+    out: List[str] = []
+    for batch in batches:
+        for i, b1 in enumerate(batch):
+            for b2 in batch[i + 1 :]:
+                for a in by_block.get(b1, ()):
+                    for b in by_block.get(b2, ()):
+                        if benign(a, b):
+                            continue
+                        common = np.intersect1d(a[2], b[2], assume_unique=True)
+                        if common.size:
+                            out.append(
+                                f"batch {batch[0]}-{batch[-1]}: block {b1} {a[1]} sid "
+                                f"{a[0]} and block {b2} {b[1]} sid {b[0]} share byte "
+                                f"0x{int(common[0]):x}"
+                            )
+                            if len(out) >= 8:
+                                return out
+    return out
+
+
+class _PlanSoundness(CaseProperty):
+    """Shared check of the planner's disjointness claims (:func:`_collisions`)."""
+
+    budget = (3, 12)
+
+    def diffs(self, case: Case) -> List[str]:
+        return _collisions(case)
+
+    def verdict(self, case: Case) -> Tuple[List[str], Dict[str, bool]]:
+        """One check, tallied by plan tier, atomics and grammar band."""
+        return _collisions(case), {
+            _case_plan(case).tier: True,
+            "atomics": case_has_kind(case, ("atomic",)),
+            "tile-grammar": case["seed"] >= TILE_SEED_BASE,
+        }
+
+
+@register
+class FootprintSound(_PlanSoundness):
+    name = "simt.footprint.sound"
+    layer = "simt"
+    invariant = (
+        "inside every batch the planner allows for a hazard-flagged launch, "
+        "no two blocks' recorded byte sets collide (store x store, store x "
+        "load; same-site only for straight-line stores)"
+    )
+    #: Hazard-flagged launches that batch are most of the tile band and a
+    #: third of the aliasing band; this cap on rejected seeds is generous.
+    scan = 2000
+    plant_base = TILE_SEED_BASE + 990_000
+
+    def case_seeds(self, ctx: VerifyContext) -> Iterator[int]:
+        """Alternate the aliasing grammar with the tile grammar, whose
+        block-strided tile stores are the looped sites the symbolic
+        self-disjointness proof decides."""
+        for i in itertools.count():
+            yield ctx.case_seed(self.name, i)
+            yield TILE_SEED_BASE + ctx.case_seed(self.name, i)
+
+    def applies(self, case: Case) -> bool:
+        plan = _case_plan(case)
+        if plan.tier in ("symbolic_clear", "footprint_grouped"):
+            return True
+        return plan.tier == "clear" and case_has_kind(case, ("atomic",))
+
+    def mutant(self):
+        """Call every mixed-radix digit set injective, so looped tile stores
+        whose tiles overlap their neighbours' plan ``symbolic_clear``."""
+        return mock.patch.object(footprint, "_mixed_radix_injective", lambda terms: True)
+
+
+@register
+class AtomicsSound(_PlanSoundness):
+    name = "simt.atomics.sound"
+    layer = "simt"
+    invariant = (
+        "blocks batched across atomics never collide except through integer "
+        "ADD/MIN/MAX of one op whose old values nobody reads"
+    )
+    #: About one aliasing-band case in six batches across atomics.
+    scan = 2000
+    plant_base = ALIAS_SEED_BASE + 990_000
+
+    def applies(self, case: Case) -> bool:
+        return case_has_kind(case, ("atomic",)) and _case_plan(case).tier != "pinned"
+
+    def mutant(self):
+        """Count float ADD as commuting: float atomics then batch, and their
+        lane order changes the rounding of every sum they share."""
+        planted = compiled._COMMUTING_ATOMICS | {(AtomicOp.ADD, DType.F32)}
+        return mock.patch.object(compiled, "_COMMUTING_ATOMICS", planted)
 
 
 def _random_device(rng: np.random.Generator) -> Device:

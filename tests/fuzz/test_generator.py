@@ -1,10 +1,12 @@
 """Generator properties: determinism, coverage, introspection."""
 
-from repro.fuzz import build_kernel, case_stmt_count, describe_case, generate_case
+from repro.fuzz import build_kernel, case_stmt_count, describe_case, generate_case, run_case
 from repro.fuzz.generator import (
     ALIAS_SEED_BASE,
     ALIAS_STMT_KINDS,
     STMT_KINDS,
+    TILE_SEED_BASE,
+    case_kind_counts,
     make_device,
 )
 from repro.simt import classify_kernel, disassemble
@@ -78,6 +80,24 @@ def test_generator_covers_the_ir_surface():
 
         collect(walk_target)
     assert old <= {k for k, _ in STMT_KINDS} - {"cast"} | {"i2f", "f2i"}
+
+
+def test_tile_band_adds_tilestore_and_its_buffer():
+    # ``tout`` exists exactly when a case stores tiles, so cases of the
+    # lower bands keep their parameter list and buffer layout.
+    replayed = 0
+    for i in range(40):
+        case = generate_case(TILE_SEED_BASE + i)
+        uses = "tilestore" in case_kind_counts(case)
+        _dev, bufs = make_device(case)
+        assert ("tout" in bufs) == uses
+        assert ("tout" in {p.name for p in build_kernel(case).params}) == uses
+        if uses and replayed < 4:
+            replayed += 1
+            report = run_case(case)
+            assert report.ok, report.failures
+    assert replayed == 4
+    assert "tout" not in make_device(generate_case(ALIAS_SEED_BASE + 3))[1]
 
 
 def test_case_stmt_count_counts_nested_bodies():

@@ -425,19 +425,42 @@ def test_load_store_overlap_planning_tiers():
     assert ex.last_launch_stats["batch_limit"] > 1
 
 
-def test_atomic_kernels_pin_batches_to_one_block():
-    # Cross-block atomics would race inside a batch, so kernels containing
-    # atomics must execute one block at a time even when unprofiled.
+def test_commuting_int_atomics_batch_and_match_the_interpreter():
+    # Integer ADD/MIN/MAX whose old values nobody reads, on buffers nothing
+    # else touches, give the same final memory in any lane order: the
+    # launch batches, and memory and every profile section match the
+    # interpreter bit for bit.  ``atomic_add`` keeps a destination
+    # register by default; it is simply never read.
     b = KernelBuilder("k")
-    c = b.param_buf("c", DType.I32)
-    b.atomic_add(c, 0, 1)
+    src = b.param_buf("src", DType.I32)
+    hist = b.param_buf("hist", DType.I32)
+    lo = b.param_buf("lo", DType.I32)
+    v = b.ld(src, b.global_thread_id())
+    with b.for_range(0, 3) as j:
+        b.atomic_add(hist, b.imod(b.iadd(v, j), 7), b.iadd(v, 1))
+    b.atomic_min(lo, b.imod(v, 3), v, want_old=False)
+    b.atomic_min(lo, 0, b.ineg(v), want_old=False)
     k = b.finalize()
 
-    dev = Device()
-    cbuf = dev.alloc("c", 1, DType.I32)
-    ex = Executor(dev, engine="compiled")
-    ex.launch(k, 8, 32, {"c": cbuf})
-    stats = ex.last_launch_stats
-    assert stats["batch_limit"] == 1
-    assert stats["largest_batch"] <= 1
-    assert dev.download(cbuf)[0] == 8 * 32
+    def run(engine):
+        dev = Device()
+        data = np.random.default_rng(5).integers(0, 1000, 8 * 32)
+        bufs = {
+            "src": dev.from_array("src", data, DType.I32),
+            "hist": dev.alloc("hist", 7, DType.I32),
+            "lo": dev.alloc("lo", 3, DType.I32, fill=1 << 20),
+        }
+        collector = KernelTraceCollector()
+        ex = Executor(dev, sinks=[collector], profile_filter=stride_sampler(2), engine=engine)
+        ex.launch(k, 8, 32, bufs)
+        memory = {name: dev.download(buf).tobytes() for name, buf in bufs.items()}
+        profile = WorkloadProfile(workload="k", suite="t", kernels=collector.profiles)
+        return memory, workload_to_dict(profile), ex.last_launch_stats
+
+    imem, iprof, _ = run("interpreted")
+    cmem, cprof, stats = run("compiled")
+    assert stats["hazard_tier"] == "clear"
+    assert stats["pin_reason"] is None
+    assert stats["largest_batch"] > 1
+    assert cmem == imem
+    assert cprof == iprof

@@ -242,7 +242,9 @@ def _disabled_calls(monkeypatch, abbrev, sample_blocks):
     return calls, profile.engine_stats
 
 
-@pytest.mark.parametrize("abbrev", ["BFS", "HG"])
+# Workloads whose profiled blocks span several batches, so sampling them
+# records fewer events than profiling every block.
+@pytest.mark.parametrize("abbrev", ["BFS", "HYS"])
 def test_disabled_path_call_budget(monkeypatch, abbrev):
     """With telemetry off, the recording calls scale with launches and
     batches only: never with blocks, profiled blocks or events."""
