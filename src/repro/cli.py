@@ -673,11 +673,16 @@ def _cmd_profile_cache(args: argparse.Namespace) -> int:
 
     from repro.core.runtime import ProfileCache
     from repro.report import ascii_table
+    from repro.uarch.sweep import SweepCache
 
     cache = ProfileCache()
     if args.clear:
-        removed = cache.purge(stale_only=False)
-        print(f"removed {len(removed)} shard(s) from {cache.cache_dir}")
+        profiles = len(cache.purge(stale_only=False))
+        timings = len(SweepCache(cache.cache_dir).clear())
+        print(
+            f"removed {profiles + timings} shard(s) ({profiles} profile, "
+            f"{timings} timing) from {cache.cache_dir}"
+        )
         return EXIT_OK
     if args.purge:
         removed = cache.purge(stale_only=True)
@@ -987,7 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile-cache", help="inspect the sharded profile cache")
     p.add_argument("--purge", action="store_true", help="delete stale/orphan shards")
-    p.add_argument("--clear", action="store_true", help="delete every shard")
+    p.add_argument(
+        "--clear", action="store_true", help="delete every profile and timing shard"
+    )
     p.add_argument(
         "--stats",
         action="store_true",

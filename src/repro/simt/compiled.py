@@ -99,6 +99,7 @@ from repro.simt.ir import (
     While,
     op_category,
     read_regs,
+    stmt_regs,
 )
 from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
@@ -213,7 +214,6 @@ class _RunState:
     __slots__ = (
         "device",
         "params",
-        "strict_barriers",
         "nblk",
         "npad",
         "nlanes",
@@ -694,28 +694,21 @@ def _compile_barrier(ck, stmt: Barrier, hooks: frozenset):
     sid = stmt.sid
 
     def core(st, act):
-        if st.strict_barriers:
-            expected = st.block_mask & ~st.returned
-            if st.nblk == 1:
-                if not np.array_equal(act, expected):
-                    raise ExecutionError(
-                        f"kernel {kname!r}: divergent barrier (sid={sid}); "
-                        "some non-retired lanes did not reach __syncthreads"
-                    )
-            else:
-                # A barrier synchronizes within one block.  Batched blocks
-                # reach it on different loop iterations, so a block with no
-                # active lanes here simply isn't executing this statement
-                # (it would not have run it in single-block execution); only
-                # blocks that arrive are held to the all-lanes-present rule.
-                acts = act.reshape(st.nblk, st.npad)
-                exps = expected.reshape(st.nblk, st.npad)
-                here = acts.any(axis=1)
-                if not np.array_equal(acts[here], exps[here]):
-                    raise ExecutionError(
-                        f"kernel {kname!r}: divergent barrier (sid={sid}); "
-                        "some non-retired lanes did not reach __syncthreads"
-                    )
+        expected = st.block_mask & ~st.returned
+        if st.nblk > 1:
+            # A barrier synchronizes within one block.  Batched blocks
+            # reach it on different loop iterations, so a block with no
+            # active lanes here simply isn't executing this statement
+            # (it would not have run it in single-block execution); only
+            # blocks that arrive are held to the all-lanes-present rule.
+            act = act.reshape(st.nblk, st.npad)
+            here = act.any(axis=1)
+            act, expected = act[here], expected.reshape(st.nblk, st.npad)[here]
+        if not np.array_equal(act, expected):
+            raise ExecutionError(
+                f"kernel {kname!r}: divergent barrier (sid={sid}); "
+                "some non-retired lanes did not reach __syncthreads"
+            )
 
     if "instr" in hooks:
 
@@ -831,9 +824,9 @@ class CompiledKernel:
         self.param_index: Dict[str, int] = {p.name: i for i, p in enumerate(kernel.params)}
         self.slot_of: Dict[str, int] = {}
         for stmt in kernel.walk():
-            for reg in _stmt_regs(stmt):
-                if reg.name not in self.slot_of:
-                    self.slot_of[reg.name] = len(self.slot_of)
+            dest, srcs = stmt_regs(stmt)
+            for name in (dest,) + srcs if dest is not None else srcs:
+                self.slot_of.setdefault(name, len(self.slot_of))
         self.nslots = len(self.slot_of)
         self.reads = read_regs(kernel.body)
         self.load_sites, self.store_sites, self.atomic_sites = _buffer_param_flow(
@@ -868,33 +861,6 @@ class CompiledKernel:
             run = _compile_block(self, self.kernel.body, hooks)
             self._observed[hooks] = run
         return run
-
-
-def _stmt_regs(stmt: Stmt):
-    """All registers a statement names (dest first, then sources)."""
-    if isinstance(stmt, Instr):
-        yield stmt.dest
-        for s in stmt.srcs:
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, Load):
-        yield stmt.dest
-        if isinstance(stmt.addr, Reg):
-            yield stmt.addr
-    elif isinstance(stmt, Store):
-        for s in (stmt.addr, stmt.value):
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, Atomic):
-        if stmt.dest is not None:
-            yield stmt.dest
-        for s in (stmt.addr, stmt.value, stmt.compare):
-            if isinstance(s, Reg):
-                yield s
-    elif isinstance(stmt, If):
-        yield stmt.cond
-    elif isinstance(stmt, While) and stmt.cond is not None:
-        yield stmt.cond
 
 
 def _buffer_param_flow(kernel: Kernel, reads: AbstractSet[str]):
@@ -1233,7 +1199,6 @@ def _make_state(
     st = _RunState()
     st.device = executor.device
     st.params = params
-    st.strict_barriers = executor.strict_barriers
     st.nblk = nblk
     st.npad = npad
     st.nlanes = nlanes

@@ -32,6 +32,7 @@ from repro.simt.ir import (
     Store,
     While,
     op_category,
+    stmt_regs,
 )
 
 
@@ -178,44 +179,18 @@ def _register_pressure(kernel: Kernel) -> int:
     bound) interpretation a register allocator would also have to honour
     for loop-carried values.
     """
-    order: List[Stmt] = list(kernel.walk())
     first_def: Dict[str, int] = {}
     last_use: Dict[str, int] = {}
-
-    def note_use(reg: Reg, pos: int) -> None:
-        if reg.name.startswith("%"):
-            return  # special registers are architecturally provided
-        last_use[reg.name] = max(last_use.get(reg.name, pos), pos)
-        first_def.setdefault(reg.name, pos)  # used before def: treat as live from here
-
-    def note_def(reg: Reg, pos: int) -> None:
-        if reg.name.startswith("%"):
-            return
-        first_def.setdefault(reg.name, pos)
-        last_use.setdefault(reg.name, pos)
-
-    for pos, stmt in enumerate(order):
-        if isinstance(stmt, Instr):
-            for src in stmt.srcs:
-                if isinstance(src, Reg):
-                    note_use(src, pos)
-            note_def(stmt.dest, pos)
-        elif isinstance(stmt, Load):
-            if isinstance(stmt.addr, Reg):
-                note_use(stmt.addr, pos)
-            note_def(stmt.dest, pos)
-        elif isinstance(stmt, Store):
-            for operand in (stmt.addr, stmt.value):
-                if isinstance(operand, Reg):
-                    note_use(operand, pos)
-        elif isinstance(stmt, Atomic):
-            for operand in (stmt.addr, stmt.value, stmt.compare):
-                if isinstance(operand, Reg):
-                    note_use(operand, pos)
-            if stmt.dest is not None:
-                note_def(stmt.dest, pos)
-        elif isinstance(stmt, (If, While)) and isinstance(getattr(stmt, "cond", None), Reg):
-            note_use(stmt.cond, pos)  # type: ignore[arg-type]
+    for pos, stmt in enumerate(kernel.walk()):
+        dest, srcs = stmt_regs(stmt)
+        # Special registers are architecturally provided, never allocated.
+        for name in srcs:
+            if not name.startswith("%"):
+                last_use[name] = pos
+                first_def.setdefault(name, pos)  # used before def: live from here
+        if dest is not None and not dest.startswith("%"):
+            first_def.setdefault(dest, pos)
+            last_use.setdefault(dest, pos)
 
     events: Dict[int, int] = {}
     for name in first_def:

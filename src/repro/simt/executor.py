@@ -158,9 +158,6 @@ class Executor:
     profile_filter:
         Selects which blocks emit events.  Functional execution always covers
         every block; only *observation* is sampled.
-    strict_barriers:
-        When true (default), a barrier reached with some non-retired lanes
-        inactive raises, mirroring CUDA's divergent-``__syncthreads`` UB.
     engine:
         ``"compiled"`` (default) lowers each kernel once into specialised
         closures and batches unprofiled blocks; ``"interpreted"`` walks the
@@ -186,7 +183,6 @@ class Executor:
         device: Device,
         sinks: Sequence[TraceSink] = (),
         profile_filter: ProfileFilter = profile_all_blocks,
-        strict_barriers: bool = True,
         engine: str = "compiled",
         batch_blocks: Optional[int] = None,
         block_order: Optional[Sequence[int]] = None,
@@ -200,7 +196,6 @@ class Executor:
         self.device = device
         self.sinks = list(sinks)
         self.profile_filter = profile_filter
-        self.strict_barriers = strict_barriers
         self.engine = engine
         self.batch_blocks = batch_blocks
         self.block_order = None if block_order is None else [int(b) for b in block_order]
@@ -608,13 +603,11 @@ class _BlockRun:
                 live = live & ~self.returned
 
     def _exec_barrier(self, stmt: Barrier, act: np.ndarray) -> None:
-        if self.executor.strict_barriers:
-            expected = self.block_mask & ~self.returned
-            if not np.array_equal(act, expected):
-                raise ExecutionError(
-                    f"kernel {self.kernel.name!r}: divergent barrier (sid={stmt.sid}); "
-                    "some non-retired lanes did not reach __syncthreads"
-                )
+        if not np.array_equal(act, self.block_mask & ~self.returned):
+            raise ExecutionError(
+                f"kernel {self.kernel.name!r}: divergent barrier (sid={stmt.sid}); "
+                "some non-retired lanes did not reach __syncthreads"
+            )
         self._note_instr(stmt, OpCategory.BARRIER, act)
 
     # ------------------------------------------------------------------

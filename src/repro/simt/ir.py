@@ -392,34 +392,34 @@ def walk_stmts(stmts: List[Stmt]) -> Iterator[Stmt]:
     yield from _walk(stmts)
 
 
+def stmt_regs(stmt: Stmt) -> Tuple[Optional[str], Tuple[str, ...]]:
+    """``(dest, sources)`` of one statement, nested bodies excluded: the name
+    of the register it writes (``None`` if it writes none) and the names of
+    the registers whose value it reads, in operand order."""
+    if isinstance(stmt, Instr):
+        dest, operands = stmt.dest, stmt.srcs
+    elif isinstance(stmt, Load):
+        dest, operands = stmt.dest, (stmt.addr,)
+    elif isinstance(stmt, Store):
+        dest, operands = None, (stmt.addr, stmt.value)
+    elif isinstance(stmt, Atomic):
+        dest, operands = stmt.dest, (stmt.addr, stmt.value, stmt.compare)
+    elif isinstance(stmt, (If, While)):
+        dest, operands = None, (stmt.cond,)
+    else:
+        return None, ()
+    srcs = tuple(op.name for op in operands if isinstance(op, Reg))
+    return (None if dest is None else dest.name), srcs
+
+
 def assigned_regs(stmts: List[Stmt]) -> Set[str]:
     """Names of the registers any statement in ``stmts`` (nested included)
     writes."""
-    names: Set[str] = set()
-    for stmt in _walk(stmts):
-        if isinstance(stmt, (Instr, Load)):
-            names.add(stmt.dest.name)
-        elif isinstance(stmt, Atomic) and stmt.dest is not None:
-            names.add(stmt.dest.name)
-    return names
+    dests = (stmt_regs(stmt)[0] for stmt in _walk(stmts))
+    return {name for name in dests if name is not None}
 
 
 def read_regs(stmts: List[Stmt]) -> Set[str]:
     """Names of the registers whose value any statement in ``stmts``
     (nested included) consumes."""
-    names: Set[str] = set()
-    for stmt in _walk(stmts):
-        if isinstance(stmt, Instr):
-            operands = stmt.srcs
-        elif isinstance(stmt, Load):
-            operands = (stmt.addr,)
-        elif isinstance(stmt, Store):
-            operands = (stmt.addr, stmt.value)
-        elif isinstance(stmt, Atomic):
-            operands = (stmt.addr, stmt.value, stmt.compare)
-        elif isinstance(stmt, (If, While)):
-            operands = (stmt.cond,)
-        else:
-            continue
-        names.update(op.name for op in operands if isinstance(op, Reg))
-    return names
+    return {name for stmt in _walk(stmts) for name in stmt_regs(stmt)[1]}

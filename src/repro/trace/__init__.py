@@ -8,13 +8,13 @@ the resulting :class:`KernelProfile`.
 
 from repro.trace.collector import (
     CollectorConfig,
+    ILP_WINDOWS,
     KernelTraceCollector,
     LINE_BYTES,
     NUM_BANKS,
     SEG_LARGE,
     SEG_SMALL,
 )
-from repro.trace.ilp import IlpTracker, IlpTrackerBank
 from repro.trace.passes import AnalysisPass, pass_names, register_pass, resolve_passes
 from repro.trace.profile import (
     BranchStats,
@@ -36,8 +36,7 @@ __all__ = [
     "BranchStats",
     "CollectorConfig",
     "GlobalMemStats",
-    "IlpTracker",
-    "IlpTrackerBank",
+    "ILP_WINDOWS",
     "KernelProfile",
     "KernelTraceCollector",
     "LINE_BYTES",

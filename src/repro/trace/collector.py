@@ -24,7 +24,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.simt.ir import Kernel
 from repro.simt.sink import TraceSink
 from repro.telemetry import get_telemetry
-from repro.trace.ilp import IlpTrackerBank
 from repro.trace.passes import make_passes
 from repro.trace.passes.shared import NUM_BANKS  # noqa: F401  (re-export)
 from repro.trace.profile import KernelProfile
@@ -34,6 +33,8 @@ LINE_BYTES = 128
 #: Fine/coarse memory-transaction segment sizes (bytes).
 SEG_SMALL = 32
 SEG_LARGE = 128
+#: MICA instruction-window widths for the ILP characteristics.
+ILP_WINDOWS: Tuple[int, ...] = (32, 64, 128, 256)
 
 
 @dataclass
@@ -43,7 +44,7 @@ class CollectorConfig:
     line_bytes: int = LINE_BYTES
     seg_small: int = SEG_SMALL
     seg_large: int = SEG_LARGE
-    ilp_windows: Tuple[int, ...] = IlpTrackerBank.DEFAULT_WINDOWS
+    ilp_windows: Tuple[int, ...] = ILP_WINDOWS
 
     def __post_init__(self) -> None:
         # Shift amounts hoisted out of the per-event paths; the shifts only
@@ -53,6 +54,9 @@ class CollectorConfig:
             value = getattr(self, label)
             if value <= 0 or value & (value - 1):
                 raise ValueError(f"{label} must be a positive power of two, got {value!r}")
+        for window in self.ilp_windows:
+            if window <= 0:
+                raise ValueError(f"ILP window must be positive, got {window!r}")
         self.line_bits = self.line_bytes.bit_length() - 1
         self.seg_small_bits = self.seg_small.bit_length() - 1
         self.seg_large_bits = self.seg_large.bit_length() - 1

@@ -174,9 +174,26 @@ class SweepCache:
         os.makedirs(self.cache_dir, exist_ok=True)
         path = self.shard_path(workload, prof_digest, model)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            f.write(json.dumps(doc))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as f:
+                f.write(json.dumps(doc))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    def clear(self) -> List[str]:
+        """Delete every timing shard; returns the removed paths."""
+        if not os.path.isdir(self.cache_dir):
+            return []
+        removed = [
+            os.path.join(self.cache_dir, name)
+            for name in sorted(os.listdir(self.cache_dir))
+            if name.endswith(_SHARD_SUFFIX)
+        ]
+        for path in removed:
+            os.unlink(path)
+        return removed
 
 
 def _sweep_worker(

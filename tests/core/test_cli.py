@@ -144,6 +144,17 @@ def test_profile_cache_inspection_and_purge(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.profile.json")) == []
 
 
+def test_profile_cache_clear_removes_timing_shards(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["dse", "sweep", "VA", "HG", "--model", "cycle"]) == 0
+    capsys.readouterr()
+    assert len(list(tmp_path.glob("*.profile.json"))) == 2
+    assert len(list(tmp_path.glob("dse-*.timing.json"))) == 2
+    assert main(["profile-cache", "--clear"]) == 0
+    assert "removed 4 shard(s) (2 profile, 2 timing)" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_characterize_sample_blocks_below_one_is_usage_error(capsys, value):
     # Rejected by the config before any workload runs, so it is neither

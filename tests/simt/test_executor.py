@@ -214,17 +214,6 @@ def test_strict_barrier_divergence_raises():
         _launch(k, 1, 32, {"o": o_buf}, device=dev)
 
 
-def test_relaxed_barrier_allows_divergence():
-    b = KernelBuilder("k")
-    o = b.param_buf("o", DType.I32)
-    with b.if_(b.ilt(b.tid_x, 16)):
-        b.barrier()
-    b.st(o, b.tid_x, 1)
-    dev = Device()
-    o_buf = dev.alloc("o", 32, DType.I32)
-    _launch(b.finalize(), 1, 32, {"o": o_buf}, device=dev, strict_barriers=False)
-
-
 def test_barrier_after_returns_is_legal():
     b = KernelBuilder("k")
     o = b.param_buf("o", DType.I32)

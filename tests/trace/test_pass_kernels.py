@@ -12,13 +12,14 @@ import pytest
 
 from repro.simt import KernelBuilder, events
 from repro.simt.ir import MemSpace, OpCategory
-from repro.trace import CollectorConfig, IlpTrackerBank, KernelTraceCollector
+from repro.trace import ILP_WINDOWS, CollectorConfig, KernelTraceCollector
 from repro.trace.passes import shared
 from repro.trace.passes.branch import _contributions
 from repro.trace.passes.ilp import IlpPass
 from repro.trace.profile import PASS_NAMES, WorkloadProfile
 from repro.trace.serialize import section_digests
 from tests.trace.batches import record
+from tests.trace.ilp_reference import tracker_contribution
 
 
 def _kernel():
@@ -179,12 +180,8 @@ def test_ilp_window_cache_matches_tracker_bank():
     streams = [rng.choice(feeding, int(rng.integers(1, 700))) for _ in range(10)]
     streams += [np.tile(loop, reps) for reps in (1, 7, 20)]  # repeated windows hit the cache
     for stream in streams:
-        bank = IlpTrackerBank()
-        for sid in stream.tolist():
-            bank.note(*ilp._deps[sid])
-        bank.flush()
-        expected = tuple((t._ilp_sum, t._windows, t.instructions) for t in bank._bank)
-        assert ilp._contribution(stream) == expected
+        deps = [ilp._deps[sid] for sid in stream.tolist()]
+        assert ilp._contribution(stream) == tracker_contribution(deps, ILP_WINDOWS)
 
 
 def test_shared_conflict_degree_matches_per_warp_reference():

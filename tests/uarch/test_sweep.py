@@ -1,6 +1,7 @@
 """Sweep engine: parity, shard caching, invalidation, derived views."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_stored_shard_is_the_compact_json_of_its_document(workloads, tmp_path):
             text = f.read()
         doc = json.loads(text)
         assert doc["entries"] and text == json.dumps(doc)
+
+
+def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        SweepCache(str(tmp_path)).store("w", "0" * 16, "roofline", {"k": {"cycles": 1.0}})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wave_schedules_are_shared_within_one_worker_call(suite_profiles, tmp_path, monkeypatch):
