@@ -221,11 +221,10 @@ def trace_session(
             api.characterize(config)
         # run.json is now a chrome://tracing-loadable trace
 
-    ``trace_out`` ending in ``.jsonl`` writes the JSONL span log; any other
-    name writes Chrome trace-event JSON; ``None`` enables collection without
-    exporting (read the returned :class:`Telemetry` directly).  The trace is
-    written even when the traced block raises.  Telemetry is disabled again
-    on exit.
+    ``trace_out`` names the Chrome trace-event JSON file to write, whatever
+    its extension; ``None`` enables collection without exporting (read the
+    returned :class:`Telemetry` directly).  The trace is written even when
+    the traced block raises.  Telemetry is disabled again on exit.
     """
     tele = get_telemetry()
     tele.enable(reset=reset)

@@ -20,15 +20,16 @@ invocation simulates the suite — and ``--jobs N`` (or ``REPRO_JOBS``) fans
 that first simulation out over N worker processes.
 
 Telemetry: ``--trace-out PATH`` (or ``REPRO_TRACE=PATH``) records spans and
-metrics for the whole invocation and writes them on exit — Chrome
-trace-event JSON for ``*.json``, a JSONL span log for ``*.jsonl``.
-Summarize either with ``python -m repro telemetry PATH``.
+counters for the whole invocation and writes them on exit as Chrome
+trace-event JSON, whatever the file's extension.  Summarize the trace with
+``python -m repro telemetry PATH``.
 
 Exit codes are uniform across subcommands: 0 success, 1 operation failure
 (workload characterization failed, a verify property was violated), 2 usage
 error (unknown workload/metric/pass, conflicting flags, bad ``REPRO_JOBS``,
-``--sample-blocks`` or ``verify --budget`` below 1, ``--subset-k`` outside
-``[1, workloads]``, ``analyze`` of fewer than two workloads).
+``--sample-blocks``, ``verify --budget`` or ``--top`` below 1, ``--subset-k``
+outside ``[1, workloads]``, ``analyze`` of fewer than two workloads, a trace
+file that is missing or not Chrome trace-event JSON).
 
 ``--json`` on ``list``, ``characterize``, ``stress``, ``evaluate`` and the
 ``dse`` subcommands emits machine-readable output on stdout; each document
@@ -268,11 +269,17 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_top(top: int) -> None:
+    if top < 1:
+        raise _usage_error(f"--top must be at least 1, got {top}")
+
+
 def _cmd_stress(args: argparse.Namespace) -> int:
     from repro.core.evaluation import STRESS_PROFILES, stress_ranking
     from repro.core.featurespace import FeatureMatrix
     from repro.report import ascii_table
 
+    _check_top(args.top)
     blocks = [args.block] if args.block else list(STRESS_PROFILES)
     for block in blocks:
         if block not in STRESS_PROFILES:
@@ -785,18 +792,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from repro.telemetry import format_summary, load_trace, write_chrome_trace
+    from repro.telemetry import format_summary, load_trace
 
+    _check_top(args.top)
     try:
         data = load_trace(args.trace)
     except FileNotFoundError:
         raise _usage_error(f"no such trace file: {args.trace}")
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise _usage_error(f"could not parse {args.trace}: {exc}")
-    if args.chrome:
-        write_chrome_trace(data, args.chrome)
-        print(f"wrote Chrome trace-event JSON to {args.chrome}")
-        return EXIT_OK
     print(format_summary(data, top=args.top))
     return EXIT_OK
 
@@ -836,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace-out",
             default=None,
-            help="record telemetry for this invocation and write the trace here "
-            "(*.json: Chrome trace-event, *.jsonl: span log; default: $REPRO_TRACE)",
+            help="record telemetry for this invocation and write it here as "
+            "Chrome trace-event JSON (default: $REPRO_TRACE)",
         )
 
     p = sub.add_parser("list", help="list the registered workloads")
@@ -985,31 +989,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-out",
         default=None,
-        help="record telemetry for this invocation and write the trace here "
-        "(*.json: Chrome trace-event, *.jsonl: span log; default: $REPRO_TRACE)",
+        help="record telemetry for this invocation and write it here as "
+        "Chrome trace-event JSON (default: $REPRO_TRACE)",
     )
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("profile-cache", help="inspect the sharded profile cache")
-    p.add_argument("--purge", action="store_true", help="delete stale/orphan shards")
-    p.add_argument(
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--purge", action="store_true", help="delete stale/orphan shards")
+    action.add_argument(
         "--clear", action="store_true", help="delete every profile and timing shard"
     )
-    p.add_argument(
+    action.add_argument(
         "--stats",
         action="store_true",
         help="summary only: shard count, total bytes, per-pass section coverage",
     )
     p.set_defaults(fn=_cmd_profile_cache)
 
-    p = sub.add_parser("telemetry", help="summarize or convert a recorded telemetry trace")
-    p.add_argument("trace", help="trace file from --trace-out / REPRO_TRACE (.json or .jsonl)")
+    p = sub.add_parser("telemetry", help="summarize a recorded telemetry trace")
+    p.add_argument("trace", help="Chrome trace-event JSON file from --trace-out / REPRO_TRACE")
     p.add_argument("--top", type=int, default=15, help="rows in the top-spans table")
-    p.add_argument(
-        "--chrome",
-        default=None,
-        help="convert the trace to Chrome trace-event JSON at this path instead",
-    )
     p.set_defaults(fn=_cmd_telemetry)
 
     return parser

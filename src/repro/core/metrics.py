@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.trace.profile import (
     PASS_NAMES,
     KernelProfile,

@@ -37,11 +37,11 @@ entry still regenerates from its seed unchanged.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.simt.builder import BufParam, KernelBuilder, SharedArray
+from repro.simt.builder import KernelBuilder
 from repro.simt.ir import Kernel, MemSpace, Reg
 from repro.simt.memory import Device, DeviceBuffer
 from repro.simt.types import DType

@@ -11,8 +11,6 @@ from __future__ import annotations
 import io
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.report.tables import format_cell
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Cell = Union[str, int, float]
 

@@ -102,7 +102,6 @@ from repro.simt.ir import (
     stmt_regs,
 )
 from repro.simt.types import WARP_SIZE, DType
-from repro.telemetry import get_telemetry
 
 #: Lane budget per silent batch: K is chosen so ``K * npad`` stays near this.
 TARGET_BATCH_LANES = 8192
@@ -1267,7 +1266,6 @@ def run_compiled_launch(
     prof_rows: List[int] = []
     prof_ids: List[int] = []
     templates: Dict[int, Dict] = {}
-    observe = get_telemetry().observe
 
     def flush() -> None:
         if not pending:
@@ -1286,7 +1284,6 @@ def run_compiled_launch(
         stats["batched_blocks"] += len(pending)
         if len(pending) > stats["largest_batch"]:
             stats["largest_batch"] = len(pending)
-        observe("engine.compiled.batch_blocks", len(pending))
         pending.clear()
 
     for linear in range(nblocks):

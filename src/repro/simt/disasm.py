@@ -11,8 +11,8 @@ occupancy-minded can read next to the dynamic profile.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.simt.ir import (
     Atomic,
@@ -22,10 +22,7 @@ from repro.simt.ir import (
     Instr,
     Kernel,
     Load,
-    Op,
-    OpCategory,
     Operand,
-    ParamRef,
     Reg,
     Return,
     Stmt,

@@ -15,7 +15,6 @@ rule.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from repro.simt.errors import ExecutionError, LaunchError
 from repro.simt.ir import (
     Atomic,
-    AtomicOp,
     Barrier,
     If,
     Imm,
@@ -34,7 +32,6 @@ from repro.simt.ir import (
     Op,
     OpCategory,
     Operand,
-    ParamRef,
     Reg,
     Return,
     Stmt,
@@ -57,7 +54,7 @@ from repro.simt.events import (
     EventBatch,
     EventRecorder,
 )
-from repro.simt.memory import _ATOMIC_SCALAR, Device, DeviceBuffer
+from repro.simt.memory import Device, DeviceBuffer
 from repro.simt.sink import TraceSink
 from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
@@ -142,7 +139,7 @@ _TOTALLED = _SUMMED + ("largest_batch", "event_counts")
 #: Scalar record fields mirrored onto each ``launch`` span.
 _SPAN_FIELDS = (
     "profiled_blocks", "hazard_tier", "pin_reason", "batch_groups",
-    "largest_batch", "observed_batches", "event_bytes",
+    "batches", "largest_batch", "observed_batches", "event_bytes",
 )
 
 

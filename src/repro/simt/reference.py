@@ -22,8 +22,9 @@ from typing import Dict, Union
 import numpy as np
 
 from repro.simt.classify import classify_kernel
+from repro.simt.compiled import _OP_FUNCS, _trunc_div, _trunc_mod
 from repro.simt.errors import ExecutionError, UnsupportedKernelError
-from repro.simt.executor import _ATOMIC_SCALAR, _OP_FUNCS, _as_dim, _trunc_div, _trunc_mod
+from repro.simt.executor import _as_dim
 from repro.simt.ir import (
     Atomic,
     AtomicOp,
@@ -42,7 +43,7 @@ from repro.simt.ir import (
     Store,
     While,
 )
-from repro.simt.memory import Device, DeviceBuffer
+from repro.simt.memory import _ATOMIC_SCALAR, Device, DeviceBuffer
 from repro.simt.types import DType
 
 

@@ -1,6 +1,7 @@
-"""Lightweight, dependency-free tracing and metrics.
+"""Lightweight, dependency-free tracing: spans and counters.
 
-One process-global :class:`Telemetry` registry collects
+One process-global :class:`Telemetry` registry collects two kinds of
+record:
 
 * **spans** — named, nested wall-clock intervals with parent/child IDs and
   per-span attributes, opened via the ``with tele.span("name"): ...``
@@ -8,18 +9,16 @@ One process-global :class:`Telemetry` registry collects
   :meth:`Telemetry.finish_span` when the interval does not map onto a
   ``with`` block, e.g. a future submitted to a pool);
 * **counters** — monotonically added floats (``cache.hits``,
-  ``pool.retries``, ``pass.mix.events`` …);
-* **gauges** — last-value-wins floats;
-* **histograms** — value distributions (count/sum/min/max plus exact value
-  buckets, e.g. the compiled engine's batch-occupancy histogram).
+  ``pool.retries``, ``pass.mix.events`` …).
 
 Telemetry is **disabled by default** and every recording entry point begins
 with one ``enabled`` check: ``span()`` returns a shared no-op context
-manager and the metric methods return immediately, so instrumented code
-pays a few attribute loads per *launch or suite event* (never per dynamic
-instruction) when telemetry is off.  The compiled engine's silent program
-never contains telemetry calls at all — spans wrap whole launches, the same
-way observation hooks are compiled out of unprofiled blocks.
+manager and :meth:`Telemetry.count` returns immediately, so instrumented
+code pays a few attribute loads per *launch or suite event* (never per
+batch, block or dynamic instruction) when telemetry is off.  The compiled
+engine's batch loop never calls telemetry at all — spans wrap whole
+launches, the same way observation hooks are compiled out of unprofiled
+blocks.
 
 Worker processes record into their own registry and ship a picklable
 :class:`TelemetrySnapshot` back to the parent, which merges it with
@@ -36,22 +35,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Span",
-    "Histogram",
     "Telemetry",
     "TelemetrySnapshot",
     "get_telemetry",
-    "telemetry_enabled",
 ]
-
-#: Distinct exact-value buckets kept per histogram before folding new values
-#: into the ``"other"`` bucket (occupancy histograms stay exact: batch sizes
-#: are small integers).
-MAX_HIST_BUCKETS = 256
 
 
 class Span:
@@ -97,54 +89,11 @@ class Span:
 
 
 @dataclass
-class Histogram:
-    """Value distribution: moments plus exact-value buckets."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    buckets: Dict[float, int] = field(default_factory=dict)
-    #: Observations folded here once ``buckets`` is full.
-    other: int = 0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value in self.buckets:
-            self.buckets[value] += 1
-        elif len(self.buckets) < MAX_HIST_BUCKETS:
-            self.buckets[value] = 1
-        else:
-            self.other += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-            "other": self.other,
-        }
-
-
-@dataclass
 class TelemetrySnapshot:
     """Picklable copy of a registry's state (worker -> parent shipping)."""
 
     spans: List[Dict[str, Any]]
     counters: Dict[str, float]
-    gauges: Dict[str, float]
-    histograms: Dict[str, Dict[str, Any]]
     #: ``time.time() - time.perf_counter()`` in the recording process.
     epoch_anchor: float
     pid: int
@@ -193,14 +142,12 @@ class _LiveSpan:
 
 
 class Telemetry:
-    """Process-global span + metric registry (disabled until :meth:`enable`)."""
+    """Process-global span + counter registry (disabled until :meth:`enable`)."""
 
     def __init__(self) -> None:
         self.enabled: bool = False
         self.spans: List[Span] = []
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.epoch_anchor: float = 0.0
         self._stack: List[Span] = []
         self._next_id: int = 0
@@ -216,14 +163,12 @@ class Telemetry:
         self.epoch_anchor = time.time() - time.perf_counter()
 
     def disable(self) -> None:
-        """Stop recording; collected spans/metrics stay readable."""
+        """Stop recording; collected spans and counters stay readable."""
         self.enabled = False
 
     def reset(self) -> None:
         self.spans = []
         self.counters = {}
-        self.gauges = {}
-        self.histograms = {}
         self._stack = []
         self._next_id = 0
         self._pid = os.getpid()
@@ -288,25 +233,12 @@ class Telemetry:
     def current_span_id(self) -> Optional[str]:
         return self._stack[-1].span_id if self._stack else None
 
-    # -- metrics --------------------------------------------------------
+    # -- counters -------------------------------------------------------
 
     def count(self, name: str, value: float = 1.0) -> None:
         if not self.enabled:
             return
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe(value)
 
     # -- snapshot / merge ------------------------------------------------
 
@@ -317,8 +249,6 @@ class Telemetry:
         return TelemetrySnapshot(
             spans=[sp.to_dict() for sp in self.spans],
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            histograms={k: v.to_dict() for k, v in self.histograms.items()},
             epoch_anchor=self.epoch_anchor,
             pid=self._pid,
         )
@@ -350,26 +280,6 @@ class Telemetry:
             self.spans.append(sp)
         for name, value in snap.counters.items():
             self.counters[name] = self.counters.get(name, 0.0) + value
-        self.gauges.update(snap.gauges)
-        for name, rec in snap.histograms.items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.count += rec["count"]
-            hist.total += rec["total"]
-            if rec["min"] is not None:
-                hist.min = min(hist.min, rec["min"])
-            if rec["max"] is not None:
-                hist.max = max(hist.max, rec["max"])
-            for key, n in rec["buckets"].items():
-                k = float(key)
-                if k in hist.buckets:
-                    hist.buckets[k] += n
-                elif len(hist.buckets) < MAX_HIST_BUCKETS:
-                    hist.buckets[k] = n
-                else:
-                    hist.other += n
-            hist.other += rec["other"]
 
     # -- introspection ---------------------------------------------------
 
@@ -387,6 +297,3 @@ def get_telemetry() -> Telemetry:
         _GLOBAL = Telemetry()
     return _GLOBAL
 
-
-def telemetry_enabled() -> bool:
-    return _GLOBAL is not None and _GLOBAL.enabled

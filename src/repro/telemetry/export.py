@@ -1,134 +1,63 @@
-"""Trace exporters, loader and summarizer.
+"""Trace writer, loader and summarizer.
 
-Three output formats, all produced from one :class:`~repro.telemetry.core.Telemetry`
-registry:
+A trace has one file format, Chrome trace-event JSON, whatever the file's
+extension.  :func:`write_trace` turns a
+:class:`~repro.telemetry.core.Telemetry` registry into a document loadable
+in ``chrome://tracing`` / Perfetto: spans become complete (``"ph": "X"``)
+events on one absolute microsecond timeline, one row per recording
+process, and the counters ride in a ``reproTelemetry`` top-level key
+(Chrome ignores unknown keys).
 
-* **JSONL span log** (``*.jsonl``) — one self-describing JSON object per
-  line (``kind`` = ``meta`` / ``span`` / ``counter`` / ``gauge`` /
-  ``hist``), greppable and streamable;
-* **Chrome trace-event JSON** (``*.json``) — loadable in
-  ``chrome://tracing`` / Perfetto; spans become complete (``"ph": "X"``)
-  events on one absolute microsecond timeline, one row per recording
-  process, with counters/gauges/histograms carried in a ``reproTelemetry``
-  top-level key (Chrome ignores unknown keys);
-* **flat metrics summary** — human-readable text with top spans by
-  self-time, counter/gauge totals and histograms
-  (:func:`format_summary`, what ``python -m repro telemetry`` prints).
-
-:func:`load_trace` reads either file format back into a neutral
-:class:`TraceData`, so the summarizer works on both.
+:func:`load_trace` reads such a file back into a :class:`TraceData`, and
+:func:`format_summary` renders it as text — top spans by self-time, the
+per-pass cost table and the counter totals (what ``python -m repro
+telemetry`` prints).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.core import Telemetry
 
-TRACE_FORMAT = "repro.telemetry/v1"
-
-#: The exporters accept a live registry or an already-loaded trace.
-TraceSource = Union[Telemetry, "TraceData"]
+TRACE_FORMAT = "repro.telemetry/v2"
 
 __all__ = [
     "TRACE_FORMAT",
     "TraceData",
-    "write_spans_jsonl",
-    "write_chrome_trace",
     "write_trace",
     "load_trace",
     "format_summary",
 ]
 
 
-def _span_records(tele: Telemetry) -> List[Dict[str, Any]]:
-    """Finished spans as neutral records with absolute epoch timestamps."""
-    out = []
-    for sp in tele.spans:
-        if sp.t1 is None:
-            continue
-        out.append(
+def write_trace(tele: Telemetry, path: str) -> None:
+    """Write the registry's finished spans and its counters to ``path``."""
+    spans = sorted((sp for sp in tele.spans if sp.t1 is not None), key=lambda sp: sp.t0)
+    t_base = tele.epoch_anchor + spans[0].t0 if spans else 0.0
+    events: List[Dict[str, Any]] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": f"repro pid {pid}"},
+        }
+        for pid in sorted({sp.pid for sp in spans})
+    ]
+    for sp in spans:
+        events.append(
             {
                 "name": sp.name,
-                "id": sp.span_id,
-                "parent": sp.parent_id,
-                "ts": tele.epoch_anchor + sp.t0,
-                "dur": sp.t1 - sp.t0,
-                "pid": sp.pid,
-                "attrs": sp.attrs,
-            }
-        )
-    out.sort(key=lambda r: r["ts"])
-    return out
-
-
-def _trace_data_of(source: "TraceSource") -> "TraceData":
-    """Normalize a live registry or already-loaded trace to :class:`TraceData`."""
-    if isinstance(source, TraceData):
-        return source
-    return TraceData(
-        spans=_span_records(source),
-        counters=dict(source.counters),
-        gauges=dict(source.gauges),
-        histograms={k: v.to_dict() for k, v in source.histograms.items()},
-        meta={"format": TRACE_FORMAT, "pid": source._pid},
-    )
-
-
-def write_spans_jsonl(source: "TraceSource", path: str) -> None:
-    """JSONL export: meta line, then span lines, then metric lines."""
-    data = _trace_data_of(source)
-    with open(path, "w") as fh:
-        meta = {"kind": "meta", "format": TRACE_FORMAT, **{
-            k: v for k, v in data.meta.items() if k not in ("kind", "format")
-        }}
-        fh.write(json.dumps(meta) + "\n")
-        for rec in data.spans:
-            fh.write(json.dumps({"kind": "span", **rec}) + "\n")
-        for name in sorted(data.counters):
-            fh.write(
-                json.dumps({"kind": "counter", "name": name, "value": data.counters[name]})
-                + "\n"
-            )
-        for name in sorted(data.gauges):
-            fh.write(
-                json.dumps({"kind": "gauge", "name": name, "value": data.gauges[name]}) + "\n"
-            )
-        for name in sorted(data.histograms):
-            fh.write(
-                json.dumps({"kind": "hist", "name": name, **data.histograms[name]}) + "\n"
-            )
-
-
-def write_chrome_trace(source: "TraceSource", path: str) -> None:
-    """Chrome trace-event JSON export (load via chrome://tracing or Perfetto)."""
-    data = _trace_data_of(source)
-    records = sorted(data.spans, key=lambda r: r["ts"])
-    t_base = records[0]["ts"] if records else 0.0
-    events: List[Dict[str, Any]] = []
-    for pid in sorted({r["pid"] for r in records}):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"repro pid {pid}"},
-            }
-        )
-    for rec in records:
-        events.append(
-            {
-                "name": rec["name"],
                 "cat": "repro",
                 "ph": "X",
-                "ts": round((rec["ts"] - t_base) * 1e6, 3),
-                "dur": round(rec["dur"] * 1e6, 3),
-                "pid": rec["pid"],
+                "ts": round((tele.epoch_anchor + sp.t0 - t_base) * 1e6, 3),
+                "dur": round(sp.duration * 1e6, 3),
+                "pid": sp.pid,
                 "tid": 0,
-                "args": {"id": rec["id"], "parent": rec["parent"], **rec["attrs"]},
+                "args": {"id": sp.span_id, "parent": sp.parent_id, **sp.attrs},
             }
         )
     doc = {
@@ -137,22 +66,12 @@ def write_chrome_trace(source: "TraceSource", path: str) -> None:
         "reproTelemetry": {
             "format": TRACE_FORMAT,
             "baseEpochSeconds": t_base,
-            "counters": {k: data.counters[k] for k in sorted(data.counters)},
-            "gauges": {k: data.gauges[k] for k in sorted(data.gauges)},
-            "histograms": {k: data.histograms[k] for k in sorted(data.histograms)},
+            "counters": {k: tele.counters[k] for k in sorted(tele.counters)},
         },
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def write_trace(source: "TraceSource", path: str) -> None:
-    """Extension-dispatched export: ``*.jsonl`` spans log, else Chrome JSON."""
-    if path.endswith(".jsonl"):
-        write_spans_jsonl(source, path)
-    else:
-        write_chrome_trace(source, path)
 
 
 # ----------------------------------------------------------------------
@@ -162,37 +81,31 @@ def write_trace(source: "TraceSource", path: str) -> None:
 
 @dataclass
 class TraceData:
-    """Format-neutral contents of a trace file."""
+    """Contents of a trace file: span records and counter totals.
+
+    Each span record holds ``name``, ``id``, ``parent``, ``ts`` (absolute
+    epoch seconds), ``dur`` (seconds), ``pid`` and ``attrs``.
+    """
 
     spans: List[Dict[str, Any]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    meta: Dict[str, Any] = field(default_factory=dict)
 
 
 def load_trace(path: str) -> TraceData:
-    """Read a trace file produced by either exporter."""
+    """Read a trace written by :func:`write_trace`.
+
+    Raises ``ValueError`` when the file is not Chrome trace-event JSON.
+    """
     with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return _load_chrome(doc)
-    return _load_jsonl(text, path)
-
-
-def _load_chrome(doc: Dict[str, Any]) -> TraceData:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"not Chrome trace-event JSON: {exc}") from None
+    if not isinstance(doc, dict) or "traceEvents" not in doc:
+        raise ValueError("not Chrome trace-event JSON: no traceEvents key")
     extra = doc.get("reproTelemetry", {})
     base = float(extra.get("baseEpochSeconds", 0.0))
-    data = TraceData(
-        counters={k: float(v) for k, v in extra.get("counters", {}).items()},
-        gauges={k: float(v) for k, v in extra.get("gauges", {}).items()},
-        histograms=dict(extra.get("histograms", {})),
-        meta={"format": extra.get("format", "chrome"), "source": "chrome"},
-    )
+    data = TraceData(counters={k: float(v) for k, v in extra.get("counters", {}).items()})
     for ev in doc["traceEvents"]:
         if ev.get("ph") != "X":
             continue
@@ -208,32 +121,6 @@ def _load_chrome(doc: Dict[str, Any]) -> TraceData:
                 "attrs": args,
             }
         )
-    return data
-
-
-def _load_jsonl(text: str, path: str) -> TraceData:
-    data = TraceData()
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{i + 1}: not a JSONL telemetry trace: {exc}") from None
-        kind = rec.pop("kind", None)
-        if kind == "meta":
-            data.meta = rec
-        elif kind == "span":
-            data.spans.append(rec)
-        elif kind == "counter":
-            data.counters[rec["name"]] = float(rec["value"])
-        elif kind == "gauge":
-            data.gauges[rec["name"]] = float(rec["value"])
-        elif kind == "hist":
-            data.histograms[rec["name"]] = {
-                k: rec.get(k) for k in ("count", "total", "min", "max", "buckets", "other")
-            }
     return data
 
 
@@ -276,7 +163,7 @@ def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
 
 
 def format_summary(data: TraceData, top: int = 15) -> str:
-    """Human-readable trace digest: top spans by self-time, metric totals."""
+    """Human-readable trace digest: top spans by self-time, counter totals."""
     lines: List[str] = []
     spans = data.spans
     if spans:
@@ -317,23 +204,6 @@ def format_summary(data: TraceData, top: int = 15) -> str:
         lines.append("counters:")
         for name in sorted(data.counters):
             lines.append(f"  {name} = {_fmt_value(data.counters[name])}")
-    if data.gauges:
-        lines.append("")
-        lines.append("gauges:")
-        for name in sorted(data.gauges):
-            lines.append(f"  {name} = {_fmt_value(data.gauges[name])}")
-    if data.histograms:
-        lines.append("")
-        lines.append("histograms:")
-        for name in sorted(data.histograms):
-            h = data.histograms[name]
-            count = int(h.get("count") or 0)
-            mean = (h.get("total") or 0.0) / count if count else 0.0
-            lines.append(
-                f"  {name}: n={count} mean={mean:.2f} "
-                f"min={_fmt_value(h['min']) if h.get('min') is not None else '-'} "
-                f"max={_fmt_value(h['max']) if h.get('max') is not None else '-'}"
-            )
     return "\n".join(lines)
 
 

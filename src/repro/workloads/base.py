@@ -8,7 +8,7 @@ single-use: construct, :meth:`run`, :meth:`check`.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simt import DType, KernelBuilder
+from repro.simt import KernelBuilder
 from repro.workloads.base import RunContext, Workload, assert_close, ceil_div
 from repro.workloads.registry import register
 

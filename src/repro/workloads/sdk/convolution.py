@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simt import DType, KernelBuilder, MemSpace
+from repro.simt import KernelBuilder, MemSpace
 from repro.workloads.base import RunContext, Workload, assert_close
 from repro.workloads.registry import register
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simt import DType, KernelBuilder
-from repro.workloads.base import RunContext, Workload, ceil_div
+from repro.workloads.base import RunContext, Workload
 from repro.workloads.registry import register
 
 # LCG constants (Numerical Recipes), reduced to 31-bit state so the

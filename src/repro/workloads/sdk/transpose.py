@@ -9,8 +9,6 @@ which stretches the instruction-mix axis of the workload space.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.simt import KernelBuilder
 from repro.workloads.base import RunContext, Workload, assert_close
 from repro.workloads.registry import register

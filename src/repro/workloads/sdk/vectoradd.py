@@ -7,8 +7,6 @@ memory-bound, divergence-free corner of the workload space.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.simt import KernelBuilder
 from repro.workloads.base import RunContext, Workload, assert_close, ceil_div
 from repro.workloads.registry import register

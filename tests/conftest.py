@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.api import CharacterizationConfig, characterize

@@ -116,7 +116,7 @@ def test_evaluate_spans_show_fitted_then_reused_clustering(small_result):
 def test_trace_session_enables_and_exports(tmp_path):
     from repro.telemetry import get_telemetry, load_trace
 
-    path = tmp_path / "session.jsonl"
+    path = tmp_path / "session.json"
     with trace_session(str(path)) as tele:
         assert tele is get_telemetry() and tele.enabled
         with tele.span("custom"):
@@ -128,7 +128,7 @@ def test_trace_session_enables_and_exports(tmp_path):
 
 
 def test_trace_session_writes_on_error(tmp_path):
-    path = tmp_path / "crash.jsonl"
+    path = tmp_path / "crash.json"
     with pytest.raises(RuntimeError):
         with trace_session(str(path)) as tele:
             tele.count("before.crash")

@@ -155,6 +155,20 @@ def test_profile_cache_clear_removes_timing_shards(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [["--purge", "--clear"], ["--purge", "--stats"],
+                                   ["--clear", "--stats"]])
+def test_profile_cache_actions_conflict(capsys, tmp_path, monkeypatch, flags):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # A stale shard that either --purge or --clear would delete.
+    shard = tmp_path / "VA-0.profile.json"
+    shard.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main(["profile-cache", *flags])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert shard.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_characterize_sample_blocks_below_one_is_usage_error(capsys, value):
     # Rejected by the config before any workload runs, so it is neither
@@ -176,6 +190,9 @@ def test_characterize_sample_blocks_below_one_is_usage_error(capsys, value):
         (["evaluate", "--subset-k", "0"], "subset_k must be in [1, "),
         (["evaluate", "--subset-k", "100"], "subset_k must be in [1, "),
         (["analyze", "VA"], "at least two workloads"),
+        (["stress", "--top", "0"], "--top must be at least 1, got 0"),
+        (["stress", "--top", "-2", "--json"], "--top must be at least 1, got -2"),
+        (["telemetry", "trace.json", "--top", "-2"], "--top must be at least 1, got -2"),
     ],
 )
 def test_misuse_is_a_one_line_usage_error(capsys, suite_profiles, argv, message):

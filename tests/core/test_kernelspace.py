@@ -1,7 +1,6 @@
 """Kernel-level workload space."""
 
 import numpy as np
-import pytest
 
 from repro.core.analysis.pca import fit_pca, varimax
 from repro.core.featurespace import standardize

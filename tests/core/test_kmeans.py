@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.kmeans import KMeansResult, _draw, bic_score, choose_k, kmeans
+from repro.core.analysis.kmeans import _draw, bic_score, choose_k, kmeans
 
 
 def _blobs(k, per, d=4, spread=8.0, seed=5):

@@ -8,7 +8,6 @@ from repro.trace.profile import (
     BranchStats,
     GlobalMemStats,
     KernelProfile,
-    LocalityStats,
     SharedMemStats,
     WorkloadProfile,
 )

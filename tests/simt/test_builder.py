@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simt import BuildError, DType, KernelBuilder, MemSpace
-from repro.simt.ir import If, Instr, Load, Op, Store, While
+from repro.simt.ir import If, Instr, Load, Op, Store
 
 
 def test_simple_kernel_structure():

@@ -8,7 +8,6 @@ loop retirement and return handling implement the IR semantics faithfully.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Disassembler and static kernel analysis."""
 
-import pytest
-
 from repro.simt import DType, KernelBuilder
 from repro.simt.disasm import disassemble, static_stats
 from repro.workloads.sdk.matrixmul import build_matrixmul_kernel

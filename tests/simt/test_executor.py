@@ -12,7 +12,7 @@ from repro.simt import (
     LaunchError,
     MemoryFault,
 )
-from tests.conftest import build_copy_kernel, run_kernel
+from tests.conftest import build_copy_kernel
 
 
 def _launch(kernel, grid, block, args, device=None, **kw):

@@ -1,4 +1,4 @@
-"""Telemetry: spans, metrics, worker merge, exporters and the CLI surface."""
+"""Telemetry: spans, counters, worker merge, the trace file and the CLI surface."""
 
 import json
 
@@ -10,8 +10,6 @@ from repro.telemetry import (
     format_summary,
     get_telemetry,
     load_trace,
-    write_chrome_trace,
-    write_spans_jsonl,
     write_trace,
 )
 
@@ -25,7 +23,7 @@ def tele():
 
 
 # ----------------------------------------------------------------------
-# Core span/metric semantics
+# Core span/counter semantics
 # ----------------------------------------------------------------------
 
 
@@ -33,12 +31,10 @@ def test_disabled_is_noop():
     t = Telemetry()
     with t.span("a", k=1):
         t.count("c")
-        t.gauge("g", 2.0)
-        t.observe("h", 3.0)
     assert t.start_span("b") is None
     assert t.open_span("d") is None
     t.finish_span(None)
-    assert t.spans == [] and t.counters == {} and t.gauges == {} and t.histograms == {}
+    assert t.spans == [] and t.counters == {}
 
 
 def test_disabled_span_is_shared_singleton():
@@ -81,19 +77,11 @@ def test_open_spans_do_not_nest_under_each_other(tele):
     assert all(sp.parent_id == root for sp in tele.spans_by_name("attempt"))
 
 
-def test_counters_gauges_histograms(tele):
+def test_counters_accumulate(tele):
     tele.count("hits")
     tele.count("hits", 2)
-    tele.gauge("depth", 3.0)
-    tele.gauge("depth", 5.0)
-    for v in (1, 3, 3, 7):
-        tele.observe("batch", v)
-    assert tele.counters["hits"] == 3
-    assert tele.gauges["depth"] == 5.0
-    h = tele.histograms["batch"]
-    assert (h.count, h.total, h.min, h.max) == (4, 14, 1, 7)
-    assert h.mean == 3.5
-    assert h.buckets == {1: 1, 3: 2, 7: 1}
+    tele.count("seconds", 0.25)
+    assert tele.counters == {"hits": 3, "seconds": 0.25}
 
 
 def test_snapshot_merge_reparents_and_rebases(tele):
@@ -103,9 +91,9 @@ def test_snapshot_merge_reparents_and_rebases(tele):
     with worker.span("workload:VA"):
         with worker.span("launch"):
             worker.count("engine.launches")
-            worker.observe("batch", 2)
     snap = worker.snapshot()
 
+    tele.count("engine.launches")
     with tele.span("suite"):
         attempt = tele.open_span("attempt", parent_id=tele.current_span_id())
         tele.finish_span(attempt)
@@ -117,8 +105,8 @@ def test_snapshot_merge_reparents_and_rebases(tele):
     assert by_name["launch"].parent_id == by_name["workload:VA"].span_id
     # Timestamps rebased onto the parent's clock (the 100s skew applied).
     assert by_name["workload:VA"].t0 > attempt.t0 + 99.0
-    assert tele.counters["engine.launches"] == 1
-    assert tele.histograms["batch"].count == 1
+    # Counters add across processes.
+    assert tele.counters["engine.launches"] == 2
 
 
 def test_merged_ids_do_not_collide(tele):
@@ -165,7 +153,7 @@ def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
     # Each launch span mirrors its launch record, and the engine counters
     # fold the same records the profile's totals do.
     for sp in launches:
-        assert {"profiled_blocks", "hazard_tier", "pin_reason"} <= set(sp.attrs)
+        assert {"profiled_blocks", "hazard_tier", "pin_reason", "batches"} <= set(sp.attrs)
     totals = profile.engine_stats
     assert totals["launches"] == len(launches)
     for key in ("blocks", "batches", "batched_blocks", "observed_batches", "event_bytes"):
@@ -186,8 +174,8 @@ def test_serial_run_produces_span_tree_and_pass_costs(global_tele):
     assert t.counters["pass.mix.events"] == counts["instr"]
     assert t.counters["pass.coalescing.events"] == counts["mem"]
     assert t.counters["pass.branch.events"] == counts["branch"]
-    # The compiled engine recorded its batch-occupancy distribution.
-    assert t.histograms["engine.compiled.batch_blocks"].count > 0
+    # Each launch span says how its blocks were batched.
+    assert sum(sp.attrs["batches"] for sp in launches) == totals["batches"] > 0
 
 
 def test_parallel_run_merges_worker_spans_with_correct_parents(global_tele):
@@ -215,11 +203,10 @@ def test_disabled_run_records_nothing(global_tele):
 
 
 #: The recording entry points every instrumented layer calls.
-_ENTRY_POINTS = ("span", "count", "gauge", "observe", "start_span", "open_span", "finish_span")
+_ENTRY_POINTS = ("span", "count", "start_span", "open_span", "finish_span")
 
-#: Disabled-path calls one launch may make besides one ``observe`` per
-#: batch: three spans, the launch-record counters and two counters per pass
-#: (24 in all with the seven passes).
+#: Disabled-path calls one launch may make: three spans, the launch-record
+#: counters and two counters per pass (24 in all with the seven passes).
 CALLS_PER_LAUNCH = 32
 
 
@@ -246,8 +233,8 @@ def _disabled_calls(monkeypatch, abbrev, sample_blocks):
 # records fewer events than profiling every block.
 @pytest.mark.parametrize("abbrev", ["BFS", "HYS"])
 def test_disabled_path_call_budget(monkeypatch, abbrev):
-    """With telemetry off, the recording calls scale with launches and
-    batches only: never with blocks, profiled blocks or events."""
+    """With telemetry off, the recording calls scale with launches only:
+    never with batches, blocks, profiled blocks or events."""
     assert not get_telemetry().enabled
     sampled, stats = _disabled_calls(monkeypatch, abbrev, sample_blocks=8)
     full, full_stats = _disabled_calls(monkeypatch, abbrev, sample_blocks=None)
@@ -255,12 +242,14 @@ def test_disabled_path_call_budget(monkeypatch, abbrev):
     assert full_stats["event_counts"]["instr"] > stats["event_counts"]["instr"]
     assert full == sampled
     assert sampled["span"] > 0 and sampled["count"] > 0
-    budget = CALLS_PER_LAUNCH * stats["launches"] + stats["batches"]
-    assert sum(sampled.values()) <= budget, (sampled, stats["launches"], stats["batches"])
+    # Several batches per launch, so a per-batch call would show.
+    assert stats["batches"] > stats["launches"]
+    budget = CALLS_PER_LAUNCH * stats["launches"]
+    assert sum(sampled.values()) <= budget, (sampled, stats["launches"])
 
 
 # ----------------------------------------------------------------------
-# Exporters, loader, summary
+# Trace file, loader, summary
 # ----------------------------------------------------------------------
 
 
@@ -270,14 +259,12 @@ def _small_trace(tele):
             tele.count("engine.launches")
     tele.count("pass.mix.events", 10)
     tele.count("pass.mix.seconds", 0.25)
-    tele.gauge("depth", 2.0)
-    tele.observe("batch", 3)
     return tele
 
 
 def test_chrome_trace_schema(tele, tmp_path):
     path = tmp_path / "trace.json"
-    write_chrome_trace(_small_trace(tele), str(path))
+    write_trace(_small_trace(tele), str(path))
     doc = json.loads(path.read_text())
     assert set(doc) == {"traceEvents", "displayTimeUnit", "reproTelemetry"}
     events = doc["traceEvents"]
@@ -295,46 +282,50 @@ def test_chrome_trace_schema(tele, tmp_path):
     assert launch["args"]["parent"] == suite["args"]["id"]
     assert launch["args"]["kernel"] == "k"
     extra = doc["reproTelemetry"]
-    assert extra["format"] == TRACE_FORMAT
+    assert set(extra) == {"format", "baseEpochSeconds", "counters"}
+    assert extra["format"] == TRACE_FORMAT == "repro.telemetry/v2"
     assert extra["counters"]["engine.launches"] == 1
-    assert extra["histograms"]["batch"]["count"] == 1
 
 
-def test_jsonl_roundtrip_and_chrome_load_agree(tele, tmp_path):
+def test_trace_roundtrip_ignores_extension(tele, tmp_path):
     _small_trace(tele)
     jl, ch = tmp_path / "t.jsonl", tmp_path / "t.json"
-    write_trace(tele, str(jl))  # extension dispatch
+    write_trace(tele, str(jl))
     write_trace(tele, str(ch))
-    a, b = load_trace(str(jl)), load_trace(str(ch))
-    assert a.meta["format"] == TRACE_FORMAT
-    assert [sp["name"] for sp in a.spans] == [sp["name"] for sp in b.spans]
-    assert a.counters == b.counters
-    assert a.gauges == b.gauges
-    for data in (a, b):
-        (launch,) = [sp for sp in data.spans if sp["name"] == "launch"]
-        (suite,) = [sp for sp in data.spans if sp["name"] == "suite"]
-        assert launch["parent"] == suite["id"]
-        assert launch["dur"] <= suite["dur"]
+    # One file format whatever the extension.
+    assert jl.read_text() == ch.read_text()
+    data = load_trace(str(jl))
+    assert sorted(sp["name"] for sp in data.spans) == ["launch", "suite"]
+    assert data.counters == tele.counters
+    (launch,) = [sp for sp in data.spans if sp["name"] == "launch"]
+    (suite,) = [sp for sp in data.spans if sp["name"] == "suite"]
+    assert launch["parent"] == suite["id"]
+    assert launch["attrs"] == {"kernel": "k"}
+    assert launch["dur"] <= suite["dur"]
 
 
 def test_load_trace_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text("this is not json\n")
-    with pytest.raises(ValueError, match="bad.jsonl:1"):
-        load_trace(str(path))
+    path = tmp_path / "bad.json"
+    for text in (
+        "this is not json\n",
+        # A line-per-record span log is not a trace.
+        '{"kind": "meta", "format": "repro.telemetry/v1"}\n{"kind": "span"}\n',
+        '[{"traceEvents": []}]\n',
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^not Chrome trace-event JSON: "):
+            load_trace(str(path))
 
 
 def test_format_summary_sections(tele, tmp_path):
-    path = tmp_path / "t.jsonl"
-    write_spans_jsonl(_small_trace(tele), str(path))
+    path = tmp_path / "t.json"
+    write_trace(_small_trace(tele), str(path))
     text = format_summary(load_trace(str(path)))
     assert "2 spans over" in text
     assert "top spans by self-time" in text
     assert "analysis passes (measured)" in text
     assert "mix" in text and "0.2500" in text
     assert "engine.launches = 1" in text
-    assert "depth = 2" in text
-    assert "batch: n=1" in text
 
 
 def test_format_summary_empty():
@@ -378,22 +369,10 @@ def test_cli_repro_trace_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE", str(trace))
     assert main(["characterize", "VA", "--sample-blocks", "8"]) == 0
     capsys.readouterr()
-    kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
-    assert kinds[0] == "meta" and "span" in kinds and "counter" in kinds
-
-
-def test_cli_telemetry_chrome_conversion(capsys, tele, tmp_path):
-    from repro.cli import main
-
-    jl = tmp_path / "t.jsonl"
-    write_spans_jsonl(_small_trace(tele), str(jl))
-    out_path = tmp_path / "t.chrome.json"
-    assert main(["telemetry", str(jl), "--chrome", str(out_path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(out_path.read_text())
-    assert {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"} == {
-        "suite", "launch",
-    }
+    # Chrome trace-event JSON whatever the extension.
+    doc = json.loads(trace.read_text())
+    assert doc["reproTelemetry"]["counters"]["cache.misses"] == 1
+    assert "launch" in {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}
 
 
 def test_cli_telemetry_usage_errors(capsys, tmp_path):
@@ -404,9 +383,9 @@ def test_cli_telemetry_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
     assert "no such trace file" in capsys.readouterr().err
 
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("nope\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "meta"}\n')
     with pytest.raises(SystemExit) as exc:
         main(["telemetry", str(bad)])
     assert exc.value.code == 2
-    assert "could not parse" in capsys.readouterr().err
+    assert f"could not parse {bad}: not Chrome trace-event JSON" in capsys.readouterr().err

@@ -6,7 +6,6 @@ computation for every input.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, WorkloadProfile
-from repro.uarch import BASELINE, GpuConfig, get_model, run_sweep, simulate_kernel, time_kernel
+from repro.uarch import BASELINE, get_model, run_sweep, simulate_kernel, time_kernel
 from repro.uarch.model import occupancy_warps
 
 

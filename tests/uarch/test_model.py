@@ -6,7 +6,6 @@ import pytest
 from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, SharedMemStats, WorkloadProfile
 from repro.uarch import (
     BASELINE,
-    GpuConfig,
     bottleneck_summary,
     default_space,
     get_model,

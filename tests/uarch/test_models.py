@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats, WorkloadProfile
+from repro.trace.profile import GlobalMemStats, KernelProfile, LocalityStats
 from repro.uarch import (
     BASELINE,
     TimingModel,

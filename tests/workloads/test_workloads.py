@@ -6,7 +6,6 @@ case here validates both the kernel implementation and the simulator
 semantics it exercises.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import metrics
