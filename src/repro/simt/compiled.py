@@ -1,21 +1,27 @@
 """Compiled kernel dispatch and block-batched SIMT execution.
 
-Two execution regimes accelerate kernel launches beyond the statement
+Three mechanisms accelerate kernel launches beyond the statement
 interpreter in :mod:`repro.simt.executor`:
 
-* **Compile-once dispatch** — at first launch the kernel body is lowered
-  into a flat tree of specialised closures: operand accessors are resolved
-  to register slots / immediates / parameter indices, op functions and
-  dtypes are hoisted out of the per-block loop, and observation hooks are
-  simply not compiled in for unprofiled blocks.  The compiled form is
-  cached on the :class:`~repro.simt.ir.Kernel` instance, so repeated
-  launches of the same kernel pay lowering cost once.
+* **Generated kernel bodies** — on first use the kernel body is written,
+  per observation hook set, as the source of one Python function and built
+  with ``compile()`` (:class:`_Generator`): registers become locals,
+  ``If``/``While`` become Python ``if``/``while`` over lane masks, operands
+  are resolved to locals, literals or parameters, and unsubscribed hooks
+  are simply not written.  No array is changed in place: a register write
+  under the batch's full mask, or to a run-local temporary
+  (:func:`_run_local_temps`), binds its result, and any other write
+  becomes ``np.where(act, result, cur)``.  The observed body notes each
+  straight-line run's instruction events with one
+  :meth:`~repro.simt.events.EventRecorder.instr_run` call.  Bodies are
+  cached on the :class:`CompiledKernel`, itself cached on the
+  :class:`~repro.simt.ir.Kernel`, so repeated launches write nothing.
 
 * **Block batching** — independent blocks are stacked into a single state
   of ``K * npad`` lanes (per-block ``%ctaid``/``%tid`` vectors, one
   shared-memory row per block), amortising every numpy operation across K
   blocks.  Profiled blocks batch exactly like silent ones: a batch
-  containing profiled blocks runs the observed program with an
+  containing profiled blocks runs the observed body with an
   :class:`~repro.simt.events.EventRecorder` capturing per-kind columnar
   buffers, delivered to sinks as one ``on_batch`` call.  Atomic lane
   serialisation is defined in launch order, which stacking reorders, so
@@ -64,8 +70,10 @@ in sequential block order.
 
 from __future__ import annotations
 
+import math
+import re
 from bisect import bisect_right
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +108,7 @@ from repro.simt.ir import (
     op_category,
     read_regs,
     stmt_regs,
+    walk_stmts,
 )
 from repro.simt.types import WARP_SIZE, DType
 
@@ -138,55 +147,102 @@ def _trunc_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a - _trunc_div(a, b) * b
 
 
+def _i2f(a):
+    return a.astype(np.float64) if isinstance(a, np.ndarray) else float(a)
+
+
+def _f2i(a):
+    return np.trunc(a).astype(np.int64) if isinstance(a, np.ndarray) else int(a)
+
+
+#: Globals of the generated kernel bodies and of the op expressions.
+_NAMESPACE = {
+    "_minimum": np.minimum,
+    "_maximum": np.maximum,
+    "_abs": np.abs,
+    "_floor": np.floor,
+    "_sqrt": np.sqrt,
+    "_exp": np.exp,
+    "_log": np.log,
+    "_sin": np.sin,
+    "_cos": np.cos,
+    "_power": np.power,
+    "_where": np.where,
+    "_zeros": np.zeros,
+    "_full": np.full,
+    "_i2f": _i2f,
+    "_f2i": _f2i,
+    "_trunc_div": _trunc_div,
+    "_trunc_mod": _trunc_mod,
+    "_AtomicOp": AtomicOp,
+    "_i64": np.dtype(np.int64),
+    "_f64": np.dtype(np.float64),
+    "_bool": np.dtype(np.bool_),
+}
+_DTYPE_NAME = {_NAMESPACE[n]: n for n in ("_i64", "_f64", "_bool")}
+_I64 = _NAMESPACE["_i64"]
+
+#: Every scalar op but IDIV/IMOD as a Python expression over its operands
+#: ``{0}``, ``{1}``, ``{2}``, each used once.  The generator inlines these
+#: into kernel bodies and :data:`_OP_FUNCS` wraps them as functions for the
+#: interpreter and the reference engine, so each op is defined once.
+_OP_EXPR = {
+    Op.IADD: "{0} + {1}",
+    Op.ISUB: "{0} - {1}",
+    Op.IMUL: "{0} * {1}",
+    Op.IMIN: "_minimum({0}, {1})",
+    Op.IMAX: "_maximum({0}, {1})",
+    Op.INEG: "-{0}",
+    Op.IABS: "_abs({0})",
+    Op.IAND: "{0} & {1}",
+    Op.IOR: "{0} | {1}",
+    Op.IXOR: "{0} ^ {1}",
+    Op.ISHL: "{0} << {1}",
+    Op.ISHR: "{0} >> {1}",
+    Op.FADD: "{0} + {1}",
+    Op.FSUB: "{0} - {1}",
+    Op.FMUL: "{0} * {1}",
+    Op.FDIV: "{0} / {1}",
+    Op.FNEG: "-{0}",
+    Op.FABS: "_abs({0})",
+    Op.FMIN: "_minimum({0}, {1})",
+    Op.FMAX: "_maximum({0}, {1})",
+    Op.FMA: "{0} * {1} + {2}",
+    Op.FFLOOR: "_floor({0})",
+    Op.FSQRT: "_sqrt({0})",
+    Op.FEXP: "_exp({0})",
+    Op.FLOG: "_log({0})",
+    Op.FSIN: "_sin({0})",
+    Op.FCOS: "_cos({0})",
+    Op.FRCP: "1.0 / {0}",
+    Op.FPOW: "_power({0}, {1})",
+    Op.ILT: "{0} < {1}",
+    Op.ILE: "{0} <= {1}",
+    Op.IGT: "{0} > {1}",
+    Op.IGE: "{0} >= {1}",
+    Op.IEQ: "{0} == {1}",
+    Op.INE: "{0} != {1}",
+    Op.FLT: "{0} < {1}",
+    Op.FLE: "{0} <= {1}",
+    Op.FGT: "{0} > {1}",
+    Op.FGE: "{0} >= {1}",
+    Op.FEQ: "{0} == {1}",
+    Op.FNE: "{0} != {1}",
+    Op.PAND: "{0} & {1}",
+    Op.POR: "{0} | {1}",
+    Op.PNOT: "~{0}",
+    Op.MOV: "{0}",
+    Op.SEL: "_where({0}, {1}, {2})",
+    Op.I2F: "_i2f({0})",
+    Op.F2I: "_f2i({0})",
+}
+
 _OP_FUNCS = {
-    Op.IADD: lambda a, b: a + b,
-    Op.ISUB: lambda a, b: a - b,
-    Op.IMUL: lambda a, b: a * b,
-    Op.IMIN: np.minimum,
-    Op.IMAX: np.maximum,
-    Op.INEG: lambda a: -a,
-    Op.IABS: np.abs,
-    Op.IAND: lambda a, b: a & b,
-    Op.IOR: lambda a, b: a | b,
-    Op.IXOR: lambda a, b: a ^ b,
-    Op.ISHL: lambda a, b: a << b,
-    Op.ISHR: lambda a, b: a >> b,
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FDIV: lambda a, b: a / b,
-    Op.FNEG: lambda a: -a,
-    Op.FABS: np.abs,
-    Op.FMIN: np.minimum,
-    Op.FMAX: np.maximum,
-    Op.FMA: lambda a, b, c: a * b + c,
-    Op.FFLOOR: np.floor,
-    Op.FSQRT: np.sqrt,
-    Op.FEXP: np.exp,
-    Op.FLOG: np.log,
-    Op.FSIN: np.sin,
-    Op.FCOS: np.cos,
-    Op.FRCP: lambda a: 1.0 / a,
-    Op.FPOW: np.power,
-    Op.ILT: lambda a, b: a < b,
-    Op.ILE: lambda a, b: a <= b,
-    Op.IGT: lambda a, b: a > b,
-    Op.IGE: lambda a, b: a >= b,
-    Op.IEQ: lambda a, b: a == b,
-    Op.INE: lambda a, b: a != b,
-    Op.FLT: lambda a, b: a < b,
-    Op.FLE: lambda a, b: a <= b,
-    Op.FGT: lambda a, b: a > b,
-    Op.FGE: lambda a, b: a >= b,
-    Op.FEQ: lambda a, b: a == b,
-    Op.FNE: lambda a, b: a != b,
-    Op.PAND: lambda a, b: a & b,
-    Op.POR: lambda a, b: a | b,
-    Op.PNOT: lambda a: ~a,
-    Op.MOV: lambda a: a,
-    Op.SEL: lambda c, a, b: np.where(c, a, b),
-    Op.I2F: lambda a: a.astype(np.float64) if isinstance(a, np.ndarray) else float(a),
-    Op.F2I: lambda a: np.trunc(a).astype(np.int64) if isinstance(a, np.ndarray) else int(a),
+    op: eval(  # the fixed templates above, nothing from outside
+        "lambda {}: {}".format(", ".join("abc"[: expr.count("{")]), expr.format("a", "b", "c")),
+        _NAMESPACE,
+    )
+    for op, expr in _OP_EXPR.items()
 }
 
 _LOAD_CATEGORY = {
@@ -203,11 +259,13 @@ _LOOP = BRANCH_KIND_CODE["loop"]
 
 
 class _RunState:
-    """Mutable lane state for one batch of blocks.
+    """Lane state for one batch of blocks, read by the generated body.
 
-    ``recorder`` is the batch's :class:`~repro.simt.events.EventRecorder`
-    when it contains profiled blocks; only the observed program, whose
-    hooks record into it, runs with one installed.
+    ``regs`` holds the special registers' lane arrays by slot (every other
+    register lives in a local of the generated function).  ``recorder`` is
+    the batch's :class:`~repro.simt.events.EventRecorder` when it contains
+    profiled blocks; only an observed body, which records into it, runs
+    with one installed.
     """
 
     __slots__ = (
@@ -223,74 +281,6 @@ class _RunState:
         "shared",
         "recorder",
     )
-
-
-# ----------------------------------------------------------------------
-# Operand lowering
-# ----------------------------------------------------------------------
-
-
-def _make_acc(ck: "CompiledKernel", operand) -> Callable[[_RunState], object]:
-    """Lower an operand to an accessor closure over the run state."""
-    if isinstance(operand, Reg):
-        slot = ck.slot_of[operand.name]
-        name = operand.name
-        kname = ck.kernel.name
-
-        def acc(st: _RunState):
-            v = st.regs[slot]
-            if v is None:
-                raise ExecutionError(
-                    f"kernel {kname!r}: register {name!r} read "
-                    "before any write reached it"
-                )
-            return v
-
-        return acc
-    if isinstance(operand, Imm):
-        value = operand.value
-        return lambda st: value
-    idx = ck.param_index[operand.name]
-    return lambda st: st.params[idx]
-
-
-def _make_addr(ck: "CompiledKernel", operand) -> Callable[[_RunState], np.ndarray]:
-    acc = _make_acc(ck, operand)
-    if isinstance(operand, Reg):
-        return acc  # register operands are always full-width arrays
-
-    def addr(st: _RunState) -> np.ndarray:
-        return np.full(st.nlanes, int(acc(st)), dtype=np.int64)
-
-    return addr
-
-
-def _make_vec(ck: "CompiledKernel", operand, np_dtype) -> Callable[[_RunState], np.ndarray]:
-    acc = _make_acc(ck, operand)
-    if isinstance(operand, Reg):
-        return acc
-
-    def vec(st: _RunState) -> np.ndarray:
-        return np.full(st.nlanes, acc(st), dtype=np_dtype)
-
-    return vec
-
-
-def _make_write(ck: "CompiledKernel", dest: Reg):
-    slot = ck.slot_of[dest.name]
-    np_dtype = dest.dtype.numpy_dtype
-
-    def write(st: _RunState, result, act: np.ndarray) -> None:
-        cur = st.regs[slot]
-        if cur is None:
-            cur = np.zeros(st.nlanes, dtype=np_dtype)
-            st.regs[slot] = cur
-        if isinstance(result, np.ndarray) and result.shape == cur.shape:
-            np.copyto(cur, result, where=act, casting="unsafe")
-        else:
-            cur[act] = result
-
-    return write
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +362,84 @@ def _make_shared_scatter(ck: "CompiledKernel"):
 
 
 # ----------------------------------------------------------------------
-# Statement lowering
+# Kernel body generation
 # ----------------------------------------------------------------------
+
+#: Nesting one generated function may reach before a statement list moves
+#: into a function of its own: CPython allows 20 nested loops in one
+#: function and 100 indentation levels.
+_MAX_LOOPS = 8
+_MAX_DEPTH = 40
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+#: State a generated function binds when its body uses the name.
+_PROLOGUE = (
+    "n = st.nlanes",
+    "ret = st.returned",
+    "dev = st.device",
+    "rec_instr_run = st.recorder.instr_run",
+    "rec_mem = st.recorder.mem",
+    "rec_branch = st.recorder.branch",
+)
+
+
+def _undefined(kname: str, name: str) -> None:
+    raise ExecutionError(
+        f"kernel {kname!r}: register {name!r} read before any write reached it"
+    )
+
+
+def _divide(div, num, den, act: np.ndarray, kname: str, sid: int):
+    """``div`` (the truncating quotient or remainder), faulting when an
+    active lane divides by zero."""
+    divisor = np.asarray(den)
+    bad = (divisor == 0) if divisor.ndim == 0 else (divisor == 0) & act
+    if np.any(bad):
+        raise ExecutionError(f"kernel {kname!r}: integer division by zero (sid={sid})")
+    return div(np.asarray(num), np.where(divisor == 0, 1, den))
+
+
+def _spread(n: int, act: np.ndarray, values, dtype: np.dtype) -> np.ndarray:
+    """``values`` (one per active lane, or a scalar) on the active lanes of
+    ``n`` lanes of ``dtype``, 0 elsewhere."""
+    out = np.zeros(n, dtype=dtype)
+    out[act] = values
+    return out
+
+
+def _merge(cur: np.ndarray, act: np.ndarray, values) -> np.ndarray:
+    """A copy of ``cur`` with ``values`` written to its active lanes."""
+    out = cur.copy()
+    out[act] = values
+    return out
+
+
+def _barrier(st: _RunState, act: np.ndarray, kname: str, sid: int) -> None:
+    expected = st.block_mask & ~st.returned
+    if st.nblk > 1:
+        # A barrier synchronizes within one block.  Batched blocks reach it
+        # on different loop iterations, so a block with no active lanes here
+        # simply isn't executing this statement (it would not have run it in
+        # single-block execution); only blocks that arrive are held to the
+        # all-lanes-present rule.
+        act = act.reshape(st.nblk, st.npad)
+        here = act.any(axis=1)
+        act, expected = act[here], expected.reshape(st.nblk, st.npad)[here]
+    if not np.array_equal(act, expected):
+        raise ExecutionError(
+            f"kernel {kname!r}: divergent barrier (sid={sid}); "
+            "some non-retired lanes did not reach __syncthreads"
+        )
+
+
+_NAMESPACE.update(
+    _undefined=_undefined,
+    _divide=_divide,
+    _spread=_spread,
+    _merge=_merge,
+    _barrier=_barrier,
+)
 
 
 def _contains_return(stmt: Stmt) -> bool:
@@ -390,406 +456,406 @@ def _contains_return(stmt: Stmt) -> bool:
     return False
 
 
-def _compile_instr(ck, stmt: Instr, hooks: frozenset):
-    write = _make_write(ck, stmt.dest)
-    category = op_category(stmt.op)
-    accs = tuple(_make_acc(ck, s) for s in stmt.srcs)
-    if stmt.op in (Op.IDIV, Op.IMOD):
-        div = _trunc_div if stmt.op is Op.IDIV else _trunc_mod
-        a0, a1 = accs
-        kname = ck.kernel.name
-        sid = stmt.sid
+def _run_local_temps(body: List[Stmt]) -> FrozenSet[int]:
+    """The ``sid`` of every statement whose result is a run-local temporary.
 
-        def core(st, act):
-            num, den = a0(st), a1(st)
-            divisor = np.asarray(den)
-            bad = (divisor == 0) if divisor.ndim == 0 else (divisor == 0) & act
-            if np.any(bad):
-                raise ExecutionError(
-                    f"kernel {kname!r}: integer division by zero (sid={sid})"
-                )
-            safe = np.where(divisor == 0, 1, den)
-            return div(np.asarray(num), safe)
+    Its destination register has one static definition, and every read of
+    it comes later in the statement list holding that definition (nested in
+    a later statement included) or is the condition of the loop whose
+    condition block that list is.  Each read then runs after the
+    definition under a subset of its lanes, so no lane outside them ever
+    reads the value: the result can be bound whole.
+    """
+    defs: Dict[str, List[Tuple[int, int, int]]] = {}
+    reads: Dict[str, List[Dict[int, int]]] = {}
 
-    else:
-        fn = _OP_FUNCS[stmt.op]
-        if len(accs) == 1:
-            (a0,) = accs
+    def visit(stmts: List[Stmt], path: Dict[int, int]) -> None:
+        # ``path`` maps each enclosing list to the position in it.
+        key = id(stmts)
+        for i, stmt in enumerate(stmts):
+            here = {**path, key: i}
+            dest, srcs = stmt_regs(stmt)
+            at = here
+            if isinstance(stmt, While):
+                # The loop reads its condition after its condition block.
+                at = {**here, id(stmt.cond_body): len(stmt.cond_body)}
+            for name in srcs:
+                reads.setdefault(name, []).append(at)
+            if dest is not None:
+                defs.setdefault(dest, []).append((key, i, stmt.sid))
+            if isinstance(stmt, If):
+                visit(stmt.then_body, here)
+                visit(stmt.else_body, here)
+            elif isinstance(stmt, While):
+                visit(stmt.cond_body, here)
+                visit(stmt.body, here)
 
-            def core(st, act):
-                return fn(a0(st))
-
-        elif len(accs) == 2:
-            a0, a1 = accs
-
-            def core(st, act):
-                return fn(a0(st), a1(st))
-
-        elif len(accs) == 3:
-            a0, a1, a2 = accs
-
-            def core(st, act):
-                return fn(a0(st), a1(st), a2(st))
-
-        else:  # pragma: no cover - no ops beyond arity 3
-
-            def core(st, act):
-                return fn(*[a(st) for a in accs])
-
-    if "instr" in hooks:
-        sid, code = stmt.sid, CATEGORY_CODE[category]
-
-        def run(st, act):
-            write(st, core(st, act), act)
-            st.recorder.instr(sid, code, act)
-
-    else:
-
-        def run(st, act):
-            write(st, core(st, act), act)
-
-    return run
+    visit(body, {})
+    return frozenset(
+        sites[0][2]
+        for name, sites in defs.items()
+        if len(sites) == 1
+        and all(at.get(sites[0][0], -1) > sites[0][1] for at in reads.get(name, ()))
+    )
 
 
-def _compile_load(ck, stmt: Load, hooks: frozenset):
-    addr = _make_addr(ck, stmt.addr)
-    esize = stmt.dtype.element_size
-    stmt_dt = stmt.dtype.numpy_dtype
-    dest_dt = stmt.dest.dtype.numpy_dtype
-    category = _LOAD_CATEGORY[stmt.space]
-    if stmt.space is MemSpace.SHARED:
-        gather = _make_shared_gather(ck)
-        write = _make_write(ck, stmt.dest)
+class _Fn:
+    """Source lines of one generated function."""
 
-        def core(st, act):
-            addrs = addr(st)
-            write(st, gather(st, addrs, act, esize), act)
-            return addrs
+    __slots__ = ("lines", "depth", "loops")
 
-    elif stmt_dt == dest_dt:
-        # Single masked assignment: the gather result is cast straight into
-        # the destination register (stmt and dest dtypes agree, so this is
-        # the same elementwise cast the two-step path performs).
-        slot = ck.slot_of[stmt.dest.name]
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.depth = 1
+        self.loops = 0
 
-        def core(st, act):
-            addrs = addr(st)
-            cur = st.regs[slot]
-            if cur is None:
-                cur = np.zeros(st.nlanes, dtype=dest_dt)
-                st.regs[slot] = cur
-            cur[act] = st.device.gather(addrs[act], esize)
-            return addrs
-
-    else:
-        write = _make_write(ck, stmt.dest)
-
-        def core(st, act):
-            addrs = addr(st)
-            values = np.zeros(st.nlanes, dtype=stmt_dt)
-            values[act] = st.device.gather(addrs[act], esize)
-            write(st, values, act)
-            return addrs
-
-    return _wrap_mem_op(core, stmt, category, "load", esize, hooks)
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
 
 
-def _compile_store(ck, stmt: Store, hooks: frozenset):
-    addr = _make_addr(ck, stmt.addr)
-    val = _make_vec(ck, stmt.value, stmt.dtype.numpy_dtype)
-    esize = stmt.dtype.element_size
-    if stmt.space is MemSpace.SHARED:
-        scatter = _make_shared_scatter(ck)
-        category = OpCategory.STORE_SHARED
+class _Generator:
+    """Writes one kernel body, observing one hook set, as Python source.
 
-        def core(st, act):
-            addrs = addr(st)
-            scatter(st, addrs, val(st), act, esize)
-            return addrs
+    The body becomes ``run(state, act)``: registers are locals ``r<slot>``,
+    ``If``/``While`` become Python ``if``/``while`` over lane masks, and
+    each statement becomes inline numpy code.  No array is changed in
+    place.  A write binds its result when ``act`` holds every live lane or
+    the register is a run-local temporary (:func:`_run_local_temps`); any
+    other write merges into a new array.  A statement list nested deeper
+    than :data:`_MAX_DEPTH` or :data:`_MAX_LOOPS` allows moves into a
+    function of its own, which takes and returns the registers it touches
+    (:meth:`outline`).
+    """
 
-    else:
-        category = OpCategory.STORE_GLOBAL
-
-        def core(st, act):
-            addrs = addr(st)
-            values = val(st)
-            st.device.scatter(addrs[act], values[act], esize)
-            return addrs
-
-    return _wrap_mem_op(core, stmt, category, "store", esize, hooks)
-
-
-def _compile_atomic(ck, stmt: Atomic, hooks: frozenset):
-    addr = _make_addr(ck, stmt.addr)
-    np_dt = stmt.dtype.numpy_dtype
-    val = _make_vec(ck, stmt.value, np_dt)
-    cmp = _make_vec(ck, stmt.compare, np_dt) if stmt.compare is not None else None
-    esize = stmt.dtype.element_size
-    # An old value no statement reads is never materialised: the device
-    # then applies ADD/MIN/MAX in one index-ordered ufunc pass.
-    keep_old = stmt.dest is not None and stmt.dest.name in ck.reads
-    write = _make_write(ck, stmt.dest) if keep_old else None
-    aop = stmt.op
-
-    def core(st, act):
-        addrs = addr(st)
-        values = val(st)
-        compare = cmp(st)[act] if cmp is not None else None
-        olds_sel = st.device.atomic_update(
-            addrs[act],
-            values[act],
-            aop,
-            esize,
-            compare=compare,
-            need_old=write is not None,
+    def __init__(self, ck: "CompiledKernel", hooks: frozenset) -> None:
+        self.ck = ck
+        self.kname = repr(ck.kernel.name)
+        self.instr = "instr" in hooks
+        self.mem = "mem" in hooks
+        self.branch = "branch" in hooks
+        self.temps = _run_local_temps(ck.kernel.body)
+        self.ns = dict(
+            _NAMESPACE, _sgather=_make_shared_gather(ck), _sscatter=_make_shared_scatter(ck)
         )
-        if write is not None:
-            olds = np.zeros(st.nlanes, dtype=np_dt)
-            olds[act] = olds_sel
-            write(st, olds, act)
-        return addrs
+        self.sources: List[str] = []
+        #: Registers that may be read while unbound: the body starts them
+        #: at ``None``.
+        self.unbound: set = set()
 
-    return _wrap_mem_op(core, stmt, OpCategory.ATOMIC, "atomic", esize, hooks, space=MemSpace.GLOBAL)
+    def build(self) -> Callable:
+        fn = _Fn()
+        self.block(fn, self.ck.kernel.body, "act", True, {name for name, _ in self.ck.sreg_slots})
+        sregs = [slot for _, slot in sorted(self.ck.sreg_slots, key=lambda s: s[1])]
+        head = [f"r{slot} = st.regs[{slot}]" for slot in sregs]
+        unbound = sorted(self.unbound, key=self.ck.slot_of.get)
+        if unbound:
+            head.append(" = ".join(f"r{self.ck.slot_of[name]}" for name in unbound) + " = None")
+        self.define("run", fn, (), head)
+        source = "\n\n".join(self.sources)
+        exec(compile(source, f"<kernel {self.ck.kernel.name}>", "exec"), self.ns)
+        return self.ns["run"]
 
+    def define(self, name: str, fn: _Fn, regs: Sequence[str], head: Sequence[str] = (),
+               returns: Sequence[str] = ()) -> None:
+        """Add ``fn`` as function ``name(st, act, *regs)``; its prologue binds
+        the state it uses, then ``head``."""
+        if returns:
+            fn.emit(f"return {', '.join(returns)},")
+        used = set(_NAME.findall("\n".join(fn.lines)))
+        prologue = [line for line in _PROLOGUE if line.split(" ", 1)[0] in used]
+        prologue += [f"p{i} = st.params[{i}]" for i in range(len(self.ck.kernel.params))
+                     if f"p{i}" in used]
+        args = "".join(f", {r}" for r in regs)
+        self.sources.append("\n".join(
+            [f"def {name}(st, act{args}):"]
+            + ["    " + line for line in prologue + [h for h in head if h.split(" ", 1)[0] in used]]
+            + fn.lines
+        ))
 
-def _wrap_mem_op(core, stmt, category, kind, esize, hooks: frozenset, space=None):
-    """Wrap a memory-op core with exactly the subscribed observation hooks.
+    def outline(self, fn: _Fn, stmts: List[Stmt], act: str, full: bool, defined: set,
+                tail: Tuple[int, ...] = ()) -> set:
+        """Emit ``stmts`` as a call to a function of their own."""
+        slot_of = self.ck.slot_of
+        touched, written = set(), set()
+        for stmt in walk_stmts(stmts):
+            dest, srcs = stmt_regs(stmt)
+            touched.update(srcs)
+            if dest is not None:
+                touched.add(dest)
+                written.add(dest)
+        self.unbound.update(touched - defined)
+        regs = [f"r{slot_of[name]}" for name in sorted(touched, key=slot_of.get)]
+        returns = [f"r{slot_of[name]}" for name in sorted(written, key=slot_of.get)]
+        sub = _Fn()
+        defined = self.block(sub, stmts, "act", full, defined, tail)
+        name = f"_part{len(self.sources)}"
+        self.define(name, sub, regs, returns=returns)
+        call = f"{name}(st, {act}{''.join(', ' + r for r in regs)})"
+        fn.emit(f"{', '.join(returns)}, = {call}" if returns else call)
+        return defined
 
-    Each hook combination gets its own closure, so unsubscribed hooks cost
-    nothing per event (no per-event flag checks on the hot path).
-    """
-    ni = "instr" in hooks
-    nm = "mem" in hooks
-    if not ni and not nm:
+    def block(self, fn: _Fn, stmts: List[Stmt], act: str, full: bool, defined: set,
+              tail: Tuple[int, ...] = ()) -> set:
+        """Emit ``stmts`` under the lane mask named ``act``, which is
+        non-empty and holds no retired lane.  ``full`` says ``act`` holds
+        every live lane of the batch; ``defined`` names the registers
+        certainly bound, and ``tail`` the instruction events to note after
+        the last run.  Returns the registers certainly bound once the list
+        has run."""
+        if fn.depth > _MAX_DEPTH:
+            return self.outline(fn, stmts, act, full, defined, tail)
+        defined = set(defined)
+        start = len(fn.lines)
+        run: List[int] = []
+        for i, stmt in enumerate(stmts):
+            kind = type(stmt)
+            if kind is Return:
+                run += (stmt.sid, _BRANCH_CODE)
+                self.flush(fn, run, act)
+                fn.emit(f"ret |= {act}")
+                # Every lane of ``act`` has retired: the rest never runs.
+                return defined
+            if kind is If:
+                run += (stmt.sid, _BRANCH_CODE)
+                self.flush(fn, run, act)
+                defined = self.if_(fn, stmt, act, defined)
+            elif kind is While:
+                self.flush(fn, run, act)
+                if fn.loops >= _MAX_LOOPS:
+                    defined = self.outline(fn, [stmt], act, full, defined)
+                else:
+                    defined = self.while_(fn, stmt, act, defined)
+            else:
+                bind = full or stmt.sid in self.temps
+                run += (stmt.sid, self.simple(fn, stmt, act, bind, defined))
+            if i + 1 < len(stmts) and _contains_return(stmt):
+                # Lanes may have retired: the rest runs on those left.
+                self.flush(fn, run, act)
+                live = f"a{stmt.sid}"
+                fn.emit(f"{live} = {act} & ~ret")
+                fn.emit(f"if {live}.any():")
+                fn.depth += 1
+                self.block(fn, stmts[i + 1:], live, full, defined, tail)
+                fn.depth -= 1
+                return defined
+        run += tail
+        self.flush(fn, run, act)
+        if len(fn.lines) == start:
+            fn.emit("pass")
+        return defined
 
-        def run(st, act):
-            core(st, act)
+    def flush(self, fn: _Fn, run: List[int], act: str) -> None:
+        """Note the pending run's instruction events, one call per run."""
+        if run and self.instr:
+            # A global, not a literal: long literal tuples slow compile().
+            name = f"_run{len(self.ns)}"
+            self.ns[name] = tuple(run)
+            fn.emit(f"rec_instr_run({name}, {act})")
+        run.clear()
 
-        return run
-    sid, code = stmt.sid, CATEGORY_CODE[category]
-    space = SPACE_CODE[stmt.space if space is None else space]
-    kind = MEM_KIND_CODE[kind]
-    if ni and nm:
-
-        def run(st, act):
-            addrs = core(st, act)
-            st.recorder.instr(sid, code, act)
-            st.recorder.mem(sid, space, kind, esize, addrs, act)
-
-    elif ni:
-
-        def run(st, act):
-            core(st, act)
-            st.recorder.instr(sid, code, act)
-
-    else:
-
-        def run(st, act):
-            addrs = core(st, act)
-            st.recorder.mem(sid, space, kind, esize, addrs, act)
-
-    return run
-
-
-def _compile_if(ck, stmt: If, hooks: frozenset):
-    cond = _make_acc(ck, stmt.cond)
-    then_run = _compile_block(ck, stmt.then_body, hooks)
-    else_run = _compile_block(ck, stmt.else_body, hooks) if stmt.else_body else None
-    ni = "instr" in hooks
-    nb = "branch" in hooks
-    sid = stmt.sid
-
-    if ni or nb:
-
-        def run(st, act):
-            c = cond(st)
-            taken = act & c
-            if ni:
-                st.recorder.instr(sid, _BRANCH_CODE, act)
-            if nb:
-                st.recorder.branch(sid, _IF, act, taken)
-            if taken.any():
-                then_run(st, taken)
-            if else_run is not None:
-                fallthrough = act & ~c & ~st.returned
-                if fallthrough.any():
-                    else_run(st, fallthrough)
-
-    else:
-
-        def run(st, act):
-            c = cond(st)
-            taken = act & c
-            if taken.any():
-                then_run(st, taken)
-            if else_run is not None:
-                fallthrough = act & ~c & ~st.returned
-                if fallthrough.any():
-                    else_run(st, fallthrough)
-
-    return run
-
-
-def _compile_while(ck, stmt: While, hooks: frozenset):
-    cond = _make_acc(ck, stmt.cond)
-    cond_run = _compile_block(ck, stmt.cond_body, hooks)
-    body_run = _compile_block(ck, stmt.body, hooks)
-    cond_may_ret = any(map(_contains_return, stmt.cond_body))
-    body_may_ret = any(map(_contains_return, stmt.body))
-    ni = "instr" in hooks
-    nb = "branch" in hooks
-    sid = stmt.sid
-
-    if ni or nb:
-
-        def run(st, act):
-            live = act.copy()
-            while True:
-                cond_run(st, live)
-                if cond_may_ret:
-                    live = live & ~st.returned
-                    if not live.any():
-                        return
-                c = cond(st)
-                stay = live & c
-                if ni:
-                    st.recorder.instr(sid, _BRANCH_CODE, live)
-                if nb:
-                    st.recorder.branch(sid, _LOOP, live, stay)
-                live = stay
-                if not live.any():
-                    return
-                body_run(st, live)
-                if body_may_ret:
-                    live = live & ~st.returned
-                    if not live.any():
-                        return
-
-    else:
-
-        def run(st, act):
-            live = act.copy()
-            while True:
-                cond_run(st, live)
-                if cond_may_ret:
-                    live = live & ~st.returned
-                    if not live.any():
-                        return
-                stay = live & cond(st)
-                live = stay
-                if not live.any():
-                    return
-                body_run(st, live)
-                if body_may_ret:
-                    live = live & ~st.returned
-                    if not live.any():
-                        return
-
-    return run
-
-
-def _compile_barrier(ck, stmt: Barrier, hooks: frozenset):
-    kname = ck.kernel.name
-    sid = stmt.sid
-
-    def core(st, act):
-        expected = st.block_mask & ~st.returned
-        if st.nblk > 1:
-            # A barrier synchronizes within one block.  Batched blocks
-            # reach it on different loop iterations, so a block with no
-            # active lanes here simply isn't executing this statement
-            # (it would not have run it in single-block execution); only
-            # blocks that arrive are held to the all-lanes-present rule.
-            act = act.reshape(st.nblk, st.npad)
-            here = act.any(axis=1)
-            act, expected = act[here], expected.reshape(st.nblk, st.npad)[here]
-        if not np.array_equal(act, expected):
-            raise ExecutionError(
-                f"kernel {kname!r}: divergent barrier (sid={sid}); "
-                "some non-retired lanes did not reach __syncthreads"
-            )
-
-    if "instr" in hooks:
-
-        def run(st, act):
-            core(st, act)
-            st.recorder.instr(sid, _BARRIER_CODE, act)
-
-        return run
-
-    return core
-
-
-def _compile_return(ck, stmt: Return, hooks: frozenset):
-    if "instr" in hooks:
+    def if_(self, fn: _Fn, stmt: If, act: str, defined: set) -> set:
         sid = stmt.sid
+        cond = self.read(fn, stmt.cond, defined)
+        if stmt.else_body:
+            # The else mask needs the condition as it was on entry.
+            fn.emit(f"c{sid} = {cond}")
+            cond = f"c{sid}"
+        taken = f"t{sid}"
+        fn.emit(f"{taken} = {act} & {cond}")
+        if self.branch:
+            fn.emit(f"rec_branch({sid}, {_IF}, {act}, {taken})")
+        fn.emit(f"if {taken}.any():")
+        fn.depth += 1
+        then = self.block(fn, stmt.then_body, taken, False, defined)
+        fn.depth -= 1
+        if not stmt.else_body:
+            return defined
+        other = f"f{sid}"
+        fn.emit(f"{other} = {act} & ~{cond} & ~ret")
+        fn.emit(f"if {other}.any():")
+        fn.depth += 1
+        orelse = self.block(fn, stmt.else_body, other, False, defined)
+        fn.depth -= 1
+        # Lanes reaching the If take one list or the other: one of them runs.
+        return defined | (then & orelse)
 
-        def run(st, act):
-            st.recorder.instr(sid, _BRANCH_CODE, act)
-            st.returned |= act
+    def while_(self, fn: _Fn, stmt: While, act: str, defined: set) -> set:
+        sid = stmt.sid
+        live = f"l{sid}"
+        header = (sid, _BRANCH_CODE)
+        cond_returns = any(map(_contains_return, stmt.cond_body))
+        fn.emit(f"{live} = {act}")
+        fn.emit("while True:")
+        fn.depth += 1
+        fn.loops += 1
+        # The condition block runs at least once, the body maybe never.
+        defined = self.block(
+            fn, stmt.cond_body, live, False, defined, () if cond_returns else header
+        )
+        if cond_returns:
+            self.retire(fn, live)
+            self.flush(fn, list(header), live)
+        cond = self.read(fn, stmt.cond, defined)
+        if self.branch:
+            fn.emit(f"s{sid} = {live} & {cond}")
+            fn.emit(f"rec_branch({sid}, {_LOOP}, {live}, s{sid})")
+            fn.emit(f"{live} = s{sid}")
+        else:
+            fn.emit(f"{live} = {live} & {cond}")
+        fn.emit(f"if not {live}.any():")
+        fn.emit("    break")
+        self.block(fn, stmt.body, live, False, defined)
+        if any(map(_contains_return, stmt.body)):
+            self.retire(fn, live)
+        fn.depth -= 1
+        fn.loops -= 1
+        return defined
 
-    else:
+    @staticmethod
+    def retire(fn: _Fn, live: str) -> None:
+        fn.emit(f"{live} = {live} & ~ret")
+        fn.emit(f"if not {live}.any():")
+        fn.emit("    break")
 
-        def run(st, act):
-            st.returned |= act
+    # -- operands and register writes ------------------------------------
 
-    return run
+    def reg(self, reg: Reg) -> str:
+        return f"r{self.ck.slot_of[reg.name]}"
 
+    def read(self, fn: _Fn, reg: Reg, defined: set) -> str:
+        """A register read, checked where no write certainly precedes it."""
+        name = self.reg(reg)
+        if reg.name not in defined:
+            fn.emit(f"if {name} is None: _undefined({self.kname}, {reg.name!r})")
+            self.unbound.add(reg.name)
+            defined.add(reg.name)
+        return name
 
-_COMPILERS = {
-    Instr: _compile_instr,
-    Load: _compile_load,
-    Store: _compile_store,
-    Atomic: _compile_atomic,
-    If: _compile_if,
-    While: _compile_while,
-    Barrier: _compile_barrier,
-    Return: _compile_return,
-}
+    def operand(self, fn: _Fn, op, defined: set) -> str:
+        if isinstance(op, Reg):
+            return self.read(fn, op, defined)
+        if isinstance(op, Imm):
+            value = op.value
+            if type(value) in (bool, int) or (type(value) is float and math.isfinite(value)):
+                return repr(value) if value >= 0 else f"({value!r})"
+            name = f"_imm{len(self.ns)}"
+            self.ns[name] = value
+            return name
+        return f"p{self.ck.param_index[op.name]}"
 
+    def lanes(self, fn: _Fn, op, defined: set, name: str, dtype: np.dtype,
+              convert: str = "{}") -> str:
+        """A full-width lane array of ``op``: a register already is one, any
+        other operand fills ``name``."""
+        if isinstance(op, Reg):
+            return self.read(fn, op, defined)
+        value = convert.format(self.operand(fn, op, defined))
+        fn.emit(f"{name} = _full(n, {value}, {_DTYPE_NAME[dtype]})")
+        return name
 
-def _compile_block(ck, stmts: List[Stmt], hooks: frozenset):
-    """Lower a statement list to a single runner ``fn(state, act)``.
+    def current(self, fn: _Fn, dest: Reg, defined: set) -> str:
+        """The register a merge writes into, 0 on every lane if unbound."""
+        r = self.reg(dest)
+        if dest.name not in defined:
+            fn.emit(f"if {r} is None: {r} = _zeros(n, {_DTYPE_NAME[dest.dtype.numpy_dtype]})")
+            self.unbound.add(dest.name)
+        return r
 
-    ``hooks`` is the set of observation hooks to compile in (empty for the
-    silent program; the executor passes its sinks' subscription union for
-    profiled blocks, so unsubscribed hooks are never even generated).
+    def write(self, fn: _Fn, dest: Reg, expr: str, act: str, bind: bool, defined: set) -> None:
+        """Write ``expr``, a lane array, cast to the register's dtype (no copy
+        where numpy already typed it so)."""
+        expr = f"({expr}).astype({_DTYPE_NAME[dest.dtype.numpy_dtype]}, copy=False)"
+        if bind:
+            fn.emit(f"{self.reg(dest)} = {expr}")
+        else:
+            r = self.current(fn, dest, defined)
+            fn.emit(f"{r} = _where({act}, {expr}, {r})")
+        defined.add(dest.name)
 
-    ``act`` must be non-empty and exclude retired lanes on entry (all call
-    sites guarantee this).  The active mask is only recomputed after
-    statements whose subtree contains a ``Return``, which is the only way
-    lanes retire mid-body.
-    """
-    steps = []
-    for stmt in stmts:
-        try:
-            compiler = _COMPILERS[type(stmt)]
-        except KeyError:  # pragma: no cover - exhaustive over Stmt subclasses
-            raise ExecutionError(f"unknown statement {stmt!r}") from None
-        steps.append((compiler(ck, stmt, hooks), _contains_return(stmt)))
+    def write_active(self, fn: _Fn, dest: Reg, value: str, act: str, bind: bool,
+                     defined: set) -> None:
+        """Write ``value``, one per active lane or a scalar."""
+        if bind:
+            dt = _DTYPE_NAME[dest.dtype.numpy_dtype]
+            fn.emit(f"{self.reg(dest)} = _spread(n, {act}, {value}, {dt})")
+        else:
+            r = self.current(fn, dest, defined)
+            fn.emit(f"{r} = _merge({r}, {act}, {value})")
+        defined.add(dest.name)
 
-    if not any(may_ret for _, may_ret in steps):
-        runners = tuple(fn for fn, _ in steps)
-        if len(runners) == 1:
-            return runners[0]
+    # -- straight-line statements ----------------------------------------
 
-        def run_straight(st, act):
-            for fn in runners:
-                fn(st, act)
+    def barrier(self, fn: _Fn, stmt: Barrier, act: str) -> int:
+        fn.emit(f"_barrier(st, {act}, {self.kname}, {stmt.sid})")
+        return _BARRIER_CODE
 
-        return run_straight
-
-    steps = tuple(steps)
-
-    def run(st, act):
-        for fn, may_ret in steps:
-            fn(st, act)
-            if may_ret:
-                act = act & ~st.returned
-                if not act.any():
-                    return
-
-    return run
+    def simple(self, fn: _Fn, stmt: Stmt, act: str, bind: bool, defined: set) -> int:
+        """Emit one straight-line statement; returns its category code."""
+        sid = stmt.sid
+        if isinstance(stmt, Instr):
+            args = [self.operand(fn, src, defined) for src in stmt.srcs]
+            if stmt.op in (Op.IDIV, Op.IMOD):
+                div = "_trunc_div" if stmt.op is Op.IDIV else "_trunc_mod"
+                expr = f"_divide({div}, {args[0]}, {args[1]}, {act}, {self.kname}, {sid})"
+            else:
+                expr = _OP_EXPR[stmt.op].format(*args)
+            if any(isinstance(src, Reg) for src in stmt.srcs):
+                self.write(fn, stmt.dest, expr, act, bind, defined)
+            else:
+                self.write_active(fn, stmt.dest, expr, act, bind, defined)
+            return CATEGORY_CODE[op_category(stmt.op)]
+        if isinstance(stmt, Barrier):
+            return self.barrier(fn, stmt, act)
+        esize = stmt.dtype.element_size
+        dtype = stmt.dtype.numpy_dtype
+        addr = self.lanes(fn, stmt.addr, defined, f"x{sid}", _I64, "int({})")
+        if isinstance(stmt, Load):
+            space, kind, category = stmt.space, "load", _LOAD_CATEGORY[stmt.space]
+        elif isinstance(stmt, Store):
+            space, kind = stmt.space, "store"
+            category = OpCategory.STORE_SHARED if space is MemSpace.SHARED else OpCategory.STORE_GLOBAL
+            value = self.lanes(fn, stmt.value, defined, f"v{sid}", dtype)
+        else:
+            space, kind, category = MemSpace.GLOBAL, "atomic", OpCategory.ATOMIC
+            value = self.lanes(fn, stmt.value, defined, f"v{sid}", dtype)
+            compare = "None"
+            if stmt.compare is not None:
+                compare = self.lanes(fn, stmt.compare, defined, f"w{sid}", dtype) + f"[{act}]"
+        # The event comes first: a load may overwrite its own address register.
+        if self.mem:
+            fn.emit(
+                f"rec_mem({sid}, {SPACE_CODE[space]}, {MEM_KIND_CODE[kind]}, {esize}, "
+                f"{addr}, {act})"
+            )
+        if kind == "store":
+            if space is MemSpace.SHARED:
+                fn.emit(f"_sscatter(st, {addr}, {value}, {act}, {esize})")
+            else:
+                fn.emit(f"dev.scatter({addr}[{act}], {value}[{act}], {esize})")
+            return CATEGORY_CODE[category]
+        if kind == "load" and space is MemSpace.SHARED:
+            expr = f"_sgather(st, {addr}, {act}, {esize})"
+            self.write(fn, stmt.dest, expr, act, bind, defined)
+            return CATEGORY_CODE[category]
+        if kind == "load":
+            expr = f"dev.gather({addr}[{act}], {esize})"
+        else:
+            # An old value no statement reads is never materialised: the
+            # device then applies ADD/MIN/MAX in one index-ordered ufunc pass.
+            keep = stmt.dest is not None and stmt.dest.name in self.ck.reads
+            expr = (
+                f"dev.atomic_update({addr}[{act}], {value}[{act}], _AtomicOp.{stmt.op.name}, "
+                f"{esize}, compare={compare}, need_old={keep})"
+            )
+            if not keep:
+                fn.emit(expr)
+                return CATEGORY_CODE[category]
+        if dtype != stmt.dest.dtype.numpy_dtype:
+            # Through the statement's own dtype first, as the old values and
+            # loaded elements always went.
+            expr = f"{expr}.astype({_DTYPE_NAME[dtype]})"
+        self.write_active(fn, stmt.dest, expr, act, bind, defined)
+        return CATEGORY_CODE[category]
 
 
 # ----------------------------------------------------------------------
@@ -798,7 +864,8 @@ def _compile_block(ck, stmts: List[Stmt], hooks: frozenset):
 
 
 class CompiledKernel:
-    """A kernel lowered to specialised closures, cached on the ``Kernel``."""
+    """A kernel's launch-invariant analysis and its generated bodies, cached
+    on the ``Kernel``."""
 
     __slots__ = (
         "kernel",
@@ -814,7 +881,7 @@ class CompiledKernel:
         "store_sites",
         "atomic_sites",
         "run_silent",
-        "_observed",
+        "_bodies",
         "plan_cache",
     )
 
@@ -841,25 +908,30 @@ class CompiledKernel:
         )
         self.shared_decls = sorted(kernel.shared, key=lambda d: d.offset)
         self.shared_offsets = np.array([d.offset for d in self.shared_decls], dtype=np.int64)
-        self.run_silent = _compile_block(self, kernel.body, frozenset())
-        # Observed programs are specialized per hook-subscription set and
-        # compiled lazily on first use (a mix-only run never lowers the
-        # mem/branch hook variants at all).
-        self._observed: Dict[frozenset, Callable] = {}
+        # One generated body per hook set, each written on first use: a
+        # launch that only observes never writes the silent body, and a
+        # mix-only run never writes the mem/branch variants.
+        self._bodies: Dict[frozenset, Callable] = {}
+        self.run_silent = self._run_silent
         # Batch plans keyed by (grid, block, cap, bound params): the
         # footprint analysis runs once per launch configuration, not per
         # launch (see plan_batches).
         self.plan_cache: Dict = {}
 
-    def observed_runner(self, hooks: frozenset) -> Callable:
-        """The runner emitting exactly ``hooks``, lowered on first request."""
-        if not hooks:
-            return self.run_silent
-        run = self._observed.get(hooks)
+    def body(self, hooks: frozenset) -> Callable:
+        """The generated body ``run(state, act)`` recording exactly
+        ``hooks``, written on first request."""
+        run = self._bodies.get(hooks)
         if run is None:
-            run = _compile_block(self, self.kernel.body, hooks)
-            self._observed[hooks] = run
+            run = self._bodies[hooks] = _Generator(self, hooks).build()
         return run
+
+    def _run_silent(self, st: _RunState, act: np.ndarray) -> None:
+        self.body(frozenset())(st, act)
+
+    def observed_runner(self, hooks: frozenset) -> Callable:
+        """The runner emitting exactly ``hooks``."""
+        return self.body(hooks) if hooks else self.run_silent
 
 
 def _buffer_param_flow(kernel: Kernel, reads: AbstractSet[str]):
@@ -1229,10 +1301,10 @@ def run_compiled_launch(
     """Drive one launch through the compiled engine.
 
     Blocks accumulate into batches of up to ``batch_limit`` contiguous
-    blocks.  A batch containing profiled blocks runs the observed program
+    blocks.  A batch containing profiled blocks runs the observed body
     with an :class:`~repro.simt.events.EventRecorder` capturing columnar
     buffers handed to ``executor._deliver``; purely silent batches run the
-    silent program.  Blocks execute in ascending contiguous runs,
+    silent body.  Blocks execute in ascending contiguous runs,
     preserving the interpreter's sequential device-memory outcome.  The
     batching and plan fields are filled into ``executor.last_launch_stats``.
     """

@@ -29,9 +29,8 @@ the tuples :data:`CATEGORIES`, :data:`MEM_SPACES`, :data:`MEM_KINDS` and
 
 ``batch.mem`` (:class:`MemColumns`, ``Em`` events)
     ``sid``, ``space``, ``kind``, ``elem_size``: ``(Em,) int64`` per event;
-    ``addrs``: ``(Em, P, npad) int64`` per-lane byte addresses (copied at
-    record time — register arrays are mutated in place by later
-    statements); ``act``: ``(Em, P, npad) bool`` active-lane masks.
+    ``addrs``: ``(Em, P, npad) int64`` per-lane byte addresses; ``act``:
+    ``(Em, P, npad) bool`` active-lane masks.
 
 ``batch.branch`` (:class:`BranchColumns`, ``Eb`` events)
     ``sid``, ``kind``: ``(Eb,) int64`` per event; ``active``, ``taken``:
@@ -179,12 +178,14 @@ class EventRecorder:
     Installed on the run state (``st.recorder``) by the compiled driver and
     on each profiled block by the interpreter; both engines' hooks pass the
     statement id and the integer codes of the event's category, space and
-    kind.  Active masks are never mutated after they are noted (every mask
-    update allocates), so instruction events store one slot per distinct
-    mask object, branch events keep their masks, and :meth:`finish` reduces
-    them in bulk and drops the events no profiled lane takes part in.
-    Address arrays *are* mutated in place by later statements, so memory
-    events copy their profiled rows eagerly.
+    kind.  The compiled engine notes each straight-line run of instruction
+    events with one :meth:`instr_run` call; the interpreter notes them one
+    at a time with :meth:`instr`.  Neither engine changes an array in
+    place once it is noted: every mask update and every register write
+    allocates.  So instruction events store one slot per distinct mask
+    object, and branch and memory events keep views of their masks and
+    address registers; :meth:`finish` reduces and stacks them in bulk and
+    drops the events no profiled lane takes part in.
     """
 
     __slots__ = (
@@ -196,6 +197,7 @@ class EventRecorder:
         "_all",
         "_nblk",
         "_instr",
+        "_runs",
         "_masks",
         "_mask_rows",
         "_mask_ids",
@@ -224,6 +226,7 @@ class EventRecorder:
         self._all = len(self.block_ids) == nblk
         self._rows = None if self._all else np.asarray(prof_rows, dtype=np.int64)
         self._instr: List[int] = []
+        self._runs: List[int] = []
         self._masks: List[np.ndarray] = []
         self._mask_rows: List[np.ndarray] = []
         self._mask_ids: Dict[int, int] = {}
@@ -234,12 +237,10 @@ class EventRecorder:
         self._active: List[np.ndarray] = []
         self._taken: List[np.ndarray] = []
 
-    def _take(self, arr: np.ndarray, copy: bool) -> np.ndarray:
+    def _take(self, arr: np.ndarray) -> np.ndarray:
         """Profiled-block rows of a full-batch lane array, ``(P, npad)``."""
         rows = arr.reshape(self._nblk, self.npad)
-        if self._all:
-            return rows.copy() if copy else rows
-        return rows[self._rows]  # fancy indexing copies
+        return rows if self._all else rows[self._rows]
 
     def _warp_counts(self, rows: List[np.ndarray]) -> np.ndarray:
         """Per-warp active-lane counts of ``(P, npad)`` mask rows, releasing
@@ -253,26 +254,32 @@ class EventRecorder:
 
     # -- hooks called by the engines -------------------------------------
 
-    def instr(self, sid: int, category: int, act: np.ndarray) -> None:
+    def instr_run(self, codes: Tuple[int, ...], act: np.ndarray) -> None:
+        """Note a run of instruction events under one mask: ``codes`` holds
+        each event's ``sid`` and category code, in emission order."""
         slot = self._mask_ids.get(id(act))
         if slot is None:
             slot = len(self._masks)
             self._masks.append(act)  # keeps the mask, and so its id, alive
-            self._mask_rows.append(self._take(act, copy=False))
+            self._mask_rows.append(self._take(act))
             self._mask_ids[id(act)] = slot
-        self._instr += (sid, category, slot)
+        self._instr += codes
+        self._runs += (slot, len(codes) >> 1)
+
+    def instr(self, sid: int, category: int, act: np.ndarray) -> None:
+        self.instr_run((sid, category), act)
 
     def mem(
         self, sid: int, space: int, kind: int, esize: int, addrs: np.ndarray, act: np.ndarray
     ) -> None:
         self._mem += (sid, space, kind, esize)
-        self._addrs.append(self._take(addrs, copy=True))
-        self._act.append(self._take(act, copy=False))
+        self._addrs.append(self._take(addrs))
+        self._act.append(self._take(act))
 
     def branch(self, sid: int, kind: int, act: np.ndarray, taken: np.ndarray) -> None:
         self._branch += (sid, kind)
-        self._active.append(self._take(act, copy=False))
-        self._taken.append(self._take(taken, copy=False))
+        self._active.append(self._take(act))
+        self._taken.append(self._take(taken))
 
     def finish(self) -> EventBatch:
         """Reduce the noted masks into tables and stack every column."""
@@ -287,7 +294,9 @@ class EventRecorder:
         # Reduced to the tables: do not hold the masks through consume.
         self._masks.clear()
         self._mask_rows.clear()
-        sid, category, slot = _codes(self._instr, 3)
+        sid, category = _codes(self._instr, 2)
+        run_slot, run_len = _codes(self._runs, 2)
+        slot = np.repeat(run_slot, run_len)
         live = lanes.any(axis=1)[slot]
         if not live.all():
             sid, category, slot = (c[live] for c in (sid, category, slot))

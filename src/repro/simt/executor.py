@@ -472,14 +472,15 @@ class _BlockRun:
         return self.params[operand.name]
 
     def _writeback(self, dest: Reg, result, act: np.ndarray) -> None:
+        # A write allocates: the recorder keeps noted address registers by
+        # reference.
         cur = self.env.get(dest.name)
-        if cur is None:
-            cur = np.zeros(self.npad, dtype=dest.dtype.numpy_dtype)
-            self.env[dest.name] = cur
+        cur = np.zeros(self.npad, dtype=dest.dtype.numpy_dtype) if cur is None else cur.copy()
         if isinstance(result, np.ndarray) and result.shape == cur.shape:
             cur[act] = result[act].astype(cur.dtype, copy=False)
         else:
             cur[act] = result
+        self.env[dest.name] = cur
 
     def _addr_array(self, operand: Operand) -> np.ndarray:
         value = self._eval(operand)
@@ -652,8 +653,8 @@ class _BlockRun:
             arr[elems] = values[lanes[sel]].astype(arr.dtype, copy=False)
 
     # ------------------------------------------------------------------
-    # Event emission.  The recorder keeps instruction masks by reference
-    # until the block ends, so a mask must never be mutated once noted.
+    # Event emission.  The recorder keeps masks and address registers by
+    # reference until the block ends, so neither is mutated once noted.
     # ------------------------------------------------------------------
 
     def _note_instr(self, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:

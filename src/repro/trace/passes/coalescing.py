@@ -66,7 +66,9 @@ def _local_strides(ls: Dict[str, int], A: np.ndarray, M: np.ndarray, sid: np.nda
     Each lane's stride is taken against its last active event of the same
     sid: a forward-fill of active row indices (``np.maximum.accumulate``)
     finds that event wherever it lies at or after the sid group's start.
-    Returns the last sid group's per-lane last address and seen flag.
+    Strides are classified in place, with the lanes that have none marked
+    ``-1``.  Returns the last sid group's per-lane last address and seen
+    flag.
     """
     n, lanes = A.shape
     rows = np.arange(n)
@@ -79,12 +81,12 @@ def _local_strides(ls: Dict[str, int], A: np.ndarray, M: np.ndarray, sid: np.nda
     both = M[1:] & (prev >= start[1:, None])
     if both.any():
         prev_addr = np.take_along_axis(A, np.maximum(prev, 0), axis=0)
-        diffs = np.abs(A[1:][both] - prev_addr[both])
-        es = np.broadcast_to(esize[1:, None], both.shape)[both]
-        ls["zero"] += int((diffs == 0).sum())
-        ls["unit"] += int((diffs == es).sum())
-        ls["short"] += int(((diffs > es) & (diffs <= 128)).sum())
-        ls["long"] += int((diffs > 128).sum())
+        diffs = np.where(both, np.abs(A[1:] - prev_addr), -1)
+        es = esize[1:, None]
+        ls["zero"] += int(np.count_nonzero(diffs == 0))
+        ls["unit"] += int(np.count_nonzero(diffs == es))
+        ls["short"] += int(np.count_nonzero((diffs > es) & (diffs <= 128)))
+        ls["long"] += int(np.count_nonzero(diffs > 128))
     return tail
 
 

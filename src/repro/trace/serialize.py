@@ -219,6 +219,17 @@ def section_digests(profile: WorkloadProfile) -> Dict[str, str]:
 # Files
 
 
+def _write_json(payload: Dict, fp: Union[str, IO[str]]) -> None:
+    """Write ``payload`` as one ``json.dumps`` string: the same bytes as
+    ``json.dump``, without its chunked pure-Python encoder."""
+    text = json.dumps(payload)
+    if isinstance(fp, str):
+        with open(fp, "w") as f:
+            f.write(text)
+    else:
+        fp.write(text)
+
+
 def dump_workload_profile(
     profile: WorkloadProfile,
     fp: Union[str, IO[str]],
@@ -234,11 +245,7 @@ def dump_workload_profile(
         "metadata": metadata or {},
         "profile": workload_to_dict(profile),
     }
-    if isinstance(fp, str):
-        with open(fp, "w") as f:
-            json.dump(payload, f)
-    else:
-        json.dump(payload, fp)
+    _write_json(payload, fp)
 
 
 def load_workload_profile(fp: Union[str, IO[str]]) -> Tuple[WorkloadProfile, Dict]:
@@ -260,11 +267,7 @@ def dump_profiles(profiles: Sequence[WorkloadProfile], fp: Union[str, IO[str]]) 
         "format_version": FORMAT_VERSION,
         "profiles": [workload_to_dict(p) for p in profiles],
     }
-    if isinstance(fp, str):
-        with open(fp, "w") as f:
-            json.dump(payload, f)
-    else:
-        json.dump(payload, fp)
+    _write_json(payload, fp)
 
 
 def load_profiles(fp: Union[str, IO[str]]) -> List[WorkloadProfile]:

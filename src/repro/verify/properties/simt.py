@@ -12,6 +12,9 @@ happened to schedule it.  These properties pin that down:
 * the compiled engine's hazard-driven batch pinning agrees with the
   interpreted baseline on generated kernels from both grammar bands (the
   whole tri-engine oracle of :func:`repro.fuzz.oracle.run_case`);
+* generated kernel bodies, which bind a register write whole where every
+  later read runs under its own lanes, agree with the interpreted baseline
+  on kernels with divergent ``If``/``While`` (plant: every write binds);
 * the interpreted engine agrees with the lane-serial reference engine
   (the fuzz oracle's reference leg), the only check that sees a fault in
   the vectorized atomics both batched engines share;
@@ -236,6 +239,41 @@ class BatchParity(CaseProperty):
         reorders their store streams relative to the interpreted baseline.
         """
         return mock.patch.object(compiled, "_batch_hazard", lambda ck, params: False)
+
+
+def _bind_every_write(body) -> frozenset:
+    return frozenset(stmt.sid for stmt in walk_stmts(body))
+
+
+@register
+class CodegenMasking(CaseProperty):
+    name = "sim.codegen.masking"
+    layer = "simt"
+    invariant = (
+        "generated kernel bodies write registers under divergent If/While "
+        "masks as the interpreted baseline does (memory, profiles, error class)"
+    )
+    budget = (4, 20)
+    plant_base = 11_000
+
+    def applies(self, case: Case) -> bool:
+        return case_has_kind(case, ("if", "while"))
+
+    def diffs(self, case: Case) -> List[str]:
+        """Interpreted vs compiled differences (memory + every profile section)."""
+        return compare_outcomes(
+            launch_case(case, "interpreted"),
+            launch_case(case, "compiled"),
+            label="codegen-masking",
+        )
+
+    def mutant(self):
+        """Bind every register write.
+
+        A write under a divergent mask then replaces the register on every
+        lane, so lanes that did not take the branch lose their value.
+        """
+        return mock.patch.object(compiled, "_run_local_temps", _bind_every_write)
 
 
 @register

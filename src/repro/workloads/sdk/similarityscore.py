@@ -81,20 +81,28 @@ def build_similarity_kernel(qlen: int):
 
 
 def similarity_ref(seqs, lens, query) -> np.ndarray:
+    """Best local-alignment score of each sequence against ``query``.
+
+    The dynamic program runs over all sequences at once: DP row ``i`` is
+    computed for every sequence and kept only where ``i < lens``.
+    """
+    lens = np.asarray(lens)
+    query = np.asarray(query)
     qlen = len(query)
-    out = np.zeros(len(lens), dtype=np.int64)
-    for t, length in enumerate(lens):
-        prev = np.zeros(qlen + 1, dtype=np.int64)
-        best = 0
-        for i in range(length):
-            cur = np.zeros(qlen + 1, dtype=np.int64)
-            for j in range(1, qlen + 1):
-                sub = MATCH if seqs[t, i] == query[j - 1] else MISMATCH
-                cur[j] = max(prev[j - 1] + sub, prev[j] + GAP, cur[j - 1] + GAP, 0)
-            best = max(best, int(cur.max()))
-            prev = cur
-        out[t] = best
-    return out
+    prev = np.zeros((len(lens), qlen + 1), dtype=np.int64)
+    best = np.zeros(len(lens), dtype=np.int64)
+    for i in range(int(lens.max(initial=0))):
+        sub = np.where(seqs[:, i, None] == query[None, :], MATCH, MISMATCH)
+        # max(diag + sub, up + GAP, 0) needs only the previous row ...
+        cur = np.zeros_like(prev)
+        cur[:, 1:] = np.maximum(np.maximum(prev[:, :-1] + sub, prev[:, 1:] + GAP), 0)
+        # ... then the left neighbour, column by column.
+        for j in range(1, qlen + 1):
+            np.maximum(cur[:, j], cur[:, j - 1] + GAP, out=cur[:, j])
+        live = i < lens
+        best = np.where(live, np.maximum(best, cur.max(axis=1)), best)
+        prev = np.where(live[:, None], cur, prev)
+    return best
 
 
 @register

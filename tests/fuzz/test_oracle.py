@@ -6,7 +6,7 @@ from repro.fuzz import case_stmt_count, generate_case, run_case, shrink_case
 from repro.fuzz.oracle import SAMPLE_BLOCKS, batch_plan, check_profile_invariants, launch_case
 from repro.simt import compiled
 from repro.simt.events import CATEGORY_CODE
-from repro.simt.ir import Barrier
+from repro.simt.ir import OpCategory
 
 
 def test_small_campaign_window_is_clean():
@@ -38,24 +38,14 @@ def test_profile_invariants_reject_corrupted_accounting():
     assert any("simd_lane_sum" in f for f in failures)
 
 
-def _barrier_compiler_without_recheck(ck, stmt, observe):
-    # The planted bug: the batched engine stops re-checking that every
+def _barrier_without_recheck(gen, fn, stmt, act):
+    # The planted bug: the generated body stops re-checking that every
     # non-retired lane reached __syncthreads (keeps profile accounting).
-    if observe:
-
-        def run(st, act):
-            st.recorder.instr(stmt.sid, CATEGORY_CODE[compiled.OpCategory.BARRIER], act)
-
-        return run
-
-    def run(st, act):
-        pass
-
-    return run
+    return CATEGORY_CODE[OpCategory.BARRIER]
 
 
 def test_planted_barrier_mutation_is_caught_and_shrinks_small(monkeypatch):
-    monkeypatch.setitem(compiled._COMPILERS, Barrier, _barrier_compiler_without_recheck)
+    monkeypatch.setattr(compiled._Generator, "barrier", _barrier_without_recheck)
 
     failing = None
     for i in range(60):
@@ -73,7 +63,7 @@ def test_planted_barrier_mutation_is_caught_and_shrinks_small(monkeypatch):
     assert any("status" in f and "ExecutionError" in f for f in report.failures)
 
     # Undo the mutation: the shrunk case must pass on the healthy engine.
-    monkeypatch.setitem(compiled._COMPILERS, Barrier, compiled._compile_barrier)
+    monkeypatch.undo()
     assert run_case(shrunk).ok
 
 

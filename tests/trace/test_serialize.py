@@ -59,3 +59,19 @@ def test_version_check(tmp_path):
     path.write_text(json.dumps({"format_version": 99, "profiles": []}))
     with pytest.raises(ValueError, match="version"):
         load_profiles(str(path))
+
+
+def test_stored_shard_bytes_are_json_dumps_of_its_document(tmp_path, suite_profiles):
+    from repro.core.runtime import ProfileCache
+    from repro.trace.serialize import load_workload_profile
+    from repro.workloads import registry
+
+    profile = suite_profiles[0]
+    cache = ProfileCache(str(tmp_path))
+    path = cache.store(registry.get(profile.workload), None, profile, 0.5)
+    _, metadata = load_workload_profile(path)
+    with open(path) as f:
+        doc = json.load(f)
+    assert doc["metadata"] == metadata
+    with open(path, "rb") as f:
+        assert f.read() == json.dumps(doc).encode()
