@@ -10,7 +10,9 @@ Each fuzz case runs on:
    serialized section, and must agree on whether (and with what error
    type) the launch faults;
 3. for kernels the static classifier proves **lane-disjoint**, the
-   lane-serial **reference** interpreter — must match device memory.
+   lane-serial **reference** interpreter — must match device memory, with
+   every NaN in a float buffer read as one bit pattern on both sides
+   (:func:`reference_leg`).
 
 Independently of engine agreement, the baseline profile is checked against
 internal accounting invariants (fractions in ``[0, 1]``, per-category
@@ -26,9 +28,11 @@ the one launch runner the ``repro.verify`` properties use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.fuzz.generator import Case, build_kernel, make_device
 from repro.simt import (
@@ -42,7 +46,7 @@ from repro.simt import (
     run_reference,
     stride_sampler,
 )
-from repro.simt.types import WARP_SIZE
+from repro.simt.types import WARP_SIZE, DType
 from repro.trace.collector import CollectorConfig, KernelTraceCollector
 from repro.trace.profile import KernelProfile, WorkloadProfile
 from repro.trace.serialize import (
@@ -210,9 +214,8 @@ def run_case(case: Case) -> CaseReport:
         report.failures.extend(_compare(base, outcome, check_profile=True))
 
     if reference_applies(case, classification):
-        outcome = launch_case(case, "reference")
-        report.engines_run.append(outcome.engine)
-        report.failures.extend(_compare(base, outcome, check_profile=False))
+        report.engines_run.append("reference")
+        report.failures.extend(reference_leg(case, base))
 
     return report
 
@@ -227,15 +230,36 @@ def reference_applies(case: Case, classification=None) -> bool:
     )
 
 
-def reference_leg(case: Case) -> List[str]:
-    """The oracle's reference leg alone: the reference engine's memory (or
-    error class) against the interpreted baseline.  The caller checks
-    :func:`reference_applies` first."""
+def reference_leg(case: Case, base: Optional[LaunchOutcome] = None) -> List[str]:
+    """The oracle's reference leg: the reference engine's memory (or error
+    class) against the interpreted baseline ``base``, launched here when
+    not given.  The caller checks :func:`reference_applies` first.
+
+    Every NaN in a float buffer reads as one bit pattern on both sides.
+    When both inputs of an operation are NaN, IEEE 754 leaves open which
+    one's sign and payload the result takes, and numpy's scalar path (the
+    reference engine's) and its array loops choose differently.  Every
+    other value is compared bit for bit.
+    """
+    if base is None:
+        base = launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS)
+    floats = [name for name, buf in make_device(case)[1].items() if buf.dtype is DType.F32]
     return _compare(
-        launch_case(case, "interpreted", sample_blocks=SAMPLE_BLOCKS),
-        launch_case(case, "reference"),
+        _one_nan(base, floats), _one_nan(launch_case(case, "reference"), floats),
         check_profile=False,
     )
+
+
+def _one_nan(outcome: LaunchOutcome, floats: Sequence[str]) -> LaunchOutcome:
+    """``outcome`` with every NaN of the ``floats`` buffers as ``np.nan``."""
+    if outcome.status != "ok":
+        return outcome
+    buffers = dict(outcome.buffers)
+    for name in floats:
+        values = np.frombuffer(buffers[name], dtype=np.float64).copy()
+        values[np.isnan(values)] = np.nan
+        buffers[name] = values.tobytes()
+    return replace(outcome, buffers=buffers)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ interpreter in :mod:`repro.simt.executor`:
   :class:`~repro.simt.ir.Kernel`, so repeated launches write nothing.
 
 * **Block batching** — independent blocks are stacked into a single state
-  of ``K * npad`` lanes (per-block ``%ctaid``/``%tid`` vectors, one
-  shared-memory row per block), amortising every numpy operation across K
-  blocks.  Profiled blocks batch exactly like silent ones: a batch
+  of ``K * npad`` lanes (per-block ``%ctaid``/``%tid`` vectors, and a
+  :class:`~repro.simt.memory.SharedMemory` with one row per block in each
+  shared array), amortising every numpy operation across K blocks.
+  Profiled blocks batch exactly like silent ones: a batch
   containing profiled blocks runs the observed body with an
   :class:`~repro.simt.events.EventRecorder` capturing per-kind columnar
   buffers, delivered to sinks as one ``on_batch`` call.  Atomic lane
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,6 +110,7 @@ from repro.simt.ir import (
     stmt_regs,
     walk_stmts,
 )
+from repro.simt.memory import SharedMemory
 from repro.simt.types import WARP_SIZE, DType
 
 #: Lane budget per silent batch: K is chosen so ``K * npad`` stays near this.
@@ -262,10 +263,12 @@ class _RunState:
     """Lane state for one batch of blocks, read by the generated body.
 
     ``regs`` holds the special registers' lane arrays by slot (every other
-    register lives in a local of the generated function).  ``recorder`` is
-    the batch's :class:`~repro.simt.events.EventRecorder` when it contains
-    profiled blocks; only an observed body, which records into it, runs
-    with one installed.
+    register lives in a local of the generated function).  ``shared`` is
+    the batch's :class:`~repro.simt.memory.SharedMemory`, addressed by the
+    ``lane_block`` rows.  ``recorder`` is the batch's
+    :class:`~repro.simt.events.EventRecorder` when it contains profiled
+    blocks; only an observed body, which records into it, runs with one
+    installed.
     """
 
     __slots__ = (
@@ -281,84 +284,6 @@ class _RunState:
         "shared",
         "recorder",
     )
-
-
-# ----------------------------------------------------------------------
-# Shared memory (one row per batched block)
-# ----------------------------------------------------------------------
-
-
-def _make_shared_locate(ck: "CompiledKernel"):
-    decls = ck.shared_decls
-    offsets = ck.shared_offsets
-    starts = offsets.tolist()
-    kname = ck.kernel.name
-
-    def locate(a: np.ndarray, esize: int):
-        if not decls:
-            raise ExecutionError(
-                f"kernel {kname!r} accesses shared memory but declares none"
-            )
-        if a.size:
-            hi = int(a.max())
-            u0 = bisect_right(starts, int(a.min())) - 1
-            if u0 < 0:
-                raise ExecutionError(f"kernel {kname!r}: negative shared address")
-            if bisect_right(starts, hi) - 1 == u0:
-                # Both ends in one declaration (the common case even in
-                # multi-array kernels): bound the highest address alone and
-                # skip the per-decl partitioning.
-                decl = decls[u0]
-                if (hi - decl.offset) // esize >= decl.count:
-                    raise ExecutionError(
-                        f"kernel {kname!r}: shared array {decl.name!r} "
-                        f"index out of bounds (size {decl.count})"
-                    )
-                return [(u0, slice(None), (a - decl.offset) // esize)]
-        di = np.searchsorted(offsets, a, side="right") - 1
-        out = []
-        for u in np.unique(di):
-            decl = decls[u]
-            sel = di == u
-            elems = (a[sel] - decl.offset) // esize
-            if np.any(elems >= decl.count):
-                raise ExecutionError(
-                    f"kernel {kname!r}: shared array {decl.name!r} "
-                    f"index out of bounds (size {decl.count})"
-                )
-            out.append((int(u), sel, elems))
-        return out
-
-    return locate
-
-
-def _make_shared_gather(ck: "CompiledKernel"):
-    locate = _make_shared_locate(ck)
-
-    def gather(st: _RunState, addrs, act, esize) -> np.ndarray:
-        values = np.zeros(st.nlanes, dtype=np.float64)
-        lanes = np.flatnonzero(act)
-        a = addrs[lanes]
-        rows = st.lane_block[lanes]
-        for u, sel, elems in locate(a, esize):
-            values[lanes[sel]] = st.shared[u][rows[sel], elems]
-        return values
-
-    return gather
-
-
-def _make_shared_scatter(ck: "CompiledKernel"):
-    locate = _make_shared_locate(ck)
-
-    def scatter(st: _RunState, addrs, values, act, esize) -> None:
-        lanes = np.flatnonzero(act)
-        a = addrs[lanes]
-        rows = st.lane_block[lanes]
-        for u, sel, elems in locate(a, esize):
-            arr = st.shared[u]
-            arr[rows[sel], elems] = values[lanes[sel]].astype(arr.dtype, copy=False)
-
-    return scatter
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +303,8 @@ _PROLOGUE = (
     "n = st.nlanes",
     "ret = st.returned",
     "dev = st.device",
+    "sh = st.shared",
+    "lb = st.lane_block",
     "rec_instr_run = st.recorder.instr_run",
     "rec_mem = st.recorder.mem",
     "rec_branch = st.recorder.branch",
@@ -534,9 +461,7 @@ class _Generator:
         self.mem = "mem" in hooks
         self.branch = "branch" in hooks
         self.temps = _run_local_temps(ck.kernel.body)
-        self.ns = dict(
-            _NAMESPACE, _sgather=_make_shared_gather(ck), _sscatter=_make_shared_scatter(ck)
-        )
+        self.ns = dict(_NAMESPACE)
         self.sources: List[str] = []
         #: Registers that may be read while unbound: the body starts them
         #: at ``None``.
@@ -827,18 +752,16 @@ class _Generator:
                 f"rec_mem({sid}, {SPACE_CODE[space]}, {MEM_KIND_CODE[kind]}, {esize}, "
                 f"{addr}, {act})"
             )
+        # Shared memory is per block: its calls also take the lanes' block rows.
+        if space is MemSpace.SHARED:
+            target, lanes = "sh", f"{addr}[{act}], lb[{act}]"
+        else:
+            target, lanes = "dev", f"{addr}[{act}]"
         if kind == "store":
-            if space is MemSpace.SHARED:
-                fn.emit(f"_sscatter(st, {addr}, {value}, {act}, {esize})")
-            else:
-                fn.emit(f"dev.scatter({addr}[{act}], {value}[{act}], {esize})")
-            return CATEGORY_CODE[category]
-        if kind == "load" and space is MemSpace.SHARED:
-            expr = f"_sgather(st, {addr}, {act}, {esize})"
-            self.write(fn, stmt.dest, expr, act, bind, defined)
+            fn.emit(f"{target}.scatter({lanes}, {value}[{act}], {esize})")
             return CATEGORY_CODE[category]
         if kind == "load":
-            expr = f"dev.gather({addr}[{act}], {esize})"
+            expr = f"{target}.gather({lanes}, {esize})"
         else:
             # An old value no statement reads is never materialised: the
             # device then applies ADD/MIN/MAX in one index-ordered ufunc pass.
@@ -874,8 +797,6 @@ class CompiledKernel:
         "param_index",
         "sreg_slots",
         "ctaid_slots",
-        "shared_decls",
-        "shared_offsets",
         "reads",
         "load_sites",
         "store_sites",
@@ -906,8 +827,6 @@ class CompiledKernel:
             for name, slot in self.sreg_slots
             if name in ("%ctaid.x", "%ctaid.y")
         )
-        self.shared_decls = sorted(kernel.shared, key=lambda d: d.offset)
-        self.shared_offsets = np.array([d.offset for d in self.shared_decls], dtype=np.int64)
         # One generated body per hook set, each written on first use: a
         # launch that only observes never writes the silent body, and a
         # mix-only run never writes the mem/branch variants.
@@ -1278,9 +1197,7 @@ def _make_state(
     st.recorder = None
     st.block_mask = tmpl["block_mask"]
     st.lane_block = tmpl["lane_block"]
-    st.shared = [
-        np.zeros((nblk, d.count), dtype=d.dtype.numpy_dtype) for d in ck.shared_decls
-    ]
+    st.shared = SharedMemory(ck.kernel, nblk)
     for slot, arr in tmpl["sregs"]:
         st.regs[slot] = arr
     if ck.ctaid_slots:

@@ -40,6 +40,7 @@ from repro.simt.ir import (
     op_category,
 )
 from repro.simt.compiled import (
+    _LOAD_CATEGORY,
     _OP_FUNCS,
     _trunc_div,
     _trunc_mod,
@@ -54,7 +55,7 @@ from repro.simt.events import (
     EventBatch,
     EventRecorder,
 )
-from repro.simt.memory import Device, DeviceBuffer
+from repro.simt.memory import Device, DeviceBuffer, SharedMemory
 from repro.simt.sink import TraceSink
 from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
@@ -410,11 +411,9 @@ class _BlockRun:
             "%nctaid.x": np.full(self.npad, grid[0], dtype=np.int64),
             "%nctaid.y": np.full(self.npad, grid[1], dtype=np.int64),
         }
-        self.shared: Dict[str, np.ndarray] = {
-            d.name: np.zeros(d.count, dtype=d.dtype.numpy_dtype) for d in kernel.shared
-        }
-        self._shared_decls = sorted(kernel.shared, key=lambda d: d.offset)
-        self._shared_offsets = np.array([d.offset for d in self._shared_decls], dtype=np.int64)
+        # Shared memory as a batch of this one block: every lane's row is 0.
+        self.shared = SharedMemory(kernel)
+        self._rows = np.zeros(self.npad, dtype=np.int64)
 
     # ------------------------------------------------------------------
 
@@ -513,19 +512,13 @@ class _BlockRun:
     def _exec_load(self, stmt: Load, act: np.ndarray) -> None:
         addrs = self._addr_array(stmt.addr)
         esize = stmt.dtype.element_size
+        values = np.zeros(self.npad, dtype=stmt.dtype.numpy_dtype)
         if stmt.space is MemSpace.SHARED:
-            values = self._shared_gather(addrs, act, esize)
+            values[act] = self.shared.gather(addrs[act], self._rows[act], esize)
         else:
-            values = np.zeros(self.npad, dtype=stmt.dtype.numpy_dtype)
             values[act] = self.device.gather(addrs[act], esize)
         self._writeback(stmt.dest, values, act)
-        category = {
-            MemSpace.SHARED: OpCategory.LOAD_SHARED,
-            MemSpace.CONST: OpCategory.LOAD_CONST,
-            MemSpace.TEXTURE: OpCategory.LOAD_TEXTURE,
-            MemSpace.GLOBAL: OpCategory.LOAD_GLOBAL,
-        }[stmt.space]
-        self._note_instr(stmt, category, act)
+        self._note_instr(stmt, _LOAD_CATEGORY[stmt.space], act)
         self._note_mem(stmt, stmt.space, "load", esize, addrs, act)
 
     def _exec_store(self, stmt: Store, act: np.ndarray) -> None:
@@ -535,7 +528,7 @@ class _BlockRun:
             values = np.full(self.npad, values, dtype=stmt.dtype.numpy_dtype)
         esize = stmt.dtype.element_size
         if stmt.space is MemSpace.SHARED:
-            self._shared_scatter(addrs, values, act, esize)
+            self.shared.scatter(addrs[act], self._rows[act], values[act], esize)
             category = OpCategory.STORE_SHARED
         else:
             self.device.scatter(addrs[act], values[act], esize)
@@ -571,7 +564,7 @@ class _BlockRun:
         self._note_mem(stmt, MemSpace.GLOBAL, "atomic", esize, addrs, act)
 
     def _exec_if(self, stmt: If, act: np.ndarray) -> None:
-        cond = self.env[stmt.cond.name]
+        cond = self._eval(stmt.cond)
         taken = act & cond
         self._note_instr(stmt, OpCategory.BRANCH, act)
         self._note_branch(stmt, "if", act, taken)
@@ -591,7 +584,7 @@ class _BlockRun:
             if not live.any():
                 break
             assert stmt.cond is not None
-            cond = self.env[stmt.cond.name]
+            cond = self._eval(stmt.cond)
             stay = live & cond
             self._note_instr(stmt, OpCategory.BRANCH, live)
             self._note_branch(stmt, "loop", live, stay)
@@ -607,50 +600,6 @@ class _BlockRun:
                 "some non-retired lanes did not reach __syncthreads"
             )
         self._note_instr(stmt, OpCategory.BARRIER, act)
-
-    # ------------------------------------------------------------------
-    # Shared memory
-    # ------------------------------------------------------------------
-
-    def _shared_locate(self, addrs: np.ndarray, act: np.ndarray, esize: int):
-        if not self._shared_decls:
-            raise ExecutionError(
-                f"kernel {self.kernel.name!r} accesses shared memory but declares none"
-            )
-        a = addrs[act]
-        di = np.searchsorted(self._shared_offsets, a, side="right") - 1
-        if np.any(di < 0):
-            raise ExecutionError(f"kernel {self.kernel.name!r}: negative shared address")
-        out = []
-        for u in np.unique(di):
-            decl = self._shared_decls[u]
-            sel = di == u
-            elems = (a[sel] - decl.offset) // esize
-            if np.any(elems >= decl.count) or np.any(elems < 0):
-                raise ExecutionError(
-                    f"kernel {self.kernel.name!r}: shared array {decl.name!r} "
-                    f"index out of bounds (size {decl.count})"
-                )
-            out.append((decl, sel, elems))
-        return out
-
-    def _shared_gather(self, addrs: np.ndarray, act: np.ndarray, esize: int) -> np.ndarray:
-        values = np.zeros(self.npad, dtype=np.float64)
-        lanes = np.flatnonzero(act)
-        for decl, sel, elems in self._shared_locate(addrs, act, esize):
-            vals = self.shared[decl.name][elems]
-            if values.dtype != vals.dtype:
-                values = values.astype(np.result_type(values.dtype, vals.dtype))
-            values[lanes[sel]] = vals
-        return values
-
-    def _shared_scatter(
-        self, addrs: np.ndarray, values: np.ndarray, act: np.ndarray, esize: int
-    ) -> None:
-        lanes = np.flatnonzero(act)
-        for decl, sel, elems in self._shared_locate(addrs, act, esize):
-            arr = self.shared[decl.name]
-            arr[elems] = values[lanes[sel]].astype(arr.dtype, copy=False)
 
     # ------------------------------------------------------------------
     # Event emission.  The recorder keeps masks and address registers by

@@ -6,8 +6,8 @@ granularity, which matters for coalescing analysis: buffer bases never
 straddle transaction segments).  Constant buffers live in the same address
 space but are read-only and their loads are charged to the constant space.
 
-Shared memory is *not* held here — it is per-block state owned by the
-executor.
+:class:`SharedMemory` holds the per-block shared segments of one batch of
+blocks; both engines read and write ``__shared__`` arrays through it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.simt.errors import LaunchError, MemoryFault
-from repro.simt.ir import AtomicOp
+from repro.simt.errors import ExecutionError, LaunchError, MemoryFault
+from repro.simt.ir import AtomicOp, Kernel
 from repro.simt.types import DType
 
 #: Base of the global address space; non-zero so that address 0 is never valid
@@ -291,3 +291,84 @@ class Device:
                 if olds is not None:
                     olds[pos] = old
         return olds
+
+
+class SharedMemory:
+    """The shared memory of a batch of ``nblk`` blocks.
+
+    Each declaration is one flat array in its storage dtype, holding every
+    block's copy: block row ``r`` of a declaration of ``count`` elements
+    starts at ``r * count``.  :meth:`gather` and :meth:`scatter` take the
+    active lanes' byte addresses in the block's shared segment and those
+    lanes' block rows, as :class:`Device` takes global addresses.  The
+    interpreter holds a batch of one block, every row 0.
+    """
+
+    __slots__ = ("kname", "decls", "starts", "arrays")
+
+    def __init__(self, kernel: Kernel, nblk: int = 1) -> None:
+        self.kname = kernel.name
+        self.decls = sorted(kernel.shared, key=lambda d: d.offset)
+        self.starts = [d.offset for d in self.decls]
+        self.arrays = [np.zeros(nblk * d.count, dtype=d.dtype.numpy_dtype) for d in self.decls]
+
+    def _locate(self, addrs: np.ndarray, rows: np.ndarray, elem_size: int) -> list:
+        """Split an access into ``(array, lanes, flat indices)`` groups, one
+        per declaration it touches.
+
+        An access inside one declaration is settled by one test on its
+        lowest and highest address and comes back as a single group whose
+        ``lanes`` is ``slice(None)``.  The per-declaration split runs only
+        for an access that crosses declarations or faults; its first
+        fault in declaration order names the error.
+        """
+        if not self.decls:
+            raise ExecutionError(
+                f"kernel {self.kname!r} accesses shared memory but declares none"
+            )
+        shift = elem_size.bit_length() - 1
+        starts = self.starts
+        if addrs.size:
+            hi = int(addrs.max())
+            u = bisect_right(starts, int(addrs.min())) - 1
+            if u >= 0 and bisect_right(starts, hi) - 1 == u:
+                decl = self.decls[u]
+                if (hi - decl.offset) >> shift < decl.count:
+                    idx = rows * decl.count + ((addrs - decl.offset) >> shift)
+                    return [(self.arrays[u], slice(None), idx)]
+        di = np.searchsorted(starts, addrs, side="right") - 1
+        if np.any(di < 0):
+            raise ExecutionError(f"kernel {self.kname!r}: negative shared address")
+        groups = []
+        for u in np.unique(di).tolist():
+            decl = self.decls[u]
+            sel = di == u
+            elems = (addrs[sel] - decl.offset) >> shift
+            if np.any(elems >= decl.count):
+                raise ExecutionError(
+                    f"kernel {self.kname!r}: shared array {decl.name!r} "
+                    f"index out of bounds (size {decl.count})"
+                )
+            groups.append((self.arrays[u], sel, rows[sel] * decl.count + elems))
+        return groups
+
+    def gather(self, addrs: np.ndarray, rows: np.ndarray, elem_size: int) -> np.ndarray:
+        """Load one element per lane, in its declaration's storage dtype
+        (the common dtype when an access crosses declarations)."""
+        groups = self._locate(addrs, rows, elem_size)
+        if len(groups) == 1:
+            arr, _, idx = groups[0]
+            return arr[idx]
+        dtype = np.result_type(np.bool_, *(arr.dtype for arr, _, _ in groups))
+        out = np.zeros(addrs.shape, dtype=dtype)
+        for arr, lanes, idx in groups:
+            out[lanes] = arr[idx]
+        return out
+
+    def scatter(
+        self, addrs: np.ndarray, rows: np.ndarray, values: np.ndarray, elem_size: int
+    ) -> None:
+        """Store one element per lane; the highest lane wins a repeated
+        address, as in :meth:`Device.scatter`."""
+        for arr, lanes, idx in self._locate(addrs, rows, elem_size):
+            arr[idx] = values[lanes].astype(arr.dtype, copy=False)

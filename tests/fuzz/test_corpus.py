@@ -3,11 +3,12 @@
 These entries were picked for feature diversity (barriers, atomics, shared
 read/write, overlapping stores, nested control flow, SFU chains, 2-D
 blocks, an agreed-fault launch, shared/texture event buffers recorded from
-genuinely multi-block batches, and two store-hazard shapes whose
-overlap-window stores collide with the epilogue across blocks) — replaying
-them pins the generator's seed → case mapping, the engines' agreement on
-each shape, and each pass's section bytes, held to the digests frozen in
-``tests/fixtures/section_digests.json``.
+genuinely multi-block batches, two store-hazard shapes whose overlap-window
+stores collide with the epilogue across blocks, and a shrunk verify witness
+on which the reference leg once split over NaN signs) — replaying them pins
+the generator's seed → case mapping (the shrunk witness aside), the
+engines' agreement on each shape, and each pass's section bytes, held to
+the digests frozen in ``tests/fixtures/section_digests.json``.
 
 Four entries come from the aliasing grammar band (seeds above
 ``ALIAS_SEED_BASE``) and pin the footprint-disjointness batch planner's
@@ -36,6 +37,10 @@ from tests.conftest import DIGEST_REGEN_HINT, load_section_digests
 
 ENTRIES = list(iter_corpus(default_corpus_dir()))
 DIGESTS = load_section_digests()
+#: Entries holding a shrunk ``repro verify`` witness.  Shrinking drops
+#: statements, so such a case replays as stored and no longer regenerates
+#: from its seed.
+SHRUNK = {"nan-sign-seed34280573530800788"}
 
 
 def test_corpus_is_present_and_diverse():
@@ -46,16 +51,17 @@ def test_corpus_is_present_and_diverse():
 
 @pytest.mark.parametrize("path,case,meta", ENTRIES, ids=[p.split("/")[-1] for p, _, _ in ENTRIES])
 def test_corpus_case_replays_clean(path, case, meta):
+    name = os.path.splitext(os.path.basename(path))[0]
     # The case still regenerates from its seed (generator determinism is
     # part of what the corpus pins down)...
-    assert generate_case(case["seed"]) == case
+    if name not in SHRUNK:
+        assert generate_case(case["seed"]) == case
     # ...its semantics tag is stable...
     assert classify_kernel(build_kernel(case)).tag == meta["tag"]
     # ...the tri-engine oracle still agrees...
     report = run_case(case)
     assert report.ok, report.failures
     # ...and the baseline still matches the sections frozen for it.
-    name = os.path.splitext(os.path.basename(path))[0]
     assert report.baseline.digests() == DIGESTS["corpus"][name], DIGEST_REGEN_HINT
 
 

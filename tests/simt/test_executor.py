@@ -323,6 +323,41 @@ def test_read_before_write_register_raises():
         _launch(b.finalize(), 1, 32, {"o": o_buf}, device=dev)
 
 
+def _late_predicate_kernel(loop: bool):
+    """A kernel whose branch condition is written only inside an If no lane
+    takes."""
+    b = KernelBuilder("kk")
+    o = b.param_buf("o", DType.I32)
+    p = b._new_reg(DType.PRED, "p")
+    with b.if_(b.ilt(b.tid_x, 0)):
+        b.assign(p, b.ige(b.tid_x, 0))
+    if loop:
+        w = b.while_loop()
+        with w.cond():
+            w.set_cond(p)
+        with w.body():
+            b.st(o, b.tid_x, 1)
+    else:
+        with b.if_(p):
+            b.st(o, b.tid_x, 1)
+    return b.finalize(), p.name
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["if", "while"])
+def test_unwritten_branch_condition_raises_the_same_error_on_both_engines(loop):
+    kernel, name = _late_predicate_kernel(loop)
+    errors = []
+    for engine in ("compiled", "interpreted"):
+        dev = Device()
+        o_buf = dev.alloc("o", 32, DType.I32)
+        with pytest.raises(Exception) as info:
+            _launch(kernel, 1, 32, {"o": o_buf}, device=dev, engine=engine)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (
+        ExecutionError, f"kernel 'kk': register {name!r} read before any write reached it"
+    )
+
+
 def test_select_and_conversions():
     b = KernelBuilder("k")
     o = b.param_buf("o")
