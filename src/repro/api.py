@@ -184,12 +184,16 @@ def evaluate(
         analysis = analyze(profiles)
     config_list = list(configs) if configs is not None else default_space().configs()
     with get_telemetry().span("evaluate", model=model, subset_k=subset_k) as span:
+        # A characterization result digests each profile once across
+        # evaluations; a bare profile list is digested by the sweep.
+        held = use_cache and isinstance(source, CharacterizationResult)
         sweep = run_sweep(
             profiles,
             configs=config_list,
             models=(model,),
             jobs=jobs,
             use_cache=use_cache,
+            digests=source.profile_digests() if held else None,
         )
         perf = sweep.speedups(model)
         km, fitted = analysis.subset_clustering(subset_k, seed)

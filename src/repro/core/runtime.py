@@ -39,13 +39,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import pickle
 import sys
 import time
 import traceback as traceback_mod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -446,10 +447,35 @@ class CharacterizationResult:
     cache_hits: int
     cache_misses: int
     wall_seconds: float
+    #: Content digests made so far, by a hash of each profile's pickle.
+    _digests: Dict[bytes, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def profile_digests(self) -> List[str]:
+        """The timing cache's content digest of each profile, in order.
+
+        A profile is digested once per result, whichever timing model or
+        design space an evaluation uses.  The memo is keyed by a hash of the
+        profile's pickle, which is cheaper than the canonical digest but
+        reads the whole content: a profile changed in place or put in place
+        of another is digested afresh.
+        """
+        # Looked up at call time: the timing layer imports this module.
+        from repro.uarch import sweep
+
+        out = []
+        for profile in self.profiles:
+            key = hashlib.sha256(pickle.dumps(profile, protocol=pickle.HIGHEST_PROTOCOL)).digest()
+            digest = self._digests.get(key)
+            if digest is None:
+                digest = self._digests[key] = sweep.profile_digest(profile)
+            out.append(digest)
+        return out
 
 
 class CharacterizationError(RuntimeError):

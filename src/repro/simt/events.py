@@ -29,12 +29,22 @@ the tuples :data:`CATEGORIES`, :data:`MEM_SPACES`, :data:`MEM_KINDS` and
 
 ``batch.mem`` (:class:`MemColumns`, ``Em`` events)
     ``sid``, ``space``, ``kind``, ``elem_size``: ``(Em,) int64`` per event;
-    ``addrs``: ``(Em, P, npad) int64`` per-lane byte addresses; ``act``:
-    ``(Em, P, npad) bool`` active-lane masks.
+    ``addrs``: ``(Em, P, npad) int32`` per-lane byte addresses; ``act``:
+    ``(Em, P, npad) bool`` active-lane masks.  Device buffers and a
+    kernel's shared segment both end at or below
+    :data:`~repro.simt.memory.ADDRESS_LIMIT` (``2**31``), and an access
+    that faults ends its launch before its batch is delivered, so every
+    active lane's address fits ``int32`` exactly.  Inactive lanes hold
+    whatever their address register held, wrapped to 32 bits: consumers
+    read addresses only under ``act``.
 
 ``batch.branch`` (:class:`BranchColumns`, ``Eb`` events)
     ``sid``, ``kind``: ``(Eb,) int64`` per event; ``active``, ``taken``:
     ``(Eb, P, nwarps) int64`` per-warp active/taken lane counts.
+
+Every per-warp lane count (the mask tables, the branch counts, and the
+memory passes' warp rows) comes from :func:`warp_lane_counts`, which
+packs each warp's 32 lanes into one word and counts its bits.
 
 An event is recorded only if at least one profiled lane takes part in it.
 
@@ -64,7 +74,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.simt.ir import MemSpace, OpCategory
-from repro.simt.types import WARP_SIZE
 
 #: Code tables of the integer columns (a column value indexes its tuple).
 CATEGORIES: Tuple[OpCategory, ...] = tuple(OpCategory)
@@ -86,6 +95,26 @@ def event_chunks(n: int, per_event: int) -> List[slice]:
     elements each, ``per_event`` elements per event (at least one event)."""
     step = max(STACK_ELEMS // max(per_event, 1), 1)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+_SWAR = tuple(np.uint32(m) for m in (0x55555555, 0x33333333, 0x0F0F0F0F, 0x01010101))
+
+
+def warp_lane_counts(mask: np.ndarray) -> np.ndarray:
+    """Active lanes per warp of ``(..., n)`` bool lane rows, ``n`` a multiple
+    of :data:`~repro.simt.types.WARP_SIZE`: ``(..., n // WARP_SIZE) uint32``.
+
+    Each warp's lanes are packed into one 32-bit word (``np.packbits``, 8
+    lanes a byte, so a warp's 4 bytes are one word in any byte order) and
+    the word's bits are counted with a SWAR popcount, which runs on every
+    supported numpy (``np.bitwise_count`` needs numpy 2.0).
+    """
+    m1, m2, m4, h01 = _SWAR
+    w = np.packbits(mask, axis=-1).view(np.uint32)
+    w = w - ((w >> 1) & m1)
+    w = (w & m2) + ((w >> 2) & m2)
+    w = (w + (w >> 4)) & m4
+    return (w * h01) >> 24
 
 
 class _Columns:
@@ -248,7 +277,7 @@ class EventRecorder:
         P, nwarps = len(self.block_ids), self.nwarps
         out = np.empty((len(rows), P, nwarps), dtype=np.int64)
         for sl in event_chunks(len(rows), P * self.npad):
-            out[sl] = np.stack(rows[sl]).reshape(-1, P, nwarps, WARP_SIZE).sum(axis=3)
+            out[sl] = warp_lane_counts(np.stack(rows[sl]))
             rows[sl] = [None] * len(rows[sl])
         return out
 
@@ -288,9 +317,9 @@ class EventRecorder:
         lanes = np.empty((S, P), dtype=np.int64)
         warp_mask = np.empty((S, P, nwarps), dtype=bool)
         for sl in event_chunks(S, P * npad):
-            sub = np.stack(self._mask_rows[sl])
-            lanes[sl] = sub.sum(axis=2)
-            warp_mask[sl] = sub.reshape(-1, P, nwarps, WARP_SIZE).any(axis=3)
+            counts = warp_lane_counts(np.stack(self._mask_rows[sl]))
+            lanes[sl] = counts.sum(axis=2)
+            np.greater(counts, 0, out=warp_mask[sl])
         # Reduced to the tables: do not hold the masks through consume.
         self._masks.clear()
         self._mask_rows.clear()
@@ -314,7 +343,8 @@ class EventRecorder:
         if not live.all():
             msid, space, kind, esize, act = (c[live] for c in (msid, space, kind, esize, act))
             self._addrs = [self._addrs[i] for i in np.flatnonzero(live).tolist()]
-        addrs = _stacked(self._addrs, (P, npad), np.int64)
+        # Narrowed while stacked: exact on every active lane (see the schema).
+        addrs = _stacked(self._addrs, (P, npad), np.int32)
         mem = MemColumns(sid=msid, space=space, kind=kind, elem_size=esize, addrs=addrs, act=act)
         bsid, bkind = _codes(self._branch, 2)
         active = self._warp_counts(self._active)

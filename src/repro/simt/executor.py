@@ -55,7 +55,7 @@ from repro.simt.events import (
     EventBatch,
     EventRecorder,
 )
-from repro.simt.memory import Device, DeviceBuffer, SharedMemory
+from repro.simt.memory import ADDRESS_LIMIT, Device, DeviceBuffer, SharedMemory
 from repro.simt.sink import TraceSink
 from repro.simt.types import WARP_SIZE, DType
 from repro.telemetry import get_telemetry
@@ -237,6 +237,11 @@ class Executor:
         nthreads = block[0] * block[1]
         if nthreads > 1024:
             raise LaunchError(f"block of {nthreads} threads exceeds the 1024-thread limit")
+        if kernel.shared_bytes > ADDRESS_LIMIT:
+            raise LaunchError(
+                f"kernel {kernel.name!r} declares {kernel.shared_bytes} shared bytes, past "
+                f"the shared address space limit 0x{ADDRESS_LIMIT:x} (2**31 bytes)"
+            )
         args = dict(args or {})
         params = self._bind_params(kernel, args)
 

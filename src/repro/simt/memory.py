@@ -6,6 +6,13 @@ granularity, which matters for coalescing analysis: buffer bases never
 straddle transaction segments).  Constant buffers live in the same address
 space but are read-only and their loads are charged to the constant space.
 
+Both address spaces are 31-bit: every buffer ends at or below
+:data:`ADDRESS_LIMIT` (``2**31``), and so does every kernel's declared
+shared segment (checked at launch).  An allocation past the limit raises
+:class:`~repro.simt.errors.LaunchError`.  Every valid byte address is
+therefore a non-negative ``int32``, which is how the event recorder stores
+them (:mod:`repro.simt.events`).
+
 :class:`SharedMemory` holds the per-block shared segments of one batch of
 blocks; both engines read and write ``__shared__`` arrays through it.
 """
@@ -25,6 +32,10 @@ from repro.simt.types import DType
 #: Base of the global address space; non-zero so that address 0 is never valid
 #: (catching uninitialised-pointer bugs in workloads).
 _HEAP_BASE = 0x1000
+
+#: End of the global and shared address spaces: no valid byte address
+#: reaches it.
+ADDRESS_LIMIT = 1 << 31
 
 #: Allocation alignment in bytes.
 _ALIGN = 256
@@ -99,16 +110,24 @@ class Device:
         readonly: bool = False,
         fill: Union[int, float, None] = 0,
     ) -> DeviceBuffer:
-        """Allocate ``count`` elements; optionally pre-filled with ``fill``."""
+        """Allocate ``count`` elements; optionally pre-filled with ``fill``.
+
+        The buffer must end at or below :data:`ADDRESS_LIMIT`.
+        """
         if count <= 0:
             raise LaunchError(f"buffer {name!r} must have positive size, got {count}")
         if name in self._by_name:
             raise LaunchError(f"duplicate buffer name {name!r}")
+        buf = DeviceBuffer(name, self._cursor, count, dtype, readonly=readonly)
+        if buf.end > ADDRESS_LIMIT:
+            raise LaunchError(
+                f"buffer {name!r} would end at 0x{buf.end:x}, past the global "
+                f"address space limit 0x{ADDRESS_LIMIT:x} (2**31 bytes)"
+            )
         storage = dtype.numpy_dtype if dtype is not DType.PRED else np.dtype(np.int64)
-        data = np.zeros(count, dtype=storage)
+        buf.data = np.zeros(count, dtype=storage)
         if fill not in (0, None):
-            data[:] = fill
-        buf = DeviceBuffer(name, self._cursor, count, dtype, readonly=readonly, data=data)
+            buf.data[:] = fill
         self._cursor += -(-buf.nbytes // _ALIGN) * _ALIGN
         self._buffers.append(buf)
         self._bases.append(buf.base)

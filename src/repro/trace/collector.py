@@ -47,8 +47,8 @@ class CollectorConfig:
     ilp_windows: Tuple[int, ...] = ILP_WINDOWS
 
     def __post_init__(self) -> None:
-        # Shift amounts hoisted out of the per-event paths; the shifts only
-        # bin addresses correctly for power-of-two granularities, so reject
+        # Lines are binned by a shift and segments by an address XOR, and
+        # both only bin correctly for power-of-two granularities, so reject
         # anything else instead of silently mis-binning.
         for label in ("line_bytes", "seg_small", "seg_large"):
             value = getattr(self, label)
@@ -58,8 +58,6 @@ class CollectorConfig:
             if window <= 0:
                 raise ValueError(f"ILP window must be positive, got {window!r}")
         self.line_bits = self.line_bytes.bit_length() - 1
-        self.seg_small_bits = self.seg_small.bit_length() - 1
-        self.seg_large_bits = self.seg_large.bit_length() - 1
 
 
 class KernelTraceCollector(TraceSink):

@@ -11,9 +11,12 @@ executes the same lockstep stream, so the block-level stream is consumed
 once per block.
 
 The stream is a pure function of the executed sid sequence (barriers and
-bare branches carry no registers and are skipped).  Blocks of one launch
-usually replay the same sequence, so each distinct stream's contribution is
-cached, and within a stream each distinct window's ILP.
+bare branches carry no registers and are skipped).  Blocks usually replay
+the same sequence, so each distinct stream's contribution is cached, and
+within a stream each distinct window's ILP.  Both depend only on the
+kernel's static statements (and a contribution on the window widths), so
+the caches live with the kernel (:class:`_KernelTables`) and serve every
+launch of it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,34 @@ def _ilp_of_window(deps: Sequence[Tuple[Optional[str], Tuple[str, ...]]]) -> flo
     return len(deps) / critical
 
 
+class _KernelTables:
+    """One kernel's launch-invariant ILP state, kept on the ``Kernel``.
+
+    ``deps`` maps each statement id to its ``(dest, srcs)`` registers and
+    ``feeds`` flags the statements that take part in the stream.
+    ``windows`` caches the ILP of each distinct window by its int64 sid
+    bytes; ``contribs`` caches each distinct stream's contribution per
+    ``ilp_windows`` tuple, by the stream's sid bytes.
+    """
+
+    __slots__ = ("deps", "feeds", "windows", "contribs")
+
+    def __init__(self, kernel) -> None:
+        self.deps = {stmt.sid: stmt_regs(stmt) for stmt in kernel.walk()}
+        self.feeds = np.zeros(kernel.num_static_stmts, dtype=bool)
+        for sid, (dest, srcs) in self.deps.items():
+            self.feeds[sid] = dest is not None or bool(srcs)
+        self.windows: Dict[bytes, float] = {}
+        self.contribs: Dict[Tuple[int, ...], Dict[bytes, tuple]] = {}
+
+    @classmethod
+    def of(cls, kernel) -> "_KernelTables":
+        tables = getattr(kernel, "_ilp_tables", None)
+        if tables is None:
+            tables = kernel._ilp_tables = cls(kernel)
+        return tables
+
+
 @register_pass
 class IlpPass(AnalysisPass):
     name = "ilp"
@@ -55,16 +86,11 @@ class IlpPass(AnalysisPass):
         # Per width, the float sum of window ILPs and the window count.
         self._sums = [0.0] * len(self._widths)
         self._counts = [0] * len(self._widths)
-        # Register dependences per static statement id, and whether the
-        # statement feeds the stream at all.
-        self._deps = {stmt.sid: stmt_regs(stmt) for stmt in kernel.walk()}
-        self._feeds = np.zeros(kernel.num_static_stmts, dtype=bool)
-        for sid, (dest, srcs) in self._deps.items():
-            self._feeds[sid] = dest is not None or bool(srcs)
-        # Contribution per distinct stream, and ILP per distinct window,
-        # keyed by their int64 sid bytes.
-        self._contribs: Dict[bytes, tuple] = {}
-        self._windows: Dict[bytes, float] = {}
+        tables = _KernelTables.of(kernel)
+        self._deps = tables.deps
+        self._feeds = tables.feeds
+        self._windows = tables.windows
+        self._contribs = tables.contribs.setdefault(tuple(self._widths), {})
 
     def consume(self, batch):
         # Each block's stream is the feeding sid column restricted to the

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.simt.events import event_chunks
+from repro.simt.events import event_chunks, warp_lane_counts
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
@@ -19,18 +19,24 @@ from repro.trace.passes.base import AnalysisPass, register_pass
 #: Number of shared-memory banks (4-byte interleave), as on GT200/Fermi.
 NUM_BANKS = 32
 
-_NO_WORD = np.iinfo(np.int64).max
+#: Inactive-lane filler of a row of ``int32`` words; sorts after every word.
+_NO_WORD = np.iinfo(np.int32).max
 
-#: Odd multipliers hashing a warp row into one uint64 key.
-_ROW_HASH = np.random.default_rng(0).integers(1, 1 << 63, WARP_SIZE, dtype=np.uint64) | np.uint64(1)
+#: Odd multipliers hashing a warp row, read as ``WARP_SIZE // 2`` uint64
+#: words of two int32 lanes each, into one uint64 key.
+_ROW_HASH = (
+    np.random.default_rng(0).integers(1, 1 << 63, WARP_SIZE // 2, dtype=np.uint64) | np.uint64(1)
+)
 
 
 def _distinct_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct ``(n, WARP_SIZE)`` int64 rows and their multiplicities.
+    """Distinct C-contiguous ``(n, WARP_SIZE)`` int32 rows and their
+    multiplicities.
 
-    Rows are keyed by a wrapping multiply-add hash and deduplicated with a
-    1-D ``np.unique``; the result is verified row by row and falls back to
-    the exact, slower ``np.unique(axis=0)`` on a hash collision.
+    Rows are keyed by a wrapping multiply-add hash over their lane pairs
+    and deduplicated with a 1-D ``np.unique``; the result is verified row
+    by row and falls back to the exact, slower ``np.unique(axis=0)`` on a
+    hash collision.
     """
     keys = rows.view(np.uint64) @ _ROW_HASH
     _, first, inv, counts = np.unique(
@@ -73,8 +79,9 @@ class SharedPass(AnalysisPass):
         s = self._s
         for sl in event_chunks(idx.size, len(batch) * batch.npad):
             e = idx[sl]
-            rows = np.where(mem.act[e], mem.addrs[e], -1).reshape(-1, WARP_SIZE)
-            rows = rows[(rows != -1).any(axis=1)]
+            act = mem.act[e]
+            rows = np.where(act, mem.addrs[e], -1).reshape(-1, WARP_SIZE)
+            rows = rows[warp_lane_counts(act).reshape(-1) > 0]
             if not len(rows):
                 continue
             rows, mult = _distinct_rows(rows)

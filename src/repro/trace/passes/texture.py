@@ -7,9 +7,10 @@ not transaction counts (no coalescing rules apply).
 
 from __future__ import annotations
 
-from repro.simt.events import event_chunks
+import numpy as np
+
+from repro.simt.events import event_chunks, warp_lane_counts
 from repro.simt.ir import MemSpace
-from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
 from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
 
@@ -34,9 +35,9 @@ class TexturePass(AnalysisPass):
             return
         t = self._t
         for sl in event_chunks(idx.size, len(batch) * batch.npad):
-            act = mem.act[idx[sl]]
-            t.accesses += int(act.reshape(-1, WARP_SIZE).any(axis=1).sum())
-            t.lane_accesses += int(act.sum())
+            lanes = warp_lane_counts(mem.act[idx[sl]])
+            t.accesses += int(np.count_nonzero(lanes))
+            t.lane_accesses += int(lanes.sum())
         self._tracker.extend(
             block_major_lines(mem.addrs, mem.act, idx, self.config.line_bits)
         )

@@ -25,8 +25,10 @@ handful of whole-array numpy passes:
    those are exactly the reuse pairs nested in ``(p, t)``.  So the distance
    is ``(t - p - 1)`` minus that nested count.
 4. Taken in ``t`` order, the nested count of a pair is the number of earlier
-   pairs with a larger ``p``.  A wavelet-matrix pass over the ``p`` column
-   computes it for every pair at once, with one cumsum and one stable
+   pairs with a larger ``p``.  The pairs whose ``p`` is a running maximum
+   have none, and every other pair's count among those is one
+   ``searchsorted``; a wavelet-matrix pass over the other pairs' ``p``
+   adds their counts among themselves, with one cumsum and one stable
    partition per bit of ``p`` (:func:`_earlier_greater`).
 5. ``np.frexp`` exponents equal ``int.bit_length`` for non-negative
    integers, so one ``bincount`` of them updates the histogram.
@@ -64,8 +66,9 @@ from repro.simt.events import event_chunks
 #: Number of power-of-two histogram buckets (covers distances up to 2**63).
 _NUM_BUCKETS = 64
 
-#: Inactive-lane filler for :func:`block_major_lines`; sorts after every line.
-_NO_LINE = np.iinfo(np.int64).max
+#: Inactive-lane filler for :func:`block_major_lines`; sorts after every
+#: line of an ``int32`` address below ``2**31``.
+_NO_LINE = np.iinfo(np.int32).max
 
 #: Phantom time meaning "no phantom": no previous access time exceeds it.
 _NO_PHANTOM = np.iinfo(np.int64).max
@@ -79,17 +82,17 @@ def block_major_lines(
 ) -> np.ndarray:
     """Distinct active lines per (block, event) row, flattened block-major.
 
-    ``addrs`` and ``act`` are a batch's ``(Em, P, npad)`` memory columns and
-    ``idx`` the indices of the events to read, in emission order.  The
-    result lists, for each block in turn and within it each selected event
-    in turn, the event's distinct active 128B lines (``addrs >> line_bits``)
-    in ascending order.  Temporaries stay within about
+    ``addrs`` (``int32``) and ``act`` are a batch's ``(Em, P, npad)``
+    memory columns and ``idx`` the indices of the events to read, in
+    emission order.  The result lists, for each block in turn and within it
+    each selected event in turn, the event's distinct active 128B lines
+    (``addrs >> line_bits``) in ascending order.  Temporaries stay within about
     :data:`~repro.simt.events.STACK_ELEMS` lanes: blocks are sliced, and a
     single block's events are sliced when it alone exceeds the bound.
     """
     E = len(idx)
     if not E:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     P, npad = addrs.shape[1:]
     parts = []
     for blocks in event_chunks(P, E * npad):
@@ -112,18 +115,27 @@ def _distinct_rows(addrs, act, idx, blocks: slice, line_bits: int) -> np.ndarray
 def _earlier_greater(values: np.ndarray) -> np.ndarray:
     """``out[i]`` = number of ``j < i`` with ``values[j] > values[i]``.
 
-    ``values`` are distinct non-negative integers.  Wavelet-matrix pass:
+    ``values`` are distinct non-negative integers.  A prefix maximum (a
+    *record*) has none.  Records ascend in both position and value, so the
+    records earlier than and greater than any other element are the
+    records greater than it, counted with one ``np.searchsorted``.  Only
+    the other elements' counts among themselves remain; reuse streams are
+    mostly records, so few elements take the wavelet-matrix pass for them:
     level by level from the top bit, elements are stably partitioned by the
     bits seen so far, so each group of equal high bits is contiguous and in
     original order.  An element with a 0 at the current bit is exceeded by
     exactly the 1s that precede it in its group.  ``start`` tracks each
     element's group start through the partitions.
     """
-    k = values.size
-    acc = np.zeros(k, dtype=np.int64)
+    record = values == np.maximum.accumulate(values)
+    order = np.flatnonzero(~record)
+    out = np.zeros(values.size, dtype=np.int64)
+    out[order] = np.cumsum(record)[order] - np.searchsorted(values[record], values[order])
+    k = order.size
     if k < 2:
-        return acc
-    order = np.arange(k)
+        return out
+    values = values[order]
+    acc = np.zeros(k, dtype=np.int64)
     start = np.zeros(k, dtype=np.int64)
     ones = np.zeros(k + 1, dtype=np.int64)
     for b in range(int(values.max()).bit_length() - 1, -1, -1):
@@ -137,8 +149,7 @@ def _earlier_greater(values: np.ndarray) -> np.ndarray:
         start = np.where(zero, start - before, (k - ones[k]) + before)
         perm = np.argsort(~zero, kind="stable")
         values, acc, start, order = values[perm], acc[perm], start[perm], order[perm]
-    out = np.empty(k, dtype=np.int64)
-    out[order] = acc
+    out[order] += acc
     return out
 
 
@@ -162,7 +173,7 @@ class ReuseDistanceTracker:
         self._phantom = _NO_PHANTOM
 
     def extend(self, lines: np.ndarray) -> None:
-        """Append accesses (int64 line ids, in access order).
+        """Append accesses (integer line ids, in access order).
 
         The array is buffered by reference until it is resolved, so callers
         pass a fresh array.

@@ -240,6 +240,7 @@ def run_sweep(
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
+    digests: Optional[Sequence[str]] = None,
 ) -> SweepResult:
     """Estimate cycles for every (workload × design × model) cell.
 
@@ -247,6 +248,8 @@ def run_sweep(
     timing shards when their (profile digest, config value, model source
     digest) key matches; only the missing remainder is computed, fanned
     out over ``jobs`` processes (``None`` → ``REPRO_JOBS`` → serial).
+    ``digests`` are the profiles' :func:`profile_digest` values when the
+    caller already holds them; otherwise they are computed here.
     """
     from repro.uarch.space import default_space
 
@@ -267,7 +270,12 @@ def run_sweep(
         sweep_keys.append(base_key)
 
     cache = SweepCache(cache_dir) if use_cache else None
-    digests = [profile_digest(p) for p in profiles] if cache is not None else []
+    if cache is None:
+        digests = []
+    elif digests is None:
+        digests = [profile_digest(p) for p in profiles]
+    elif len(digests) != len(profiles):
+        raise ValueError(f"{len(digests)} digests for {len(profiles)} profiles")
     n_cells = len(profiles) * len(sweep_configs) * len(model_names_)
 
     with tele.span(

@@ -34,8 +34,13 @@ def load_section_digests():
 
 
 @pytest.fixture(scope="session")
-def suite_profiles():
-    return characterize(CharacterizationConfig()).profiles
+def suite_result():
+    return characterize(CharacterizationConfig())
+
+
+@pytest.fixture(scope="session")
+def suite_profiles(suite_result):
+    return suite_result.profiles
 
 
 @pytest.fixture()

@@ -1,7 +1,10 @@
 """The stable ``repro.api`` facade and the legacy-entrypoint shims."""
 
+import copy
+import dataclasses
 import importlib
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -13,6 +16,7 @@ from repro.api import (
     evaluate,
     trace_session,
 )
+from repro.workloads import registry
 
 SMALL = ["VA", "BS", "KM", "SS", "HG"]
 MODELS = ("roofline", "cycle")
@@ -96,6 +100,74 @@ def test_evaluate_fits_subset_clustering_once_per_analysis(small_result, monkeyp
     assert [_evaluation_record(ev) for ev in got] == [
         _evaluation_record(fresh[model]) for model in MODELS for _leg in ("cold", "warm")
     ]
+
+
+def test_one_round_digests_each_profile_once(suite_result, monkeypatch, tmp_path):
+    # A fresh result (and memo) over the suite's profiles, as a warm
+    # characterize returns them.
+    result = dataclasses.replace(suite_result)
+    analysis = analyze(result)
+    sweep_module = importlib.import_module("repro.uarch.sweep")
+    original = sweep_module.profile_digest
+    digested = []
+
+    def counting(profile):
+        digested.append(profile.workload)
+        return original(profile)
+
+    def round_trip(source, cache):
+        # One analyst round: each model cold (writing timing shards), then warm.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache))
+        return [
+            _evaluation_record(evaluate(source, analysis=analysis, model=model, jobs=1))
+            for model in MODELS
+            for _leg in ("cold", "warm")
+        ]
+
+    monkeypatch.setattr(sweep_module, "profile_digest", counting)
+    got = round_trip(result, "memo")
+    assert len(digested) == len(result.profiles) == len(registry.abbrevs())
+    assert sorted(digested) == sorted(p.workload for p in result.profiles)
+    # Bare profile lists are digested by every sweep, as before; the
+    # served cycles and the subset's errors and tau are the same.
+    digested.clear()
+    assert round_trip(list(result.profiles), "bare") == got
+    assert len(digested) == 4 * len(result.profiles)
+
+
+def test_a_changed_profile_gets_a_fresh_digest(small_result, monkeypatch, tmp_path):
+    from repro.uarch.sweep import profile_digest
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    uarch = importlib.import_module("repro.uarch")
+    original_sweep = uarch.run_sweep
+    sweeps = []
+
+    def recording_sweep(*args, **kwargs):
+        sweeps.append(original_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(uarch, "run_sweep", recording_sweep)
+    result = dataclasses.replace(small_result, profiles=copy.deepcopy(small_result.profiles))
+    before = result.profile_digests()
+    evaluate(result, subset_k=2, model="cycle", jobs=1)  # writes the timing shards
+    # Edited in place: one workload gets a second copy of its first launch,
+    # another a larger instruction count; a third is replaced outright.
+    result.profiles[0].kernels.append(copy.deepcopy(result.profiles[0].kernels[0]))
+    kernel = result.profiles[1].kernels[0]
+    kernel.warp_instrs = {k: 4 * v for k, v in kernel.warp_instrs.items()}
+    doubled = result.profiles[2].kernels * 2
+    result.profiles[2] = dataclasses.replace(result.profiles[2], kernels=doubled)
+    after = result.profile_digests()
+    assert after == [profile_digest(p) for p in result.profiles]
+    assert [a != b for a, b in zip(after, before)] == [True, True, True, False, False]
+    evaluate(result, subset_k=2, model="cycle", jobs=1)
+    hits, misses = sweeps[-1].cache_hits, sweeps[-1].cache_misses
+    assert misses and 3 * hits == 2 * misses  # only the three changed workloads miss
+    evaluate(result, subset_k=2, model="cycle", jobs=1, use_cache=False)
+    served, fresh, first = sweeps[-2], sweeps[-1], sweeps[0]
+    np.testing.assert_array_equal(served.cycles["cycle"], fresh.cycles["cycle"])
+    assert (served.cycles["cycle"][:3] != first.cycles["cycle"][:3]).all()
 
 
 def test_evaluate_spans_show_fitted_then_reused_clustering(small_result):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.simt import Device, DType, LaunchError, MemoryFault
+from repro.simt import Device, DType, Executor, KernelBuilder, LaunchError, MemoryFault, memory
+from repro.simt.executor import ENGINES
+from repro.simt.memory import ADDRESS_LIMIT
+from repro.simt.sink import TraceSink
 
 
 def test_alloc_alignment_and_disjointness():
@@ -386,3 +389,74 @@ def test_resolution_matches_scalar_oracle(layout_index):
             assert _memory(dev) == [m.tobytes() for m in want_mem], label
             if want_err is None:
                 assert olds.tolist() == want_olds, label
+
+
+def _high_device(monkeypatch, room):
+    """A device whose heap starts ``room`` bytes below the address limit."""
+    monkeypatch.setattr(memory, "_HEAP_BASE", ADDRESS_LIMIT - room)
+    return Device()
+
+
+def test_a_buffer_may_end_exactly_at_the_address_limit(monkeypatch):
+    dev = _high_device(monkeypatch, 1024)
+    top = dev.alloc("top", 256, DType.I32)
+    assert top.end == ADDRESS_LIMIT
+    with pytest.raises(LaunchError, match=r"buffer 'more' .* limit 0x80000000"):
+        dev.alloc("more", 1)
+
+
+def test_an_allocation_one_element_past_the_limit_raises(monkeypatch):
+    dev = _high_device(monkeypatch, 1024)
+    with pytest.raises(
+        LaunchError,
+        match=r"buffer 'over' would end at 0x80000004, past the global address "
+        r"space limit 0x80000000 \(2\*\*31 bytes\)",
+    ):
+        dev.alloc("over", 257, DType.I32)
+    assert not dev.buffers
+    assert dev.alloc("fits", 256, DType.I32).end == ADDRESS_LIMIT
+
+
+def test_a_kernel_past_the_shared_limit_does_not_launch():
+    b = KernelBuilder("huge_shared")
+    out = b.param_buf("out")
+    big = b.shared("big", 1 << 29, DType.I32)  # exactly 2**31 bytes: allowed
+    b.shared("one", 1, DType.I32)
+    b.st(out, b.tid_x, b.sld(big, b.tid_x))
+    kernel = b.finalize()
+    assert kernel.shared_bytes == ADDRESS_LIMIT + 4
+    dev = Device()
+    with pytest.raises(LaunchError, match=r"'huge_shared' declares 2147483652 shared bytes"):
+        Executor(dev).launch(kernel, 1, 32, {"out": dev.alloc("out", 32)})
+
+
+class _Batches(TraceSink):
+    def __init__(self):
+        self.batches = []
+
+    def on_batch(self, batch):
+        self.batches.append(batch)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_recorded_addresses_are_exact_up_to_the_limit(monkeypatch, engine):
+    # dst and src fill the top 2 KiB of the address space; src's last
+    # element is the last 4 bytes below 2**31.
+    dev = _high_device(monkeypatch, 2048)
+    dst = dev.alloc("dst", 256, DType.I32)
+    src = dev.from_array("src", np.arange(256), DType.I32)
+    assert src.end == ADDRESS_LIMIT
+    b = KernelBuilder("top_copy")
+    s, d = b.param_buf("src", DType.I32), b.param_buf("dst", DType.I32)
+    i = b.global_thread_id()
+    b.st(d, i, b.ld(s, i))
+    sink = _Batches()
+    Executor(dev, sinks=[sink], engine=engine).launch(b.finalize(), 2, 128, {"src": src, "dst": dst})
+    assert np.array_equal(dev.download(dst), np.arange(256))
+    seen = set()
+    for batch in sink.batches:
+        mem = batch.mem
+        assert mem.addrs.dtype == np.int32
+        seen.update(mem.addrs[mem.act].tolist())
+    assert seen == set(range(dst.base, ADDRESS_LIMIT, 4))
+    assert max(seen) == ADDRESS_LIMIT - 4

@@ -11,6 +11,8 @@ numpy rows over ``P`` blocks:
 :func:`record` replays the events of a contiguous block range through an
 :class:`~repro.simt.events.EventRecorder`, which drops the events no block
 of the range takes part in, exactly as an engine batch of those blocks.
+Active addresses must lie in the 31-bit address space, as every valid
+device and shared address does; the recorder stores them as ``int32``.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.simt.events import (
     EventBatch,
     EventRecorder,
 )
+from repro.simt.memory import ADDRESS_LIMIT
 from repro.simt.types import WARP_SIZE
 
 
@@ -45,8 +48,12 @@ def record(events, nblocks: int, npad: int, blocks: slice = slice(None)) -> Even
             rec.instr(sid, CATEGORY_CODE[category], flat(act))
         elif ev[0] == "mem":
             _, sid, space, kind, esize, addrs, act = ev
+            live = np.asarray(addrs)[blocks][np.asarray(act)[blocks]]
+            assert ((live >= 0) & (live < ADDRESS_LIMIT)).all(), "address outside 31 bits"
             rec.mem(sid, SPACE_CODE[space], MEM_KIND_CODE[kind], esize, flat(addrs), flat(act))
         else:
             _, sid, kind, act, taken = ev
             rec.branch(sid, BRANCH_KIND_CODE[kind], flat(act), flat(taken))
-    return rec.finish()
+    batch = rec.finish()
+    assert batch.mem.addrs.dtype == np.int32
+    return batch

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simt import KernelBuilder
+from repro.simt import Device, Executor, KernelBuilder
 from repro.simt.ir import OpCategory
-from repro.trace import ILP_WINDOWS, CollectorConfig
+from repro.trace import ILP_WINDOWS, CollectorConfig, KernelTraceCollector
 from repro.trace.passes.ilp import IlpPass
+from repro.trace.serialize import kernel_section_bytes
 from tests.trace.batches import record
 from tests.trace.ilp_reference import tracker_contribution
 
@@ -144,3 +145,39 @@ def test_contribution_matches_naive_tracker():
     for stream in streams:
         deps = [table[sid] for sid in stream.tolist()]
         assert ilp._contribution(stream) == tracker_contribution(deps, ILP_WINDOWS)
+
+
+def _looping_kernel():
+    """Each block runs ``trips + blockIdx.x`` iterations of a short chain."""
+    b = KernelBuilder("ilp_loop")
+    out = b.param_buf("out")
+    trips = b.param_i32("trips")
+    acc = b.let_f32(1.0)
+    with b.for_range(0, b.iadd(trips, b.ctaid_x)):
+        b.assign(acc, b.fadd(b.fmul(acc, 0.5), 1.0))
+    b.st(out, b.global_thread_id(), acc)
+    return b.finalize()
+
+
+def _launch_ilp(kernel, trips, windows):
+    dev = Device()
+    out = dev.alloc("out", 4 * 64)
+    collector = KernelTraceCollector(config=CollectorConfig(ilp_windows=windows))
+    Executor(dev, sinks=[collector]).launch(kernel, 4, 64, {"out": out, "trips": trips})
+    return kernel_section_bytes(collector.profiles[0], "ilp")
+
+
+@pytest.mark.parametrize("windows", [ILP_WINDOWS, (8, 24)])
+def test_launches_of_one_kernel_match_fresh_passes(windows):
+    # The second launch replays some of the first launch's streams and
+    # windows from the kernel's tables, and adds new ones.
+    kernel = _looping_kernel()
+    shared = [_launch_ilp(kernel, trips, windows) for trips in (3, 5)]
+    tables = kernel._ilp_tables
+    assert tables.contribs[tuple(windows)] and tables.windows
+    fresh = [_launch_ilp(_looping_kernel(), trips, windows) for trips in (3, 5)]
+    assert shared == fresh
+    # Another window tuple keeps its own stream contributions.
+    other = (16,) if tuple(windows) != (16,) else (32,)
+    assert _launch_ilp(kernel, 3, other) == _launch_ilp(_looping_kernel(), 3, other)
+    assert set(tables.contribs) == {tuple(windows), other}

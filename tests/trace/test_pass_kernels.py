@@ -12,6 +12,7 @@ import pytest
 
 from repro.simt import KernelBuilder, events
 from repro.simt.ir import MemSpace, OpCategory
+from repro.simt.memory import ADDRESS_LIMIT
 from repro.trace import ILP_WINDOWS, CollectorConfig, KernelTraceCollector
 from repro.trace.passes import shared
 from repro.trace.passes.branch import _contributions
@@ -58,8 +59,8 @@ def _events(rng, P, nwarps, sids):
         act = mask(p_active)
         evs.extend(instr(act) for _ in range(int(rng.integers(3, 12))))
     # Global memory: a long same-sid run, two sids with different element
-    # sizes, interleaved with other kinds.
-    base = rng.integers(0, 1 << 20, P)[:, None]
+    # sizes, interleaved with other kinds, just below the 2**31 limit.
+    base = ADDRESS_LIMIT - (1 << 21) + rng.integers(0, 1 << 20, P)[:, None]
     offset = 0
     for t in range(14):
         act = mask(0.9)
@@ -126,7 +127,7 @@ def test_shared_row_dedupe_falls_back_exactly_on_hash_collision(monkeypatch):
     P, nwarps = 6, 8
     evs = _events(rng, P, nwarps, [stmt.sid for stmt in kernel.walk()])
     hashed = _digests(kernel, evs, P, nwarps, [0, P])
-    monkeypatch.setattr(shared, "_ROW_HASH", np.zeros(32, dtype=np.uint64))
+    monkeypatch.setattr(shared, "_ROW_HASH", np.zeros_like(shared._ROW_HASH))
     assert _digests(kernel, evs, P, nwarps, [0, P]) == hashed
 
 
@@ -186,7 +187,8 @@ def test_ilp_window_cache_matches_tracker_bank():
 
 def test_shared_conflict_degree_matches_per_warp_reference():
     rng = np.random.default_rng(11)
-    rows = 4 * rng.integers(0, 96, (400, 32))  # few words: heavy reuse and conflicts
+    # Few words: heavy reuse and conflicts, in int32 rows as recorded.
+    rows = 4 * rng.integers(0, 96, (400, 32), dtype=np.int32)
     rows[rng.random(rows.shape) < 0.3] = -1
     rows[rng.random(len(rows)) < 0.1] = -1  # warps with no active lane
     rows = rows[(rows != -1).any(axis=1)]

@@ -72,9 +72,9 @@ def test_collector_config_rejects_non_power_of_two_geometry():
             CollectorConfig(**{field: 0})
         with pytest.raises(ValueError, match="power of two"):
             CollectorConfig(**{field: -64})
-    # Valid powers of two still derive the shift widths.
+    # Valid powers of two still derive the line shift.
     config = CollectorConfig(line_bytes=64, seg_small=16, seg_large=256)
-    assert (config.line_bits, config.seg_small_bits, config.seg_large_bits) == (6, 4, 8)
+    assert config.line_bits == 6
 
 
 # ---------------------------------------------------------------------------

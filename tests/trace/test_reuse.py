@@ -4,16 +4,18 @@ compatibility with the scalar Fenwick tracker it replaced."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simt import events
 from repro.simt.ir import MemSpace
+from repro.simt.memory import ADDRESS_LIMIT
 from repro.trace.collector import CollectorConfig
 from repro.trace.passes.reuse import ReusePass
 from repro.trace.passes.texture import TexturePass
 from repro.trace.profile import KernelProfile
-from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
+from repro.trace.reuse import ReuseDistanceTracker, _earlier_greater, block_major_lines
 from tests.trace.batches import record
 from tests.trace.fenwick_reference import ReuseDistanceTracker as FenwickTracker
 
@@ -216,12 +218,15 @@ def _row_loop_lines(evs, P, line_bits):
 
 
 def _random_mem_events(rng, P, npad, nevents, universe):
+    """``int32`` address rows as the recorder stores them, over ``universe``
+    lines at the bottom and at the top of the 31-bit address space."""
     evs = []
+    top = ADDRESS_LIMIT - (universe + 4) * 128
     for _ in range(nevents):
-        base = rng.integers(0, universe * 128)
+        base = rng.integers(0, universe * 128) + top * rng.integers(0, 2)
         addrs = base + rng.integers(0, 4 * 128, (P, npad))
         act = rng.random((P, npad)) < rng.choice([0.0, 0.3, 1.0])
-        evs.append((addrs.astype(np.int64), act))
+        evs.append((addrs.astype(np.int32), act))
     return evs
 
 
@@ -235,7 +240,7 @@ def _random_mem_events(rng, P, npad, nevents, universe):
 def test_block_major_lines_matches_row_loop(P, nevents, stack_elems, seed):
     rng = np.random.default_rng(seed)
     evs = _random_mem_events(rng, P, 64, nevents, universe=50)
-    addrs = np.stack([a for a, _ in evs]) if evs else np.empty((0, P, 64), dtype=np.int64)
+    addrs = np.stack([a for a, _ in evs]) if evs else np.empty((0, P, 64), dtype=np.int32)
     act = np.stack([m for _, m in evs]) if evs else np.empty((0, P, 64), dtype=bool)
     idx = np.flatnonzero(rng.random(nevents) < 0.7)
     with mock.patch.object(events, "STACK_ELEMS", stack_elems):
@@ -275,3 +280,23 @@ def test_reuse_and_texture_passes_match_fenwick_row_loop():
         assert got.cold_misses == ref.cold_misses
         assert got.line_accesses == ref.accesses
         assert got.unique_lines == ref.unique_lines
+
+
+@pytest.mark.parametrize("shape", ["random", "ascending", "nearly-ascending", "descending"])
+def test_earlier_greater_matches_brute_force(shape):
+    # Running maxima are counted by searchsorted and the rest by the
+    # wavelet pass: mostly ascending values (a reuse stream's usual shape)
+    # send few elements to the wavelet pass, descending ones all but one.
+    rng = np.random.default_rng(len(shape))
+    for k in (0, 1, 2, 3, 17, 64, 300, 1025):
+        values = rng.permutation(3 * k + 1)[:k].astype(np.int64)
+        if shape != "random":
+            values = np.sort(values)
+        if shape == "nearly-ascending" and k > 1:
+            for i in rng.choice(k - 1, max(k // 8, 1), replace=False):
+                j = min(k - 1, i + int(rng.integers(1, 6)))
+                values[[i, j]] = values[[j, i]]
+        if shape == "descending":
+            values = values[::-1].copy()
+        want = [int((values[:i] > values[i]).sum()) for i in range(k)]
+        assert _earlier_greater(values).tolist() == want
