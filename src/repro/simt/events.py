@@ -14,39 +14,46 @@ Buffer schema
 
 An :class:`EventBatch` covers ``P = len(block_ids)`` profiled blocks (the
 ascending linear block ids of the batch's profiled subset) and holds one
-group of columns per event kind.  Every column keeps emission order within
-its kind; no consumer reads order across kinds.  Integer code columns index
-the tuples :data:`CATEGORIES`, :data:`MEM_SPACES`, :data:`MEM_KINDS` and
+mask table shared by every event kind, plus one group of columns per
+event kind.  Every column keeps emission order within its kind; no
+consumer reads order across kinds.  Integer code columns index the tuples
+:data:`CATEGORIES`, :data:`MEM_SPACES`, :data:`MEM_KINDS` and
 :data:`BRANCH_KINDS`.
 
+The mask table
+    Every event names its lane masks by *slot*.  The recorder gives each
+    distinct mask object one slot, whichever kind noted it: a
+    straight-line run shares one mask, a run's loads and stores pass the
+    run's own mask, and a branch's taken mask is the next body run's mask.
+    ``batch.warp_lanes`` is ``(S, P, nwarps) uint8``, the active lanes of
+    each warp under each slot's mask (at most
+    :data:`~repro.simt.types.WARP_SIZE`).  ``batch.lane_rows`` is
+    ``(R, P, npad) bool``, the full lane masks of the ``R`` slots memory
+    events read; those slots are numbered first, so a memory event's
+    ``slot`` indexes both arrays.
+
 ``batch.instr`` (:class:`InstrColumns`, ``Ei`` events)
-    ``sid``, ``category``, ``slot``: ``(Ei,) int64`` per event.  ``slot``
-    indexes the per-distinct-mask tables ``lanes (S, P) int64`` (active-lane
-    popcount per block), ``warp_mask (S, P, nwarps) bool`` (warps with >= 1
-    active lane) and ``warp_counts (S, P) int64`` (popcount of each
-    ``warp_mask`` row).  Straight-line runs share one mask, so ``S`` is
-    usually far below ``Ei``.
+    ``sid``, ``category``, ``slot``: ``(Ei,) int64`` per event.
 
 ``batch.mem`` (:class:`MemColumns`, ``Em`` events)
-    ``sid``, ``space``, ``kind``, ``elem_size``: ``(Em,) int64`` per event;
-    ``addrs``: ``(Em, P, npad) int32`` per-lane byte addresses; ``act``:
-    ``(Em, P, npad) bool`` active-lane masks.  Device buffers and a
-    kernel's shared segment both end at or below
+    ``sid``, ``space``, ``kind``, ``elem_size``, ``slot``: ``(Em,) int64``
+    per event; ``addrs``: ``(Em, P, npad) int32`` per-lane byte addresses.
+    Device buffers and a kernel's shared segment both end at or below
     :data:`~repro.simt.memory.ADDRESS_LIMIT` (``2**31``), and an access
     that faults ends its launch before its batch is delivered, so every
     active lane's address fits ``int32`` exactly.  Inactive lanes hold
     whatever their address register held, wrapped to 32 bits: consumers
-    read addresses only under ``act``.
+    read addresses only under ``lane_rows[slot]``.
 
 ``batch.branch`` (:class:`BranchColumns`, ``Eb`` events)
-    ``sid``, ``kind``: ``(Eb,) int64`` per event; ``active``, ``taken``:
-    ``(Eb, P, nwarps) int64`` per-warp active/taken lane counts.
+    ``sid``, ``kind``, ``slot`` (the active mask), ``slot_taken`` (the
+    taken mask): ``(Eb,) int64`` per event.
 
-Every per-warp lane count (the mask tables, the branch counts, and the
-memory passes' warp rows) comes from :func:`warp_lane_counts`, which
-packs each warp's 32 lanes into one word and counts its bits.
+Every per-warp lane count comes from :func:`warp_lane_counts`, which packs
+each warp's 32 lanes into one word and counts its bits, once per slot.
 
-An event is recorded only if at least one profiled lane takes part in it.
+An event is recorded only if at least one profiled lane takes part in it:
+its (active) slot's row of ``warp_lanes`` is not all zero.
 
 A block *participates* in an event when its row has at least one active
 lane.  Restricted to its participating events, a block's rows in each
@@ -117,6 +124,8 @@ def warp_lane_counts(mask: np.ndarray) -> np.ndarray:
     return (w * h01) >> 24
 
 
+
+
 class _Columns:
     """One event kind's columns: per-event vectors plus their buffers."""
 
@@ -136,11 +145,11 @@ class _Columns:
 
 
 class InstrColumns(_Columns):
-    __slots__ = ("sid", "category", "slot", "lanes", "warp_mask", "warp_counts")
+    __slots__ = ("sid", "category", "slot")
 
 
 class MemColumns(_Columns):
-    __slots__ = ("sid", "space", "kind", "elem_size", "addrs", "act")
+    __slots__ = ("sid", "space", "kind", "elem_size", "slot", "addrs")
 
     def events_in(self, space: MemSpace) -> np.ndarray:
         """Indices of the events in ``space``, in emission order."""
@@ -148,13 +157,17 @@ class MemColumns(_Columns):
 
 
 class BranchColumns(_Columns):
-    __slots__ = ("sid", "kind", "active", "taken")
+    __slots__ = ("sid", "kind", "slot", "slot_taken")
 
 
 class EventBatch:
-    """One batch's recorded events, columnar per kind over the profiled blocks."""
+    """One batch's recorded events over the profiled blocks: the mask table
+    and the columns of each kind."""
 
-    __slots__ = ("block_ids", "nthreads", "nwarps", "npad", "instr", "mem", "branch")
+    __slots__ = (
+        "block_ids", "nthreads", "nwarps", "npad", "warp_lanes", "lane_rows",
+        "instr", "mem", "branch",
+    )
 
     def __init__(
         self,
@@ -162,6 +175,8 @@ class EventBatch:
         nthreads: int,
         nwarps: int,
         npad: int,
+        warp_lanes: np.ndarray,
+        lane_rows: np.ndarray,
         instr: InstrColumns,
         mem: MemColumns,
         branch: BranchColumns,
@@ -170,6 +185,8 @@ class EventBatch:
         self.nthreads = nthreads
         self.nwarps = nwarps
         self.npad = npad
+        self.warp_lanes = warp_lanes
+        self.lane_rows = lane_rows
         self.instr = instr
         self.mem = mem
         self.branch = branch
@@ -182,12 +199,20 @@ class EventBatch:
 
     def buffer_bytes(self) -> int:
         """Total bytes held by the batch's numpy buffers, each counted once."""
-        return self.instr.nbytes + self.mem.nbytes + self.branch.nbytes
+        return (
+            self.warp_lanes.nbytes + self.lane_rows.nbytes
+            + self.instr.nbytes + self.mem.nbytes + self.branch.nbytes
+        )
 
 
 def _codes(values: List[int], width: int) -> np.ndarray:
     """A flat per-event code list as ``(width, E)`` contiguous rows."""
     return np.ascontiguousarray(np.array(values, dtype=np.int64).reshape(-1, width).T)
+
+
+def _kept(keep: np.ndarray, *columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The columns' entries where ``keep`` is set."""
+    return columns if keep.all() else tuple(c[keep] for c in columns)
 
 
 def _stacked(rows: List[np.ndarray], shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -208,13 +233,12 @@ class EventRecorder:
     on each profiled block by the interpreter; both engines' hooks pass the
     statement id and the integer codes of the event's category, space and
     kind.  The compiled engine notes each straight-line run of instruction
-    events with one :meth:`instr_run` call; the interpreter notes them one
-    at a time with :meth:`instr`.  Neither engine changes an array in
-    place once it is noted: every mask update and every register write
-    allocates.  So instruction events store one slot per distinct mask
-    object, and branch and memory events keep views of their masks and
-    address registers; :meth:`finish` reduces and stacks them in bulk and
-    drops the events no profiled lane takes part in.
+    events with one :meth:`instr_run` call, the interpreter each event as a
+    run of one.  Neither engine changes an array in place once it is
+    noted: every mask update and every register write allocates.  So every
+    event stores one slot per distinct mask object, memory events keep
+    views of their address registers, and :meth:`finish` reduces the masks
+    into the table and stacks the addresses in bulk.
     """
 
     __slots__ = (
@@ -232,10 +256,7 @@ class EventRecorder:
         "_mask_ids",
         "_mem",
         "_addrs",
-        "_act",
         "_branch",
-        "_active",
-        "_taken",
     )
 
     def __init__(
@@ -261,96 +282,81 @@ class EventRecorder:
         self._mask_ids: Dict[int, int] = {}
         self._mem: List[int] = []
         self._addrs: List[np.ndarray] = []
-        self._act: List[np.ndarray] = []
         self._branch: List[int] = []
-        self._active: List[np.ndarray] = []
-        self._taken: List[np.ndarray] = []
 
     def _take(self, arr: np.ndarray) -> np.ndarray:
         """Profiled-block rows of a full-batch lane array, ``(P, npad)``."""
         rows = arr.reshape(self._nblk, self.npad)
         return rows if self._all else rows[self._rows]
 
-    def _warp_counts(self, rows: List[np.ndarray]) -> np.ndarray:
-        """Per-warp active-lane counts of ``(P, npad)`` mask rows, releasing
-        each row once reduced: ``(len(rows), P, nwarps)``."""
-        P, nwarps = len(self.block_ids), self.nwarps
-        out = np.empty((len(rows), P, nwarps), dtype=np.int64)
-        for sl in event_chunks(len(rows), P * self.npad):
-            out[sl] = warp_lane_counts(np.stack(rows[sl]))
-            rows[sl] = [None] * len(rows[sl])
-        return out
+    def _slot(self, act: np.ndarray) -> int:
+        """The mask object's slot, given on first sight."""
+        slot = self._mask_ids.get(id(act))
+        if slot is None:
+            slot = self._mask_ids[id(act)] = len(self._masks)
+            self._masks.append(act)  # keeps the mask, and so its id, alive
+            self._mask_rows.append(self._take(act))
+        return slot
 
     # -- hooks called by the engines -------------------------------------
 
     def instr_run(self, codes: Tuple[int, ...], act: np.ndarray) -> None:
         """Note a run of instruction events under one mask: ``codes`` holds
         each event's ``sid`` and category code, in emission order."""
-        slot = self._mask_ids.get(id(act))
-        if slot is None:
-            slot = len(self._masks)
-            self._masks.append(act)  # keeps the mask, and so its id, alive
-            self._mask_rows.append(self._take(act))
-            self._mask_ids[id(act)] = slot
         self._instr += codes
-        self._runs += (slot, len(codes) >> 1)
-
-    def instr(self, sid: int, category: int, act: np.ndarray) -> None:
-        self.instr_run((sid, category), act)
+        self._runs += (self._slot(act), len(codes) >> 1)
 
     def mem(
         self, sid: int, space: int, kind: int, esize: int, addrs: np.ndarray, act: np.ndarray
     ) -> None:
-        self._mem += (sid, space, kind, esize)
+        self._mem += (sid, space, kind, esize, self._slot(act))
         self._addrs.append(self._take(addrs))
-        self._act.append(self._take(act))
 
     def branch(self, sid: int, kind: int, act: np.ndarray, taken: np.ndarray) -> None:
-        self._branch += (sid, kind)
-        self._active.append(self._take(act))
-        self._taken.append(self._take(taken))
+        self._branch += (sid, kind, self._slot(act), self._slot(taken))
 
     def finish(self) -> EventBatch:
-        """Reduce the noted masks into tables and stack every column."""
+        """Reduce the noted masks into the table and stack every column."""
         P, nwarps, npad = len(self.block_ids), self.nwarps, self.npad
-        S = len(self._masks)
-        lanes = np.empty((S, P), dtype=np.int64)
-        warp_mask = np.empty((S, P, nwarps), dtype=bool)
-        for sl in event_chunks(S, P * npad):
-            counts = warp_lane_counts(np.stack(self._mask_rows[sl]))
-            lanes[sl] = counts.sum(axis=2)
-            np.greater(counts, 0, out=warp_mask[sl])
-        # Reduced to the tables: do not hold the masks through consume.
-        self._masks.clear()
-        self._mask_rows.clear()
         sid, category = _codes(self._instr, 2)
         run_slot, run_len = _codes(self._runs, 2)
-        slot = np.repeat(run_slot, run_len)
-        live = lanes.any(axis=1)[slot]
-        if not live.all():
-            sid, category, slot = (c[live] for c in (sid, category, slot))
-        instr = InstrColumns(
-            sid=sid,
-            category=category,
-            slot=slot,
-            lanes=lanes,
-            warp_mask=warp_mask,
-            warp_counts=np.count_nonzero(warp_mask, axis=2),
-        )
-        msid, space, kind, esize = _codes(self._mem, 4)
-        act = _stacked(self._act, (P, npad), bool)
-        live = act.any(axis=(1, 2))
-        if not live.all():
-            msid, space, kind, esize, act = (c[live] for c in (msid, space, kind, esize, act))
-            self._addrs = [self._addrs[i] for i in np.flatnonzero(live).tolist()]
+        msid, space, kind, esize, mslot = _codes(self._mem, 5)
+        bsid, bkind, bslot, btaken = _codes(self._branch, 4)
+        # Renumber the slots so that the ones memory events read come first:
+        # only those keep their lane rows.
+        S = len(self._masks)
+        read = np.zeros(S, dtype=bool)
+        read[mslot] = True
+        order = np.concatenate((np.flatnonzero(read), np.flatnonzero(~read)))
+        renumber = np.empty(S, dtype=np.int64)
+        renumber[order] = np.arange(S)
+        warp_lanes = np.empty((S, P, nwarps), dtype=np.uint8)
+        lane_rows = np.empty((int(read.sum()), P, npad), dtype=bool)
+        for sl in event_chunks(S, P * npad):
+            chunk = np.stack([self._mask_rows[i] for i in order[sl].tolist()])
+            warp_lanes[sl] = warp_lane_counts(chunk)
+            kept = lane_rows[sl]  # empty past the slots memory events read
+            kept[...] = chunk[: len(kept)]
+        # Reduced to the table: do not hold the masks through consume.
+        self._masks.clear()
+        self._mask_rows.clear()
+        self._mask_ids.clear()
+        # Drop the events no profiled lane takes part in: their slot's
+        # counts are all zero.
+        live = warp_lanes.any(axis=(1, 2))
+        slot = renumber[np.repeat(run_slot, run_len)]
+        sid, category, slot = _kept(live[slot], sid, category, slot)
+        instr = InstrColumns(sid=sid, category=category, slot=slot)
+        mslot = renumber[mslot]
+        keep = live[mslot]
+        msid, space, kind, esize, mslot = _kept(keep, msid, space, kind, esize, mslot)
+        self._addrs = [self._addrs[i] for i in np.flatnonzero(keep).tolist()]
         # Narrowed while stacked: exact on every active lane (see the schema).
         addrs = _stacked(self._addrs, (P, npad), np.int32)
-        mem = MemColumns(sid=msid, space=space, kind=kind, elem_size=esize, addrs=addrs, act=act)
-        bsid, bkind = _codes(self._branch, 2)
-        active = self._warp_counts(self._active)
-        taken = self._warp_counts(self._taken)
-        live = active.any(axis=(1, 2))
-        if not live.all():
-            bsid, bkind, active, taken = (c[live] for c in (bsid, bkind, active, taken))
-        branch = BranchColumns(sid=bsid, kind=bkind, active=active, taken=taken)
-        return EventBatch(self.block_ids, self.nthreads, nwarps, npad, instr, mem, branch)
+        mem = MemColumns(sid=msid, space=space, kind=kind, elem_size=esize, slot=mslot, addrs=addrs)
+        bslot, btaken = renumber[bslot], renumber[btaken]
+        bsid, bkind, bslot, btaken = _kept(live[bslot], bsid, bkind, bslot, btaken)
+        branch = BranchColumns(sid=bsid, kind=bkind, slot=bslot, slot_taken=btaken)
+        return EventBatch(
+            self.block_ids, self.nthreads, nwarps, npad, warp_lanes, lane_rows, instr, mem, branch
+        )

@@ -430,7 +430,10 @@ class _BlockRun:
     def _exec_stmts(self, stmts: List[Stmt], mask: np.ndarray) -> None:
         # The active mask only changes when lanes retire, so a straight-line
         # run shares one mask object (which the recorder then reduces once).
-        seen = -1
+        # Until a lane retires, that object is the caller's mask: a loop's
+        # taken mask is then also its body's.
+        seen = 0
+        act = mask
         for stmt in stmts:
             if seen != self._returns:
                 seen = self._returns
@@ -613,7 +616,7 @@ class _BlockRun:
 
     def _note_instr(self, stmt: Stmt, category: OpCategory, act: np.ndarray) -> None:
         if self._instr_rec is not None:
-            self._instr_rec.instr(stmt.sid, CATEGORY_CODE[category], act)
+            self._instr_rec.instr_run((stmt.sid, CATEGORY_CODE[category]), act)
 
     def _note_mem(
         self,

@@ -60,10 +60,11 @@ class BranchPass(AnalysisPass):
             return
         nwarps = batch.nwarps
         loop = br.kind == BRANCH_KIND_CODE["loop"]
+        table = batch.warp_lanes
         b = self._stats
         for blocks in event_chunks(len(batch), Eb * nwarps):
-            active = br.active[:, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
-            taken = br.taken[:, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
+            active = table[br.slot, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
+            taken = table[br.slot_taken, blocks].transpose(1, 0, 2).reshape(-1, nwarps)
             n, divergent, frac_sum, frac_sqsum = _contributions(active, taken)
             loops = int(n[np.tile(loop, len(n) // Eb)].sum())
             total = int(n.sum())

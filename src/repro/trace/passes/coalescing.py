@@ -8,7 +8,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.simt.events import event_chunks, warp_lane_counts
+from repro.simt.events import event_chunks
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
@@ -140,11 +140,12 @@ class CoalescingPass(AnalysisPass):
             if (np.diff(e) == 1).all():  # a run in emission order: a view, no copy
                 e = slice(e[0], e[-1] + 1)
             A = mem.addrs[e].reshape(-1, lanes)
-            M = mem.act[e].reshape(-1, lanes)
+            slot = mem.slot[e]
+            M = batch.lane_rows[slot].reshape(-1, lanes)
             esize = mem.elem_size[e]
             _warp_counters(
                 g, self.config, A.reshape(-1, WARP_SIZE), M.reshape(-1, WARP_SIZE),
-                np.repeat(esize, lanes // WARP_SIZE), warp_lane_counts(M).reshape(-1),
+                np.repeat(esize, lanes // WARP_SIZE), batch.warp_lanes[slot].reshape(-1),
             )
             multi = repeated[sl]
             if not multi.any():

@@ -101,7 +101,7 @@ class IlpPass(AnalysisPass):
         if not sids.size:
             return
         slots = ins.slot[feeding]
-        takes_part = ins.lanes.T > 0  # (P, S)
+        takes_part = batch.warp_lanes.any(axis=2).T  # (P, S)
         contribs = self._contribs
         sums, counts = self._sums, self._counts
         for i in range(len(batch)):

@@ -38,19 +38,20 @@ class MixPass(AnalysisPass):
     def consume(self, batch):
         # Category counters are per-sid integer sums, folded into the
         # accumulator in first-occurrence order.  Per-event lane and warp
-        # totals come from the slot tables, and each block's warp-issue
-        # counts are the slot multiplicities times the warp-mask table (a
+        # totals come from the mask table, and each block's warp-issue
+        # counts are the slot multiplicities times the table's busy warps (a
         # block that does not take part in an event has an all-false row).
         ins = batch.instr
-        S, P, nwarps = ins.warp_mask.shape
+        S, P, nwarps = batch.warp_lanes.shape
+        busy = batch.warp_lanes > 0
         mult = np.bincount(ins.slot, minlength=S)
-        counts = (mult @ ins.warp_mask.reshape(S, P * nwarps)).reshape(P, nwarps)
+        counts = (mult @ busy.reshape(S, P * nwarps)).reshape(P, nwarps)
         if len(ins):
             sids, first, inv = np.unique(ins.sid, return_index=True, return_inverse=True)
             lanes = np.zeros(len(sids), dtype=np.int64)
             warps = np.zeros(len(sids), dtype=np.int64)
-            np.add.at(lanes, inv, ins.lanes.sum(axis=1)[ins.slot])
-            np.add.at(warps, inv, ins.warp_counts.sum(axis=1)[ins.slot])
+            np.add.at(lanes, inv, batch.warp_lanes.sum(axis=(1, 2), dtype=np.int64)[ins.slot])
+            np.add.at(warps, inv, np.count_nonzero(busy, axis=(1, 2))[ins.slot])
             cats = ins.category[first]
             acc = self._sid_acc
             for k in np.argsort(first).tolist():

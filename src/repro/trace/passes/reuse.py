@@ -27,10 +27,9 @@ class ReusePass(AnalysisPass):
         # The reuse-distance stack is order-sensitive: the line stream is
         # block-major, each block's statements in emission order.
         mem = batch.mem
+        idx = mem.events_in(MemSpace.GLOBAL)
         self._tracker.extend(
-            block_major_lines(
-                mem.addrs, mem.act, mem.events_in(MemSpace.GLOBAL), self.config.line_bits
-            )
+            block_major_lines(mem.addrs, batch.lane_rows, mem.slot, idx, self.config.line_bits)
         )
 
     def end_kernel(self, profile):

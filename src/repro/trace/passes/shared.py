@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.simt.events import event_chunks, warp_lane_counts
+from repro.simt.events import event_chunks
 from repro.simt.ir import MemSpace
 from repro.simt.types import WARP_SIZE
 from repro.trace.passes.base import AnalysisPass, register_pass
@@ -79,9 +79,9 @@ class SharedPass(AnalysisPass):
         s = self._s
         for sl in event_chunks(idx.size, len(batch) * batch.npad):
             e = idx[sl]
-            act = mem.act[e]
-            rows = np.where(act, mem.addrs[e], -1).reshape(-1, WARP_SIZE)
-            rows = rows[warp_lane_counts(act).reshape(-1) > 0]
+            slot = mem.slot[e]
+            rows = np.where(batch.lane_rows[slot], mem.addrs[e], -1).reshape(-1, WARP_SIZE)
+            rows = rows[batch.warp_lanes[slot].reshape(-1) > 0]
             if not len(rows):
                 continue
             rows, mult = _distinct_rows(rows)

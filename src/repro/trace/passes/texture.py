@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simt.events import event_chunks, warp_lane_counts
+from repro.simt.events import event_chunks
 from repro.simt.ir import MemSpace
 from repro.trace.passes.base import AnalysisPass, register_pass
 from repro.trace.reuse import ReuseDistanceTracker, block_major_lines
@@ -35,11 +35,11 @@ class TexturePass(AnalysisPass):
             return
         t = self._t
         for sl in event_chunks(idx.size, len(batch) * batch.npad):
-            lanes = warp_lane_counts(mem.act[idx[sl]])
+            lanes = batch.warp_lanes[mem.slot[idx[sl]]]
             t.accesses += int(np.count_nonzero(lanes))
             t.lane_accesses += int(lanes.sum())
         self._tracker.extend(
-            block_major_lines(mem.addrs, mem.act, idx, self.config.line_bits)
+            block_major_lines(mem.addrs, batch.lane_rows, mem.slot, idx, self.config.line_bits)
         )
 
     def end_kernel(self, profile):

@@ -18,8 +18,10 @@ handful of whole-array numpy passes:
    lines touched after ``L``'s last access are precisely the live lines
    that follow ``L`` in LRU order, so every distance over the concatenation
    equals the distance over the full stream.
-2. One stable argsort of the concatenation pairs every reuse at position
-   ``t`` with its previous access ``p``.
+2. One sort of the concatenation's ``(line << 32) | position`` keys pairs
+   every reuse at position ``t`` with its previous access ``p``.  Line ids
+   are below ``2**31``, so a key is one non-negative int64 and sorting the
+   keys orders positions as a stable argsort of the lines does.
 3. The positions strictly between ``p`` and ``t`` are ``t - p - 1``
    accesses; each one that is re-accessed before ``t`` repeats a line, and
    those are exactly the reuse pairs nested in ``(p, t)``.  So the distance
@@ -76,19 +78,27 @@ _NO_PHANTOM = np.iinfo(np.int64).max
 #: Access time of the legacy Fenwick tree's first capacity growth.
 _FIRST_GROWTH = 1024
 
+#: Bound on line ids: a line shifted past a 32-bit position fits int64.
+_LINE_LIMIT = 1 << 31
+
+#: Low-half mask of a packed ``(line << 32) | position`` key.
+_POSITION = np.int64(0xFFFFFFFF)
+
 
 def block_major_lines(
-    addrs: np.ndarray, act: np.ndarray, idx: np.ndarray, line_bits: int
+    addrs: np.ndarray, lane_rows: np.ndarray, slot: np.ndarray, idx: np.ndarray, line_bits: int
 ) -> np.ndarray:
     """Distinct active lines per (block, event) row, flattened block-major.
 
-    ``addrs`` (``int32``) and ``act`` are a batch's ``(Em, P, npad)``
-    memory columns and ``idx`` the indices of the events to read, in
-    emission order.  The result lists, for each block in turn and within it
-    each selected event in turn, the event's distinct active 128B lines
-    (``addrs >> line_bits``) in ascending order.  Temporaries stay within about
-    :data:`~repro.simt.events.STACK_ELEMS` lanes: blocks are sliced, and a
-    single block's events are sliced when it alone exceeds the bound.
+    ``addrs`` (``(Em, P, npad) int32``) and ``slot`` are a batch's memory
+    columns, ``lane_rows`` its kept masks (event ``e`` is active where
+    ``lane_rows[slot[e]]`` is set) and ``idx`` the indices of the events
+    to read, in emission order.  The result lists, for each block in turn
+    and within it each selected event in turn, the event's distinct active
+    128B lines (``addrs >> line_bits``) in ascending order.  Temporaries
+    stay within about :data:`~repro.simt.events.STACK_ELEMS` lanes: blocks
+    are sliced, and a single block's events are sliced when it alone
+    exceeds the bound.
     """
     E = len(idx)
     if not E:
@@ -98,14 +108,15 @@ def block_major_lines(
     for blocks in event_chunks(P, E * npad):
         width = min(blocks.stop, P) - blocks.start
         for events in event_chunks(E, width * npad):
-            parts.append(_distinct_rows(addrs, act, idx[events], blocks, line_bits))
+            e = idx[events]
+            parts.append(_distinct_rows(addrs[e, blocks], lane_rows[slot[e], blocks], line_bits))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _distinct_rows(addrs, act, idx, blocks: slice, line_bits: int) -> np.ndarray:
-    lines = addrs[:, blocks][idx].transpose(1, 0, 2)
+def _distinct_rows(addrs: np.ndarray, act: np.ndarray, line_bits: int) -> np.ndarray:
+    lines = addrs.transpose(1, 0, 2)
     lines >>= line_bits
-    lines[~act[:, blocks][idx].transpose(1, 0, 2)] = _NO_LINE
+    lines[~act.transpose(1, 0, 2)] = _NO_LINE
     lines.sort(axis=-1)
     keep = lines != _NO_LINE
     keep[..., 1:] &= lines[..., 1:] != lines[..., :-1]
@@ -173,12 +184,15 @@ class ReuseDistanceTracker:
         self._phantom = _NO_PHANTOM
 
     def extend(self, lines: np.ndarray) -> None:
-        """Append accesses (integer line ids, in access order).
+        """Append accesses (integer line ids in ``[0, 2**31)``, in access
+        order).
 
         The array is buffered by reference until it is resolved, so callers
         pass a fresh array.
         """
         if lines.size:
+            if lines.min() < 0 or lines.max() >= _LINE_LIMIT:
+                raise ValueError("reuse tracker line ids must lie in [0, 2**31)")
             self._pending.append(lines)
             self._npending += lines.size
             if self._npending >= max(self.chunk, self._live.size):
@@ -205,8 +219,10 @@ class ReuseDistanceTracker:
         base = self._resolved
         seq = np.concatenate((self._live, piece))
         times = np.concatenate((self._live_time, np.arange(base, base + n)))
-        order = np.argsort(seq, kind="stable")
-        same = seq[order[1:]] == seq[order[:-1]]
+        keys = np.sort((seq << 32) | np.arange(m + n))
+        order = keys & _POSITION
+        keys >>= 32
+        same = keys[1:] == keys[:-1]
         prev = np.full(m + n, -1, dtype=np.int64)
         prev[order[1:][same]] = order[:-1][same]
         t = np.flatnonzero(prev[m:] >= 0) + m  # reuses, in access order

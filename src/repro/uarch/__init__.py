@@ -9,7 +9,6 @@ from repro.uarch.model import (
     time_kernel,
 )
 from repro.uarch.models import (
-    KernelEstimate,
     TimingModel,
     get_model,
     model_names,
@@ -45,7 +44,6 @@ __all__ = [
     "bottleneck_summary",
     "occupancy_warps",
     "time_kernel",
-    "KernelEstimate",
     "TimingModel",
     "get_model",
     "model_names",

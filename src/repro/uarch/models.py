@@ -6,8 +6,7 @@ stable name, declare the source modules their estimates depend on (the unit
 of cache invalidation for the sweep engine's timing shards), and expose one
 uniform interface —
 
-* ``estimate(kernel_profile, config)`` → a :class:`KernelEstimate` (cycles
-  plus a model-specific breakdown), and
+* ``estimate(kernel_profile, config)`` → the kernel's estimated cycles, and
 * ``time_workload(workload_profile, config)`` → total cycles (sum over
   kernel launches by default).
 
@@ -31,23 +30,12 @@ external simulator's results) plugs in with a subclass and one decorator.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.trace.profile import KernelProfile, WorkloadProfile
 from repro.uarch import cycle as _cycle_mod
 from repro.uarch import model as _roofline_mod
 from repro.uarch.config import GpuConfig
-
-
-@dataclass(frozen=True)
-class KernelEstimate:
-    """One model's cycle estimate for one kernel launch on one design."""
-
-    kernel_name: str
-    cycles: float
-    #: Model-specific breakdown (bottleneck cycles, stall fraction, ...).
-    detail: Dict[str, object] = field(default_factory=dict)
 
 
 class TimingModel:
@@ -67,8 +55,8 @@ class TimingModel:
 
     def estimate(
         self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
-    ) -> KernelEstimate:
-        """One kernel's estimate.
+    ) -> float:
+        """One kernel's estimated cycles.
 
         ``memo`` is a dict a caller shares across the calls it makes for one
         model; a model may cache pure intermediate results in it, keyed by
@@ -80,7 +68,7 @@ class TimingModel:
         self, profile: WorkloadProfile, config: GpuConfig, memo: Optional[Dict] = None
     ) -> float:
         """Total estimated cycles of a workload (sum over kernel launches)."""
-        return sum(self.estimate(k, config, memo).cycles for k in profile.kernels)
+        return sum(self.estimate(k, config, memo) for k in profile.kernels)
 
 
 #: Registration order defines the canonical model order everywhere.
@@ -150,20 +138,8 @@ class RooflineModel(TimingModel):
 
     def estimate(
         self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
-    ) -> KernelEstimate:
-        t = _roofline_mod.time_kernel(profile, config)
-        return KernelEstimate(
-            kernel_name=t.kernel_name,
-            cycles=t.total_cycles,
-            detail={
-                "compute_cycles": t.compute_cycles,
-                "bandwidth_cycles": t.bandwidth_cycles,
-                "latency_cycles": t.latency_cycles,
-                "bottleneck": t.bottleneck,
-                "dram_transactions": t.dram_transactions,
-                "cache_hit_rate": t.cache_hit_rate,
-            },
-        )
+    ) -> float:
+        return _roofline_mod.time_kernel(profile, config).total_cycles
 
 
 @register_model
@@ -185,15 +161,5 @@ class CycleModel(TimingModel):
 
     def estimate(
         self, profile: KernelProfile, config: GpuConfig, memo: Optional[Dict] = None
-    ) -> KernelEstimate:
-        est = _cycle_mod.simulate_kernel(profile, config, memo)
-        return KernelEstimate(
-            kernel_name=est.kernel_name,
-            cycles=est.cycles,
-            detail={
-                "issued_instructions": est.issued_instructions,
-                "memory_ops": est.memory_ops,
-                "misses": est.misses,
-                "stall_fraction": est.stall_fraction,
-            },
-        )
+    ) -> float:
+        return _cycle_mod.simulate_kernel(profile, config, memo).cycles

@@ -431,7 +431,7 @@ class _ByteRecorder(TraceSink):
         for e in np.flatnonzero(mem.space == SPACE_CODE[MemSpace.GLOBAL]).tolist():
             esize = int(mem.elem_size[e])
             for row, block in enumerate(batch.block_ids):
-                addrs = mem.addrs[e, row][mem.act[e, row]]
+                addrs = mem.addrs[e, row][batch.lane_rows[mem.slot[e], row]]
                 nbytes = (addrs[:, None] + np.arange(esize)).ravel()
                 self.accesses.append(
                     (block, int(mem.sid[e]), MEM_KINDS[mem.kind[e]], np.unique(nbytes))

@@ -457,6 +457,6 @@ def test_recorded_addresses_are_exact_up_to_the_limit(monkeypatch, engine):
     for batch in sink.batches:
         mem = batch.mem
         assert mem.addrs.dtype == np.int32
-        seen.update(mem.addrs[mem.act].tolist())
+        seen.update(mem.addrs[batch.lane_rows[mem.slot]].tolist())
     assert seen == set(range(dst.base, ADDRESS_LIMIT, 4))
     assert max(seen) == ADDRESS_LIMIT - 4

@@ -45,7 +45,7 @@ def record(events, nblocks: int, npad: int, blocks: slice = slice(None)) -> Even
     for ev in events:
         if ev[0] == "instr":
             _, sid, category, act = ev
-            rec.instr(sid, CATEGORY_CODE[category], flat(act))
+            rec.instr_run((sid, CATEGORY_CODE[category]), flat(act))
         elif ev[0] == "mem":
             _, sid, space, kind, esize, addrs, act = ev
             live = np.asarray(addrs)[blocks][np.asarray(act)[blocks]]

@@ -125,6 +125,15 @@ def test_cdf_empty_is_zero():
     assert t.cdf_at(16) == 0.0  # only a cold miss, no reuses
 
 
+@pytest.mark.parametrize("bad", [-1, 1 << 31, 1 << 40])
+def test_extend_rejects_line_ids_outside_31_bits(bad):
+    t = ReuseDistanceTracker()
+    t.extend(np.array([0, (1 << 31) - 1]))  # both ends of the range
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        t.extend(np.array([5, bad, 6]))
+    assert t.accesses == 2 and t.unique_lines == 2
+
+
 def test_fenwick_growth_beyond_initial_capacity():
     # 3000 cold lines pass the legacy tree's growths at 1024 and 2048; both
     # growth accesses are cold, so no skew applies.
@@ -244,7 +253,8 @@ def test_block_major_lines_matches_row_loop(P, nevents, stack_elems, seed):
     act = np.stack([m for _, m in evs]) if evs else np.empty((0, P, 64), dtype=bool)
     idx = np.flatnonzero(rng.random(nevents) < 0.7)
     with mock.patch.object(events, "STACK_ELEMS", stack_elems):
-        got = block_major_lines(addrs, act, idx, 7)
+        # Kept rows in reverse order, read through each event's slot.
+        got = block_major_lines(addrs, act[::-1], np.arange(nevents)[::-1], idx, 7)
     np.testing.assert_array_equal(got, _row_loop_lines([evs[i] for i in idx], P, 7))
 
 
