@@ -23,8 +23,13 @@ interpreter in :mod:`repro.simt.executor`:
   shared array), amortising every numpy operation across K blocks.
   Profiled blocks batch exactly like silent ones: a batch
   containing profiled blocks runs the observed body with an
-  :class:`~repro.simt.events.EventRecorder` capturing per-kind columnar
-  buffers, delivered to sinks as one ``on_batch`` call.  Atomic lane
+  :class:`~repro.simt.events.EventRecorder` of its own capturing per-kind
+  columnar buffers.  Consecutive observed batches that recorded the same
+  code lists merge into one recording, up to :func:`lane_budget_cap`
+  profiled blocks, which is delivered to sinks as one ``on_batch`` call
+  (:func:`run_compiled_launch`).  Load and store sites skip compacting
+  their lanes when the mask holds every lane of the batch
+  (:func:`_load`, :func:`_store`).  Atomic lane
   serialisation is defined in launch order, which stacking reorders, so
   atomics pin their launch unless they commute: integer ADD/MIN/MAX whose
   old values nobody reads, on buffers nothing else in the launch touches
@@ -118,6 +123,13 @@ TARGET_BATCH_LANES = 8192
 
 #: Hard cap on blocks per batch regardless of block size.
 MAX_BATCH_BLOCKS = 256
+
+
+def lane_budget_cap(npad: int) -> int:
+    """Blocks of ``npad`` lanes a batch may stack: the lane budget, within
+    ``[1, MAX_BATCH_BLOCKS]``.  Also the most profiled blocks one delivered
+    event batch holds."""
+    return max(1, min(MAX_BATCH_BLOCKS, TARGET_BATCH_LANES // npad))
 
 #: ``(op, dtype)`` of the atomics that may batch (integer ADD/MIN/MAX),
 #: the classifier's commuting set; its own name so a verify plant can widen
@@ -342,6 +354,48 @@ def _merge(cur: np.ndarray, act: np.ndarray, values) -> np.ndarray:
     return out
 
 
+def _load(mem, act: np.ndarray, addr: np.ndarray, esize: int, dtype: np.dtype, cur=None,
+          rows=None, via=None) -> np.ndarray:
+    """A load site's new register value.
+
+    ``mem`` (the device, or the batch's shared memory with the lanes' block
+    ``rows``) is read at ``addr`` on ``act``'s lanes, cast through the
+    statement's dtype ``via`` (when it is not the register's) to the
+    register's ``dtype``.  The other lanes keep ``cur``, or hold 0 when the
+    write binds (``cur`` is None).  When ``act`` holds every lane of the
+    array, which it never does where there are padding lanes, every address
+    is read with no compaction and the result is bound whole.
+    """
+    full = act.all()
+    if not full:
+        addr = addr[act]
+        if rows is not None:
+            rows = rows[act]
+    values = mem.gather(addr, esize) if rows is None else mem.gather(addr, rows, esize)
+    if via is not None:
+        values = values.astype(via)
+    if full:
+        return values.astype(dtype, copy=False)
+    if cur is None:
+        return _spread(len(act), act, values, dtype)
+    return _merge(cur, act, values)
+
+
+def _store(mem, act: np.ndarray, addr: np.ndarray, values: np.ndarray, esize: int,
+           rows=None) -> None:
+    """A store site: ``values`` to ``mem`` at ``addr`` on ``act``'s lanes
+    (as :func:`_load` takes ``mem`` and ``rows``), with no compaction when
+    ``act`` holds every lane of the array."""
+    if not act.all():
+        addr, values = addr[act], values[act]
+        if rows is not None:
+            rows = rows[act]
+    if rows is None:
+        mem.scatter(addr, values, esize)
+    else:
+        mem.scatter(addr, rows, values, esize)
+
+
 def _barrier(st: _RunState, act: np.ndarray, kname: str, sid: int) -> None:
     expected = st.block_mask & ~st.returned
     if st.nblk > 1:
@@ -365,6 +419,8 @@ _NAMESPACE.update(
     _divide=_divide,
     _spread=_spread,
     _merge=_merge,
+    _load=_load,
+    _store=_store,
     _barrier=_barrier,
 )
 
@@ -753,26 +809,31 @@ class _Generator:
                 f"{addr}, {act})"
             )
         # Shared memory is per block: its calls also take the lanes' block rows.
-        if space is MemSpace.SHARED:
-            target, lanes = "sh", f"{addr}[{act}], lb[{act}]"
-        else:
-            target, lanes = "dev", f"{addr}[{act}]"
+        shared = space is MemSpace.SHARED
+        target = "sh" if shared else "dev"
         if kind == "store":
-            fn.emit(f"{target}.scatter({lanes}, {value}[{act}], {esize})")
+            fn.emit(f"_store({target}, {act}, {addr}, {value}, {esize}{', lb' if shared else ''})")
             return CATEGORY_CODE[category]
         if kind == "load":
-            expr = f"{target}.gather({lanes}, {esize})"
-        else:
-            # An old value no statement reads is never materialised: the
-            # device then applies ADD/MIN/MAX in one index-ordered ufunc pass.
-            keep = stmt.dest is not None and stmt.dest.name in self.ck.reads
-            expr = (
-                f"dev.atomic_update({addr}[{act}], {value}[{act}], _AtomicOp.{stmt.op.name}, "
-                f"{esize}, compare={compare}, need_old={keep})"
-            )
-            if not keep:
-                fn.emit(expr)
-                return CATEGORY_CODE[category]
+            dest, dt = stmt.dest, stmt.dest.dtype.numpy_dtype
+            args = [target, act, addr, str(esize), _DTYPE_NAME[dt],
+                    "None" if bind else self.current(fn, dest, defined),
+                    "lb" if shared else "None", "None" if dtype == dt else _DTYPE_NAME[dtype]]
+            while args[-1] == "None":
+                args.pop()  # _load's defaults
+            fn.emit(f"{self.reg(dest)} = _load({', '.join(args)})")
+            defined.add(dest.name)
+            return CATEGORY_CODE[category]
+        # An old value no statement reads is never materialised: the device
+        # then applies ADD/MIN/MAX in one index-ordered ufunc pass.
+        keep = stmt.dest is not None and stmt.dest.name in self.ck.reads
+        expr = (
+            f"dev.atomic_update({addr}[{act}], {value}[{act}], _AtomicOp.{stmt.op.name}, "
+            f"{esize}, compare={compare}, need_old={keep})"
+        )
+        if not keep:
+            fn.emit(expr)
+            return CATEGORY_CODE[category]
         if dtype != stmt.dest.dtype.numpy_dtype:
             # Through the statement's own dtype first, as the old values and
             # loaded elements always went.
@@ -1067,7 +1128,7 @@ def plan_batches(
     if batch_blocks is not None:
         cap = max(1, int(batch_blocks))
     else:
-        cap = max(1, min(MAX_BATCH_BLOCKS, TARGET_BATCH_LANES // npad))
+        cap = lane_budget_cap(npad)
     if ck.atomic_sites and not _atomics_commute(ck, params_by_name, device):
         return BatchPlan("pinned", 1, pin_reason="atomics")
     if not _batch_hazard(ck, params_by_name):
@@ -1219,11 +1280,19 @@ def run_compiled_launch(
 
     Blocks accumulate into batches of up to ``batch_limit`` contiguous
     blocks.  A batch containing profiled blocks runs the observed body
-    with an :class:`~repro.simt.events.EventRecorder` capturing columnar
-    buffers handed to ``executor._deliver``; purely silent batches run the
-    silent body.  Blocks execute in ascending contiguous runs,
-    preserving the interpreter's sequential device-memory outcome.  The
-    batching and plan fields are filled into ``executor.last_launch_stats``.
+    with an :class:`~repro.simt.events.EventRecorder` of its own capturing
+    columnar buffers; purely silent batches run the silent body.  Blocks
+    execute in ascending contiguous runs, preserving the interpreter's
+    sequential device-memory outcome.
+
+    Recordings are delivered to ``executor._deliver`` once per run of
+    observed batches that noted the same code lists: the recorder held
+    absorbs each finished one it matches
+    (:meth:`~repro.simt.events.EventRecorder.absorb`), and is finished and
+    delivered when one does not match, before an observed batch whose
+    profiled blocks would take it past :func:`lane_budget_cap`, and at the
+    end of the launch.  The batching and plan fields are filled into
+    ``executor.last_launch_stats``.
     """
     ck = compile_kernel(kernel)
     params = [params_by_name[p.name] for p in kernel.params]
@@ -1255,18 +1324,31 @@ def run_compiled_launch(
     prof_rows: List[int] = []
     prof_ids: List[int] = []
     templates: Dict[int, Dict] = {}
+    cap = lane_budget_cap(npad)
+    held: Optional[EventRecorder] = None
+
+    def release() -> None:
+        nonlocal held
+        if held is not None:
+            executor._deliver(held.finish())
+            held = None
 
     def flush() -> None:
+        nonlocal held
         if not pending:
             return
         st = _make_state(ck, executor, grid, block, pending, params, templates=templates)
         if prof_ids:
+            if held is not None and len(held.block_ids) + len(prof_ids) > cap:
+                release()
             rec = EventRecorder(prof_ids, prof_rows, len(pending), npad, nwarps, nthreads)
             st.recorder = rec
             observed(st, st.block_mask)
             prof_ids.clear()
             prof_rows.clear()
-            executor._deliver(rec.finish())
+            if held is None or not held.absorb(rec):
+                release()
+                held = rec
         else:
             ck.run_silent(st, st.block_mask)
         stats["batches"] += 1
@@ -1285,3 +1367,4 @@ def run_compiled_launch(
         if len(pending) >= limit:
             flush()
     flush()
+    release()

@@ -1,19 +1,25 @@
 """Columnar event buffers: the one transport from the engines to sinks.
 
-Observation is decoupled from execution: while a *batch* of blocks
-executes, an :class:`EventRecorder` captures each emitted event once as a
-set of per-profiled-block numpy rows, and the whole batch is handed to
-sinks in a single :meth:`~repro.simt.sink.TraceSink.on_batch` call.  The
-compiled engine records one batch per observed lockstep batch; the
-interpreted engine records each profiled block as a batch of one.
-Analysis passes consume the buffers with vectorized reductions over the
-block-lane axis (see ``AnalysisPass.consume``).
+Observation is decoupled from execution: while a lockstep batch of
+blocks executes, an :class:`EventRecorder` captures each emitted event
+once as a set of per-profiled-block numpy rows, and the recorded *batch*
+is handed to sinks in a single :meth:`~repro.simt.sink.TraceSink.on_batch`
+call.  The compiled engine records each observed lockstep batch into a
+recorder of its own and delivers runs of them as one batch: a finished
+recorder that noted the same code lists as the one held absorbs into it
+(:meth:`EventRecorder.absorb`), up to the planner's lane-budget cap of
+profiled blocks, so one delivered batch may cover several lockstep
+batches of one launch.  The interpreted engine records each profiled
+block as a batch of one.  Analysis passes consume the buffers with
+vectorized reductions over the block-lane axis (see
+``AnalysisPass.consume``).
 
 Buffer schema
 -------------
 
 An :class:`EventBatch` covers ``P = len(block_ids)`` profiled blocks (the
-ascending linear block ids of the batch's profiled subset) and holds one
+ascending linear block ids of the profiled subset of the lockstep batches
+it covers) and holds one
 mask table shared by every event kind, plus one group of columns per
 event kind.  Every column keeps emission order within its kind; no
 consumer reads order across kinds.  Integer code columns index the tuples
@@ -28,9 +34,9 @@ The mask table
     ``batch.warp_lanes`` is ``(S, P, nwarps) uint8``, the active lanes of
     each warp under each slot's mask (at most
     :data:`~repro.simt.types.WARP_SIZE`).  ``batch.lane_rows`` is
-    ``(R, P, npad) bool``, the full lane masks of the ``R`` slots memory
-    events read; those slots are numbered first, so a memory event's
-    ``slot`` indexes both arrays.
+    ``(R, P, npad) bool``, the full lane masks of the ``R`` slots that
+    recorded memory events read; those slots are numbered first, so a
+    memory event's ``slot`` indexes both arrays.
 
 ``batch.instr`` (:class:`InstrColumns`, ``Ei`` events)
     ``sid``, ``category``, ``slot``: ``(Ei,) int64`` per event.
@@ -64,7 +70,9 @@ absent from a path contributes all-inactive rows there, which are filtered.
 This is the pipeline's parity invariant — consumers that filter rows by
 participation and accumulate block-major (block by block, each in event
 order) produce the same bytes whether the blocks arrive in one batch or
-one per batch, floats included.
+one per batch, floats included.  It is also why absorbing is exact:
+recorders with equal code lists hold the same events in the same order,
+so their rows simply continue along the block axis.
 
 Batch membership itself is decided upstream by the planner
 (:func:`repro.simt.compiled.plan_batches`): hazard-flagged launches whose
@@ -215,14 +223,27 @@ def _kept(keep: np.ndarray, *columns: np.ndarray) -> Tuple[np.ndarray, ...]:
     return columns if keep.all() else tuple(c[keep] for c in columns)
 
 
-def _stacked(rows: List[np.ndarray], shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """Stack per-event rows chunk by chunk, releasing each chunk once copied
-    so that the batch's buffers are never held twice."""
-    out = np.empty((len(rows),) + shape, dtype=dtype)
-    for sl in event_chunks(len(rows), int(np.prod(shape))):
+def _stack(parts: Sequence[List[np.ndarray]], sizes: Sequence[int], idx: Sequence[int],
+           out: np.ndarray) -> np.ndarray:
+    """Row ``i`` of every part, for each ``i`` in ``idx``, into ``out``
+    ``(len(idx), P, npad)``: each part's rows at its own blocks."""
+    p = 0
+    for rows, n in zip(parts, sizes):
+        np.stack([rows[i] for i in idx], out=out[:, p:p + n])
+        p += n
+    return out
+
+
+def _stacked(parts: List[List[np.ndarray]], sizes: Sequence[int], npad: int, dtype) -> np.ndarray:
+    """Stack the parts' per-event rows chunk by chunk, releasing each chunk
+    once copied so that the batch's buffers are never held twice."""
+    n, P = len(parts[0]), sum(sizes)
+    out = np.empty((n, P, npad), dtype=dtype)
+    for sl in event_chunks(n, P * npad):
         chunk = out[sl]
-        np.stack(rows[sl], out=chunk)
-        rows[sl] = [None] * len(chunk)
+        _stack(parts, sizes, range(sl.start, sl.start + len(chunk)), chunk)
+        for rows in parts:
+            rows[sl] = [None] * len(chunk)
     return out
 
 
@@ -238,7 +259,9 @@ class EventRecorder:
     noted: every mask update and every register write allocates.  So every
     event stores one slot per distinct mask object, memory events keep
     views of their address registers, and :meth:`finish` reduces the masks
-    into the table and stacks the addresses in bulk.
+    into the table and stacks the addresses in bulk.  A finished recording
+    may take in later ones of the same launch (:meth:`absorb`) before it is
+    finished once for all of them.
     """
 
     __slots__ = (
@@ -257,6 +280,7 @@ class EventRecorder:
         "_mem",
         "_addrs",
         "_branch",
+        "_parts",
     )
 
     def __init__(
@@ -283,6 +307,9 @@ class EventRecorder:
         self._mem: List[int] = []
         self._addrs: List[np.ndarray] = []
         self._branch: List[int] = []
+        #: ``(blocks, mask rows per slot, address rows per memory event)`` of
+        #: each recording held, this one's first.
+        self._parts = [(len(self.block_ids), self._mask_rows, self._addrs)]
 
     def _take(self, arr: np.ndarray) -> np.ndarray:
         """Profiled-block rows of a full-batch lane array, ``(P, npad)``."""
@@ -315,6 +342,35 @@ class EventRecorder:
     def branch(self, sid: int, kind: int, act: np.ndarray, taken: np.ndarray) -> None:
         self._branch += (sid, kind, self._slot(act), self._slot(taken))
 
+    # -- after recording --------------------------------------------------
+
+    def _same_codes(self, other: "EventRecorder") -> bool:
+        return (
+            self._runs == other._runs
+            and self._mem == other._mem
+            and self._branch == other._branch
+            and self._instr == other._instr
+        )
+
+    def absorb(self, other: "EventRecorder") -> bool:
+        """Take in ``other``'s recording if it noted the same code lists.
+
+        Both have finished recording lockstep batches of one launch, and
+        ``other``'s profiled blocks follow this one's.  Slots are numbered
+        by first sight, so equal code lists mean equal slot structure:
+        ``other``'s mask and address rows then continue this recorder's
+        along the block axis.  Returns whether ``other`` was taken in.
+        """
+        if not self._same_codes(other):
+            return False
+        self.block_ids += other.block_ids
+        self._parts += other._parts
+        for rec in (self, other):
+            # Recording is over: slots are no longer looked up by mask.
+            rec._masks.clear()
+            rec._mask_ids.clear()
+        return True
+
     def finish(self) -> EventBatch:
         """Reduce the noted masks into the table and stack every column."""
         P, nwarps, npad = len(self.block_ids), self.nwarps, self.npad
@@ -322,37 +378,52 @@ class EventRecorder:
         run_slot, run_len = _codes(self._runs, 2)
         msid, space, kind, esize, mslot = _codes(self._mem, 5)
         bsid, bkind, bslot, btaken = _codes(self._branch, 4)
-        # Renumber the slots so that the ones memory events read come first:
-        # only those keep their lane rows.
-        S = len(self._masks)
+        sizes, masks, addr_rows = zip(*self._parts)
+        # Stack the slots memory events read first: only those keep their
+        # lane rows.
+        S = len(masks[0])
         read = np.zeros(S, dtype=bool)
         read[mslot] = True
         order = np.concatenate((np.flatnonzero(read), np.flatnonzero(~read)))
-        renumber = np.empty(S, dtype=np.int64)
-        renumber[order] = np.arange(S)
+        nread = int(read.sum())
         warp_lanes = np.empty((S, P, nwarps), dtype=np.uint8)
-        lane_rows = np.empty((int(read.sum()), P, npad), dtype=bool)
+        lane_rows = np.empty((nread, P, npad), dtype=bool)
         for sl in event_chunks(S, P * npad):
-            chunk = np.stack([self._mask_rows[i] for i in order[sl].tolist()])
+            idx = order[sl].tolist()
+            chunk = _stack(masks, sizes, idx, np.empty((len(idx), P, npad), dtype=bool))
             warp_lanes[sl] = warp_lane_counts(chunk)
             kept = lane_rows[sl]  # empty past the slots memory events read
             kept[...] = chunk[: len(kept)]
         # Reduced to the table: do not hold the masks through consume.
         self._masks.clear()
-        self._mask_rows.clear()
         self._mask_ids.clear()
-        # Drop the events no profiled lane takes part in: their slot's
-        # counts are all zero.
+        for rows in masks:
+            rows.clear()
+        # An event no profiled lane takes part in is dropped: its slot's
+        # counts are all zero.  A slot only dropped memory events read keeps
+        # no lane row, and moves after the slots that do.
         live = warp_lanes.any(axis=(1, 2))
+        dead = ~live[:nread]
+        if dead.any():
+            first = np.concatenate(
+                (np.flatnonzero(~dead), np.flatnonzero(dead), np.arange(nread, S))
+            )
+            order, warp_lanes, live = order[first], warp_lanes[first], live[first]
+            lane_rows = lane_rows[~dead]
+        renumber = np.empty(S, dtype=np.int64)
+        renumber[order] = np.arange(S)
         slot = renumber[np.repeat(run_slot, run_len)]
         sid, category, slot = _kept(live[slot], sid, category, slot)
         instr = InstrColumns(sid=sid, category=category, slot=slot)
         mslot = renumber[mslot]
         keep = live[mslot]
         msid, space, kind, esize, mslot = _kept(keep, msid, space, kind, esize, mslot)
-        self._addrs = [self._addrs[i] for i in np.flatnonzero(keep).tolist()]
+        keep_idx = np.flatnonzero(keep).tolist()
+        addr_parts = [[rows[i] for i in keep_idx] for rows in addr_rows]
+        for rows in addr_rows:
+            rows.clear()
         # Narrowed while stacked: exact on every active lane (see the schema).
-        addrs = _stacked(self._addrs, (P, npad), np.int32)
+        addrs = _stacked(addr_parts, sizes, npad, np.int32)
         mem = MemColumns(sid=msid, space=space, kind=kind, elem_size=esize, slot=mslot, addrs=addrs)
         bslot, btaken = renumber[bslot], renumber[btaken]
         bsid, bkind, bslot, btaken = _kept(live[bslot], bsid, bkind, bslot, btaken)

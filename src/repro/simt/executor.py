@@ -112,7 +112,10 @@ def _launch_record(engine: str, nblocks: int) -> Dict[str, object]:
     fields (``hazard_tier``, ``pin_reason``, ``batch_groups``) describe the
     compiled engine's multi-block batches; the interpreter runs one block
     at a time and leaves them at their defaults.  The observation fields
-    are counted by :meth:`Executor._deliver` for either engine.
+    are counted by :meth:`Executor._deliver` for either engine, so
+    ``observed_batches``, ``event_counts`` and ``event_bytes`` count
+    delivered batches: the compiled engine may deliver several observed
+    lockstep batches as one.
     """
     return {
         "engine": engine,

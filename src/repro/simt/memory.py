@@ -154,7 +154,7 @@ class Device:
                 f"upload size mismatch for {buf.name!r}: buffer has {buf.count} "
                 f"elements, host array has {array.size}"
             )
-        buf.data[:] = array.astype(buf.data.dtype, copy=False)
+        np.copyto(buf.data, array, casting="unsafe")  # astype's cast, no temporary
 
     def download(self, buf: DeviceBuffer) -> np.ndarray:
         """Copy a buffer back to the host."""

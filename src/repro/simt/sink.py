@@ -33,8 +33,9 @@ class TraceSink:
     blocks as per-kind columns over those blocks (the schema and the
     participation rule are documented in :mod:`repro.simt.events`).
     The interpreted engine delivers one single-block batch per profiled
-    block, in visit order; the compiled engine delivers one batch per
-    observed lockstep batch, whose ``block_ids`` ascend.
+    block, in visit order; the compiled engine delivers one batch per run
+    of observed lockstep batches that recorded the same code lists, whose
+    ``block_ids`` ascend.
     """
 
     def subscriptions(self) -> FrozenSet[str]:

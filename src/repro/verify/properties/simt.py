@@ -15,6 +15,9 @@ happened to schedule it.  These properties pin that down:
 * generated kernel bodies, which bind a register write whole where every
   later read runs under its own lanes, agree with the interpreted baseline
   on kernels with divergent ``If``/``While`` (plant: every write binds);
+* a sampled compiled launch whose one-block observed batches merge their
+  recordings before delivery agrees with the interpreted baseline (plant:
+  recordings merge whatever code lists they noted);
 * the interpreted engine agrees with the lane-serial reference engine
   (the fuzz oracle's reference leg), the only check that sees a fault in
   the vectorized atomics both batched engines share;
@@ -60,6 +63,7 @@ from repro.simt import (
     SimtError,
     TraceSink,
     compiled,
+    events,
     footprint,
     memory,
     profile_all_blocks,
@@ -306,6 +310,48 @@ class ReferenceParity(CaseProperty):
         return mock.patch.dict(memory._ATOMIC_UFUNCS, {AtomicOp.MIN: np.maximum})
 
 
+#: Blocks the stride sampler of ``sim.observe.merge`` profiles: at least
+#: two in every generated grid, with unprofiled blocks between them in the
+#: larger ones.
+OBSERVE_SAMPLE = 3
+
+
+def _absorb_unchecked(self, other) -> bool:
+    return True
+
+
+@register
+class ObserveMerge(CaseProperty):
+    name = "sim.observe.merge"
+    layer = "simt"
+    invariant = (
+        "a sampled compiled launch in one-block batches, whose recordings "
+        "merge before delivery, matches the interpreted baseline (memory, "
+        "profiles, error class)"
+    )
+    budget = (4, 20)
+    # The first planted failure from here merges recordings of one shape
+    # but different paths (seed 12_124): misattributed rows, not a raise.
+    plant_base = 12_100
+    case_seeds = BatchParity.case_seeds  # both grammar bands
+
+    def diffs(self, case: Case) -> List[str]:
+        """Interpreted vs compiled differences, every sampled block in an
+        observed batch of its own."""
+        base = launch_case(case, "interpreted", sample_blocks=OBSERVE_SAMPLE)
+        try:
+            merged = launch_case(case, "compiled", batch_blocks=1, sample_blocks=OBSERVE_SAMPLE)
+        except (IndexError, ValueError) as exc:
+            # Recordings of different shapes merged into one batch.
+            return [f"observe-merge: compiled launch raised {type(exc).__name__}: {exc}"]
+        return compare_outcomes(base, merged, label="observe-merge")
+
+    def mutant(self):
+        """Merge every recording into the one held, whatever code lists the
+        two noted: a block's rows then land under another path's events."""
+        return mock.patch.object(events.EventRecorder, "_same_codes", _absorb_unchecked)
+
+
 def _case_plan(case: Case):
     """Batch plan the compiled engine would use for *case* at auto settings."""
     ck = compiled.compile_kernel(build_kernel(case))
@@ -415,18 +461,15 @@ class FootprintLoadSites(CaseProperty):
 
 
 class _ByteRecorder(TraceSink):
-    """Every delivered batch's block ids, and every global access of every
-    block as ``(block, sid, kind, bytes)``."""
+    """Every global access of every block as ``(block, sid, kind, bytes)``."""
 
     def __init__(self) -> None:
-        self.batches: List[Tuple[int, ...]] = []
         self.accesses: List[Tuple[int, int, str, np.ndarray]] = []
 
     def subscriptions(self):
         return frozenset({"mem"})
 
     def on_batch(self, batch) -> None:
-        self.batches.append(tuple(batch.block_ids))
         mem = batch.mem
         for e in np.flatnonzero(mem.space == SPACE_CODE[MemSpace.GLOBAL]).tolist():
             esize = int(mem.elem_size[e])
@@ -451,10 +494,26 @@ def _record(case: Case, engine: str) -> _ByteRecorder:
     return recorder
 
 
+def _run_batches(case: Case) -> List[Tuple[int, ...]]:
+    """The blocks of each lockstep batch the compiled engine runs for
+    ``case`` with every block profiled (delivered batches may merge
+    several)."""
+    batches: List[Tuple[int, ...]] = []
+    make_state = compiled._make_state
+
+    def recording(ck, executor, grid, block, linears, *args, **kwargs):
+        batches.append(tuple(linears))
+        return make_state(ck, executor, grid, block, linears, *args, **kwargs)
+
+    with mock.patch.object(compiled, "_make_state", recording):
+        _record(case, "compiled")
+    return batches
+
+
 def _collisions(case: Case) -> List[str]:
     """Cross-block collisions inside the batches the compiled engine runs.
 
-    The batches are the ones the compiled engine delivers with every block
+    The batches are the ones the compiled engine runs with every block
     profiled; the byte sets are the interpreter's, whose sequential run is
     the reference.  The blocks of each batch are compared pairwise: a write
     (store or atomic) must not meet another block's write or load.  Exempt
@@ -463,7 +522,7 @@ def _collisions(case: Case) -> List[str]:
     one op whose old values no statement reads, judged by the classifier's
     table, not by the planner's copy a plant may widen.
     """
-    batches = [b for b in _record(case, "compiled").batches if len(b) > 1]
+    batches = [b for b in _run_batches(case) if len(b) > 1]
     if not batches:
         return []
     kernel = build_kernel(case)

@@ -57,20 +57,15 @@ def build_tpacf_kernel(n: int):
 
 
 def tpacf_ref(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Pair counts per bin of the kernel's binary search.
+
+    The edges strictly decrease, so the search settles on the number of
+    ``edges[1:NBINS]`` at or above the dot (bin 0 when there are none).
+    """
     n = pos.shape[0]
-    bins = np.zeros(NBINS, dtype=np.int64)
-    dots = pos @ pos.T
-    iu = np.triu_indices(n, k=1)
-    for dot in dots[iu]:
-        lo, hi = 0, NBINS
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if edges[mid] >= dot:
-                lo = mid
-            else:
-                hi = mid
-        bins[lo] += 1
-    return bins
+    dots = (pos @ pos.T)[np.triu_indices(n, k=1)]
+    k = np.searchsorted(-edges[1:NBINS], -dots, side="right")
+    return np.bincount(k, minlength=NBINS).astype(np.int64)
 
 
 @register

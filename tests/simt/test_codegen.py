@@ -4,7 +4,15 @@ reads, and one recorder call per straight-line run."""
 import numpy as np
 import pytest
 
-from repro.simt import Device, DType, ExecutionError, Executor, KernelBuilder, compiled
+from repro.simt import (
+    Device,
+    DType,
+    ExecutionError,
+    Executor,
+    KernelBuilder,
+    SimtError,
+    compiled,
+)
 from repro.simt.events import EventRecorder
 from repro.simt.ir import Instr, While, walk_stmts
 from repro.trace.collector import KernelTraceCollector
@@ -176,3 +184,99 @@ def test_else_mask_uses_the_condition_as_it_was_on_entry():
     ref = dev.alloc("out", 96, DType.I32)
     run_reference(kernel, 2, 48, {"out": ref, "n": N}, dev)
     assert np.array_equal(dev.download(ref), mem)
+
+
+# -- memory sites under a mask holding every lane of the array -------------
+
+
+def _copy_kernel(guarded=False, offset=0):
+    """``out[i] = src[i + offset] * 2``, behind ``i < n`` when guarded."""
+    b = KernelBuilder("copy")
+    src, out = b.param_buf("src", DType.I32), b.param_buf("out", DType.I32)
+    n = b.param_i32("n")
+    i = b.global_thread_id()
+    if guarded:
+        with b.if_(b.ilt(i, n)):
+            b.st(out, i, b.imul(b.ld(src, i), 2))
+    else:
+        b.st(out, i, b.imul(b.ld(src, b.iadd(i, offset)), 2))
+    return b.finalize()
+
+
+def _shared_kernel(block):
+    """Each block reverses its slice of ``src`` through shared memory."""
+    b = KernelBuilder("reverse")
+    src, out = b.param_buf("src", DType.I32), b.param_buf("out", DType.I32)
+    b.param_i32("n")
+    s = b.shared("s", block, DType.I32)
+    i = b.global_thread_id()
+    b.sst(s, b.tid_x, b.ld(src, i))
+    b.barrier()
+    b.st(out, i, b.iadd(b.sld(s, b.isub(block - 1, b.tid_x)), b.sld(s, b.tid_x)))
+    return b.finalize()
+
+
+#: ``(kernel, grid, block, src elements)``.
+_SITES = {
+    # 48 lanes: every warp row has padding lanes, so no mask is full.
+    "partial-warps": (_copy_kernel(), 4, 48, 192),
+    # The last block's lanes past n hold addresses past the end of src.
+    "guarded-last-block": (_copy_kernel(guarded=True), 4, 32, 100),
+    # The last lane of a full mask reads one element past the end.
+    "faulting-full-mask": (_copy_kernel(), 4, 32, 127),
+    # One block: a batch's fault names its largest bad element, which for
+    # several blocks is not the first block's (the interpreter's).
+    "faulting-every-lane": (_copy_kernel(offset=1000), 1, 64, 64),
+    "shared": (_shared_kernel(64), 3, 64, 192),
+}
+
+
+def _site_outcome(kernel, grid, block, n, engine, batch_blocks=None):
+    dev = Device()
+    bufs = {
+        "src": dev.from_array("src", np.arange(n) * 3 - 50, DType.I32),
+        "out": dev.alloc("out", grid * block, DType.I32),
+        "n": n,
+    }
+    collector = KernelTraceCollector()
+    ex = Executor(dev, sinks=[collector], engine=engine, batch_blocks=batch_blocks)
+    try:
+        ex.launch(kernel, grid, block, bufs)
+    except SimtError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    profile = WorkloadProfile(workload="T", suite="T", kernels=collector.profiles)
+    return dev.download(bufs["out"]).tobytes(), workload_to_dict(profile)
+
+
+@pytest.mark.parametrize("case", sorted(_SITES))
+@pytest.mark.parametrize("batch_blocks", [None, 1])
+def test_full_mask_memory_sites_match_the_interpreter(case, batch_blocks):
+    kernel, grid, block, n = _SITES[case]
+    want = _site_outcome(kernel, grid, block, n, "interpreted")
+    assert _site_outcome(kernel, grid, block, n, "compiled", batch_blocks) == want
+    if case.startswith("faulting"):
+        assert want.startswith("MemoryFault: out-of-bounds access")
+
+
+def test_a_full_mask_load_binds_without_spreading(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(compiled, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(compiled, name, wrapper)
+        monkeypatch.setitem(compiled._NAMESPACE, name, wrapper)
+
+    counting("_spread")
+    counting("_merge")
+    kernel, grid, block, n = _copy_kernel(), 2, 64, 128
+    mem, _ = _site_outcome(kernel, grid, block, n, "compiled")
+    assert np.frombuffer(mem, dtype=np.int64).tolist() == (np.arange(n) * 6 - 100).tolist()
+    assert calls == []
+    # A guarded load runs under a mask that is not full in the last block.
+    _site_outcome(_copy_kernel(guarded=True), 2, 64, 100, "compiled")
+    assert calls == ["_spread"]

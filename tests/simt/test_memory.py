@@ -26,6 +26,27 @@ def test_upload_download_roundtrip():
     assert np.array_equal(dev.download(buf), data)
 
 
+def test_upload_casts_exactly_as_astype():
+    # Into float32 and int32 storage, as the device stores F32 buffers and
+    # narrow host integers: NaN, infinities, subnormals, rounding ties and
+    # values past the range must come out as ``astype`` gives them.
+    tiny = np.finfo(np.float32).smallest_subnormal
+    doubles = np.array([
+        np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300,
+        float(tiny), float(tiny) / 2, float(tiny) * 0.75, 1e-40, -1e-44,
+        1 + 2.0**-24, 1 + 3 * 2.0**-24, 2.0**24 + 1, float(np.finfo(np.float32).max) * 1.0000001,
+    ])
+    ints = np.array([0, -1, 2**31 - 1, 2**31, -2**31 - 1, 2**32 + 5, -2**63, 2**63 - 1])
+    for array, dtype in ((doubles, np.float32), (ints, np.int32)):
+        dev = Device()
+        buf = dev.alloc("b", array.size, DType.F32)
+        buf.data = np.zeros(array.size, dtype=dtype)
+        with np.errstate(all="ignore"):  # overflow to inf warns either way
+            dev.upload(buf, array)
+            want = array.astype(dtype)
+        assert dev.download(buf).tobytes() == want.tobytes()
+
+
 def test_download_is_a_copy():
     dev = Device()
     buf = dev.from_array("x", np.arange(4.0))
